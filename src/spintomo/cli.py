@@ -222,8 +222,8 @@ def cmd_reconstruct(args) -> int:
         "tolerance": tol,
     }
     if rep == "qudit":
-        authority = frames.qudit_quantizer_authority(grid.n_azimuth, grid.n_polar)
-        payload["quantizer_report"] = authority.report.as_dict()
+        report = frames.qudit_quantizer_authority(grid.n_azimuth, grid.n_polar)
+        payload["quantizer_report"] = report.as_dict()
     _emit(args, payload)
     return 0 if residual <= tol else 1
 

@@ -6,23 +6,31 @@ angles) the tomogram value is Tr(rho * U(x)) for a positive "dequantizer"
 operator U(x), and the state is recovered as the weighted sum/integral of
 tomogram values against a companion "quantizer" family D(x).
 
-Two frames are provided for the same 4x4 state space:
+Both pictures use one construction, the spin-j frame of rotated projectors
+U^dag |m><m| U: the qudit frame is j = 3/2 on one sphere, the two-qubit
+frame a product of two j = 1/2 frames. The qubit factor at azimuth phi is
+the rotated projector at pi - phi, which is the paper's (1/2) I + m F with
+F = k . sigma along k = (-sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)).
 
-* the two-qubit frame: product operators built from the rank-1 qubit
-  projectors (1/2) I + m F(phi, theta) with F = k . sigma along
-  k = (-sin(theta) cos(phi), sin(theta) sin(phi), cos(theta));
-* the spin-3/2 (qudit) frame: rotated projectors
-  U^dag |m><m| U with U the spin-3/2 rotation matrix.
+The quantizer is the canonical dual D(x) = S^-1 U(x), S = int |U(x)><U(x)|
+being the frame superoperator. S is 8 pi^2 / (2L+1) on multipole rank L,
+so S^-1 = (1/8 pi^2) sum_L (2L+1) P_L, with P_L the eigenprojector of the
+Casimir superoperator X -> sum_i [J_i, [J_i, X]] for L(L+1) (D'Ariano,
+Maccone & Paini, J. Opt. B 5, 77 (2003); Man'ko & Man'ko, JETP 85, 430
+(1997)). It needs the spin matrices only, not the grid; for j = 1/2 it is
+the paper's qubit quantizer ((1/2) I + 3 m F) / 8 pi^2.
 
-The qudit quantizer has two constructions. ``quantizer_qudit_explicit``
-assembles an explicit closed-form candidate out of three trigonometric
-blocks; its normalization prefactor i*(-1)^m is ambiguous for half-integer
-m, so both natural readings are implemented. The candidate is checked at
-runtime against the reconstruction identity; if it misses, the module
-switches to the canonically derived dual frame (invert the 16x16 frame
-superoperator S = sum over frame points of |vec U><vec U|) and records the
-decision, the failing entries and the residuals in a machine-readable
+The paper's explicit qudit quantizer (``quantizer_qudit_explicit``; its
+prefactor i*(-1)^m is ambiguous for half-integer m, so both natural
+readings are implemented) misses the reconstruction identity on generic
+states. It is a diagnostic only: :func:`qudit_quantizer_authority` builds
+it on request and records residuals and failing entries in a
 :class:`QuditQuantizerReport`.
+
+On a grid each picture has two primitives, analysis (Tr(A * U(x)) at every
+frame point) and synthesis (the weighted sum of node values against the
+quantizers); reconstruction, the frame pairing and the kernel maps in
+:mod:`spintomo.kernel` are compositions of the two.
 
 Angular integrals use a product quadrature: uniform azimuth nodes, Gauss-
 Legendre nodes in cos(polar), and an analytic 2*pi factor for the third
@@ -41,13 +49,18 @@ from math import cos, factorial, pi, sin, sqrt
 import numpy as np
 
 from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, state_matrix, werner
-from .su2 import EulerAngles, twice, wigner_d_matrix
+from .su2 import EulerAngles, spin_projections, twice, wigner_d_matrix
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
 QUDIT_PROJECTIONS = (1.5, 0.5, -0.5, -1.5)
 
 MIN_AZIMUTH_NODES = 8
 MIN_POLAR_NODES = 8
+
+#: Largest number of nodes (azimuth x polar) on one rotation sphere: 32x32.
+#: It bounds the Gauss-Legendre solve and every table; a two-sphere table
+#: at the cap already has 4 * 1024^2 rows.
+MAX_SPHERE_NODES = 1024
 
 #: Total measure of one rotation sphere, third Euler angle included:
 #: int dphi int sin(theta) dtheta int dpsi = 2pi * 2 * 2pi.
@@ -60,11 +73,9 @@ SIGN_READING_REAL = "real_alternating"
 SIGN_READING_IMAG = "imaginary_alternating"
 SIGN_READINGS = (SIGN_READING_REAL, SIGN_READING_IMAG)
 
-#: Reconstruction residual beyond which the explicit qudit quantizer is
-#: rejected in favour of the dual frame.
+#: Reconstruction residual below which the report would select the explicit
+#: qudit quantizer over the dual frame.
 EXPLICIT_QUANTIZER_THRESHOLD = 1e-6
-
-_QUDIT_M_ARRAY = np.array(QUDIT_PROJECTIONS)
 
 
 # --------------------------------------------------------------------------
@@ -158,7 +169,8 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
 
     ``enforce_minimum=False`` is a test hook for deliberately degraded
     grids; normal callers keep the default and get a ValueError below the
-    declared minimum node counts.
+    declared minimum node counts. Either way a sphere holds at most
+    :data:`MAX_SPHERE_NODES` nodes.
     """
     if spheres not in (1, 2):
         raise ValueError("spheres must be 1 or 2")
@@ -169,6 +181,11 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
         )
     if n_azimuth < 1 or n_polar < 1:
         raise ValueError("node counts must be positive")
+    if n_azimuth * n_polar > MAX_SPHERE_NODES:
+        raise ValueError(
+            f"grid too fine: at most {MAX_SPHERE_NODES} nodes per sphere, "
+            f"got ({n_azimuth}, {n_polar})"
+        )
     azimuth = 2.0 * pi * np.arange(n_azimuth) / n_azimuth
     x, wx = np.polynomial.legendre.leggauss(n_polar)
     return QuadratureGrid(
@@ -189,57 +206,101 @@ def _require_grid(grid: QuadratureGrid, spheres: int) -> None:
 
 
 # --------------------------------------------------------------------------
-# two-qubit frame operators
+# the spin-j frame: rotated projectors and their multipole dual
+
+def _frame_projectors(j: float, azimuth, polar) -> np.ndarray:
+    """Dequantizers U^dag |m><m| U of the spin-j frame at every node pair.
+
+    Shape (2j+1, len(azimuth) * len(polar), 2j+1, 2j+1): projections by
+    descending m, nodes azimuth-major like :meth:`QuadratureGrid.sphere_alpha`.
+    Row m of U is d^j(polar)[m] * exp(i m' azimuth) over the columns m';
+    the third Euler angle cancels in the projector. The qubit factor
+    measures its azimuth the other way round: the spin-1/2 frame at phi is
+    the rotated projector at azimuth pi - phi, i.e. (1/2) I + m F(phi, theta).
+    """
+    if j == 0.5:
+        azimuth = pi - np.asarray(azimuth, dtype=float)
+    m = spin_projections(j)
+    d = np.array([wigner_d_matrix(j, b) for b in polar])
+    rows = d[None] * np.exp(1j * np.multiply.outer(azimuth, m))[:, None, None, :]
+    rows = rows.reshape(-1, len(m), len(m)).swapaxes(0, 1)
+    return rows.conj()[..., :, None] * rows[..., None, :]
+
+
+def _point_projector(j: float, m: float, angles: EulerAngles) -> np.ndarray:
+    return _frame_projectors(j, (angles.azimuth,), (angles.polar,))[round(j - m), 0]
+
+
+@lru_cache(maxsize=8)
+def _multipole_dual(dim: int) -> np.ndarray:
+    """S^-1 = (1/8 pi^2) sum_L (2L+1) P_L for spin j = (dim - 1)/2.
+
+    Acts on row-major flattened dim x dim operators. P_L is the eigenspace
+    of the Casimir superoperator sum_i ad(J_i)^2 for L(L+1), and
+    2L+1 = sqrt(1 + 4 L(L+1)).
+    """
+    j = (dim - 1) / 2.0
+    m = spin_projections(j)
+    raising = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    spin = ((raising + raising.T) / 2, (raising - raising.T) / 2j, np.diag(m))
+    eye = np.eye(dim)
+    casimir = sum(ad @ ad for ad in (np.kron(s, eye) - np.kron(eye, s.T) for s in spin))
+    level, vectors = np.linalg.eigh(casimir)
+    multiplicity = np.rint(np.sqrt(1.0 + 4.0 * level))
+    return (vectors * multiplicity) @ vectors.conj().T / FULL_SPHERE_MEASURE
+
+
+def _dual(ops: np.ndarray) -> np.ndarray:
+    """Quantizers S^-1 U of a (..., dim, dim) dequantizer stack."""
+    dim = ops.shape[-1]
+    return (ops.reshape(-1, dim * dim) @ _multipole_dual(dim).T).reshape(ops.shape)
+
 
 def qubit_axis_operator(phi: float, theta: float) -> np.ndarray:
     """F(phi, theta) = k . sigma with k as in the module docstring.
 
     Hermitian, traceless, F^2 = I, so (1/2) I + m F is a rank-1 projector
-    for m = +-1/2.
+    for m = +-1/2. This is the paper's form of the qubit frame; the frame
+    itself is built by the spin-j construction and agrees with it.
     """
     st, ct = sin(theta), cos(theta)
     e = np.exp(1j * phi)
     return np.array([[ct, -e * st], [-st / e, -ct]])
 
 
-def _qubit_dequantizer(m: float, phi: float, theta: float) -> np.ndarray:
-    return 0.5 * np.eye(2) + m * qubit_axis_operator(phi, theta)
-
-
-def _qubit_quantizer(m: float, phi: float, theta: float) -> np.ndarray:
-    return (0.5 * np.eye(2) + 3.0 * m * qubit_axis_operator(phi, theta)) / FULL_SPHERE_MEASURE
+def _pair_reshuffle(mat: np.ndarray) -> np.ndarray:
+    """Swap the middle two indices of a 4x4 read as (2,2,2,2): takes
+    A[(a b), (c d)] to A[(a c), (b d)], so the outer product of two
+    flattened 2x2 factors becomes their Kronecker product (and back)."""
+    return mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def dequantizer_2q(point: FramePoint2Q) -> np.ndarray:
     """Product of the two single-qubit projectors; Hermitian, trace 1."""
-    a = _qubit_dequantizer(point.m1, point.n1.azimuth, point.n1.polar)
-    b = _qubit_dequantizer(point.m2, point.n2.azimuth, point.n2.polar)
-    return np.kron(a, b)
+    return _pair_reshuffle(np.outer(_point_projector(0.5, point.m1, point.n1),
+                                    _point_projector(0.5, point.m2, point.n2)))
 
 
 def quantizer_2q(point: FramePoint2Q) -> np.ndarray:
-    """Product of the two single-qubit quantizer factors, each carrying the
+    """Product of the two single-qubit dual factors, each carrying the
     1/(8 pi^2) sphere normalization."""
-    a = _qubit_quantizer(point.m1, point.n1.azimuth, point.n1.polar)
-    b = _qubit_quantizer(point.m2, point.n2.azimuth, point.n2.polar)
-    return np.kron(a, b)
-
-
-# --------------------------------------------------------------------------
-# qudit frame operators
-
-def _qudit_projector_row(m: float, alpha: float, beta: float) -> np.ndarray:
-    d = wigner_d_matrix(1.5, beta)
-    mi = QUDIT_PROJECTIONS.index(m)
-    return d[mi] * np.exp(1j * alpha * _QUDIT_M_ARRAY)
+    return _pair_reshuffle(np.outer(_dual(_point_projector(0.5, point.m1, point.n1)),
+                                    _dual(_point_projector(0.5, point.m2, point.n2))))
 
 
 def dequantizer_qudit(point: FramePointQudit) -> np.ndarray:
     """Rotated projector U^dag |m><m| U; rank-1, independent of the third
     Euler angle (the two row phases cancel)."""
-    c = _qudit_projector_row(point.m, point.n.azimuth, point.n.polar)
-    return np.outer(c.conj(), c)
+    return _point_projector(1.5, point.m, point.n)
 
+
+def quantizer_qudit(point: FramePointQudit) -> np.ndarray:
+    """Multipole dual of the qudit dequantizer at a frame point."""
+    return _dual(dequantizer_qudit(point))
+
+
+# --------------------------------------------------------------------------
+# the paper's explicit qudit quantizer (diagnostic only)
 
 def _sign_reading_factor(m: float, reading: str) -> complex:
     """The ambiguous prefactor i * (-1)^m under the two supported readings."""
@@ -332,84 +393,81 @@ def quantizer_qudit_explicit(point: FramePointQudit,
                              reading: str = SIGN_READING_REAL) -> np.ndarray:
     """Explicit closed-form qudit quantizer candidate, measure-normalized.
 
-    See the module docstring: this construction is cross-checked against
-    the reconstruction identity and is replaced by the dual frame when it
-    misses; use :func:`quantizer_qudit` for the operator actually used in
-    reconstruction and kernels.
+    See the module docstring: this construction is only cross-checked
+    against the reconstruction identity (:func:`qudit_quantizer_authority`);
+    :func:`quantizer_qudit` is the operator used in reconstruction and
+    kernels.
     """
     return explicit_qudit_b_matrix(point.m, point.n.azimuth, point.n.polar,
                                    reading) / FULL_SPHERE_MEASURE
 
 
 # --------------------------------------------------------------------------
-# cached per-grid frame tables
+# cached per-grid frame tables, analysis and synthesis
 
-def _vec(mats: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a (..., 4, 4) stack -> (..., 16)."""
-    return np.swapaxes(mats, -1, -2).reshape(*mats.shape[:-2], 16)
+class _SphereTables:
+    """Dequantizer and dual stacks of the spin-j frame on one sphere.
 
+    ``analysis`` maps a row-major flattened operator A to Tr(A U) at every
+    (projection, node); ``synthesis`` maps node values back to the
+    flattened weighted sum of quantizers.
+    """
 
-def _unvec(v: np.ndarray) -> np.ndarray:
-    return v.reshape(*v.shape[:-1], 4, 4).swapaxes(-1, -2)
-
-
-class _TwoQubitTables:
-    """Single-sphere operator stacks for the two-qubit frame."""
-
-    def __init__(self, n_azimuth: int, n_polar: int):
+    def __init__(self, j: float, n_azimuth: int, n_polar: int):
         grid = make_grid(n_azimuth, n_polar, spheres=1, enforce_minimum=False)
-        alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
         self.weights = grid.sphere_weights()
-        n = len(alpha)
-        self.dequantizer = np.empty((2, n, 2, 2), dtype=complex)
-        self.quantizer = np.empty((2, n, 2, 2), dtype=complex)
-        for mi, m in enumerate(TWO_QUBIT_PROJECTIONS):
-            for s in range(n):
-                self.dequantizer[mi, s] = _qubit_dequantizer(m, alpha[s], beta[s])
-                self.quantizer[mi, s] = _qubit_quantizer(m, alpha[s], beta[s])
-        self.weighted_quantizer = self.quantizer * self.weights[None, :, None, None]
-
-
-class _QuditTables:
-    """Operator stacks, frame superoperator and dual frame for the qudit."""
-
-    def __init__(self, n_azimuth: int, n_polar: int):
-        grid = make_grid(n_azimuth, n_polar, spheres=1, enforce_minimum=False)
-        alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
-        self.weights = grid.sphere_weights()
-        n = len(alpha)
-        self.dequantizer = np.empty((4, n, 4, 4), dtype=complex)
-        for mi, m in enumerate(QUDIT_PROJECTIONS):
-            for s in range(n):
-                c = _qudit_projector_row(m, alpha[s], beta[s])
-                self.dequantizer[mi, s] = np.outer(c.conj(), c)
-        vecs = _vec(self.dequantizer)
-        self.superoperator = np.einsum(
-            "s,msi,msj->ij", self.weights, vecs, vecs.conj(), optimize=True
-        )
-        dual_vecs = np.linalg.solve(self.superoperator, vecs.reshape(-1, 16).T).T
-        self.dual_quantizer = _unvec(dual_vecs.reshape(4, n, 16))
-        self.explicit = {}
-        for reading in SIGN_READINGS:
-            stack = np.empty((4, n, 4, 4), dtype=complex)
-            for mi, m in enumerate(QUDIT_PROJECTIONS):
-                for s in range(n):
-                    stack[mi, s] = explicit_qudit_b_matrix(m, alpha[s], beta[s], reading)
-            self.explicit[reading] = stack / FULL_SPHERE_MEASURE
+        self.dequantizer = _frame_projectors(j, grid.azimuth, grid.polar)
+        self.quantizer = _dual(self.dequantizer)
+        dim = self.dequantizer.shape[-1]
+        self.analysis = self.dequantizer.swapaxes(-1, -2).reshape(-1, dim * dim)
+        self.synthesis = (self.quantizer * self.weights[:, None, None]).reshape(-1, dim * dim)
 
 
 @lru_cache(maxsize=8)
-def _two_qubit_tables(n_azimuth: int, n_polar: int) -> _TwoQubitTables:
-    return _TwoQubitTables(n_azimuth, n_polar)
+def _two_qubit_tables(n_azimuth: int, n_polar: int) -> _SphereTables:
+    return _SphereTables(0.5, n_azimuth, n_polar)
 
 
 @lru_cache(maxsize=8)
-def _qudit_tables(n_azimuth: int, n_polar: int) -> _QuditTables:
-    return _QuditTables(n_azimuth, n_polar)
+def _qudit_tables(n_azimuth: int, n_polar: int) -> _SphereTables:
+    return _SphereTables(1.5, n_azimuth, n_polar)
+
+
+_SPHERES = {BASIS_QUDIT: 1, BASIS_TWO_QUBIT: 2}
+
+
+def _spheres(representation: str) -> int:
+    if representation not in _SPHERES:
+        raise ValueError(f"unknown representation {representation!r}")
+    return _SPHERES[representation]
+
+
+def _analyze(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
+    """Symbols Tr(op * U(x)) at every frame point of the grid.
+
+    Shape (4, n) in the qudit picture (projection, node) and (2, n, 2, n)
+    in the two-qubit picture (m1, node1, m2, node2); complex.
+    """
+    if _spheres(representation) == 1:
+        tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
+        return (tables.analysis @ op.ravel()).reshape(4, -1)
+    tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
+    a = tables.analysis
+    return (a @ _pair_reshuffle(op) @ a.T).reshape(2, -1, 2, grid.n_sphere_nodes)
+
+
+def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
+    """Weighted sum of node values against the quantizers: the 4x4
+    operator whose symbols the values are, when the grid is exact."""
+    if _spheres(representation) == 1:
+        tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
+        return (values.reshape(-1) @ tables.synthesis).reshape(4, 4)
+    b = _two_qubit_tables(grid.n_azimuth, grid.n_polar).synthesis
+    return _pair_reshuffle(b.T @ (values.reshape(len(b), len(b)) @ b))
 
 
 # --------------------------------------------------------------------------
-# qudit quantizer authority: explicit candidate vs dual frame
+# the explicit quantizer report (on demand)
 
 _AUTHORITY_SAMPLE_SEEDS = tuple(range(9201, 9209))
 _REPORT_ENTRY_TOL = 1e-9
@@ -417,13 +475,14 @@ _REPORT_ENTRY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class QuditQuantizerReport:
-    """Machine-readable record of the qudit quantizer selection.
+    """Machine-readable record of the explicit-candidate check.
 
-    ``selected`` is either ``"dual_frame"`` or ``"explicit:<reading>"``.
-    Residuals are Frobenius reconstruction round-trip errors; the entry
-    lists enumerate, in the unnormalized (trace-1 candidate) scale, which
-    matrix entries of the explicit construction break Hermiticity and which
-    deviate from the dual frame.
+    ``selected`` is ``"explicit:<reading>"`` when a reading's residual is
+    within ``threshold``, else ``"dual_frame"``. Residuals are Frobenius
+    reconstruction round-trip errors; the entry lists enumerate, in the
+    unnormalized (trace-1 candidate) scale, which matrix entries of the
+    explicit construction break Hermiticity and which deviate from the
+    dual frame.
     """
 
     scheme: tuple
@@ -448,14 +507,14 @@ class QuditQuantizerReport:
         }
 
 
-def _stack_roundtrip_residual(rho: np.ndarray, tables: _QuditTables,
+def _stack_roundtrip_residual(rho: np.ndarray, tables: _SphereTables,
                               quantizer_stack: np.ndarray) -> float:
-    values = np.einsum("ab,msba->ms", rho, tables.dequantizer, optimize=True).real
+    values = (tables.analysis @ rho.ravel()).real.reshape(4, -1)
     rec = np.einsum("ms,s,msab->ab", values, tables.weights, quantizer_stack, optimize=True)
     return float(np.linalg.norm(rec - rho))
 
 
-def _hermiticity_failures(tables_scheme: tuple) -> dict:
+def _hermiticity_failures() -> dict:
     rng = np.random.default_rng(4096)
     blocks = {
         "block_degree1": lambda a, b, m: _explicit_block_degree1(m, a, b),
@@ -481,45 +540,33 @@ def _hermiticity_failures(tables_scheme: tuple) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class QuditQuantizerAuthority:
-    """The quantizer family actually used for qudit reconstruction/kernels."""
-
-    scheme: tuple
-    report: QuditQuantizerReport
-
-    def quantizer_stack(self) -> np.ndarray:
-        tables = _qudit_tables(*self.scheme)
-        if self.report.selected.startswith("explicit:"):
-            return tables.explicit[self.report.selected.split(":", 1)[1]]
-        return tables.dual_quantizer
-
-    def quantizer(self, point: FramePointQudit) -> np.ndarray:
-        if self.report.selected.startswith("explicit:"):
-            return quantizer_qudit_explicit(point, self.report.selected.split(":", 1)[1])
-        tables = _qudit_tables(*self.scheme)
-        u = dequantizer_qudit(point)
-        return _unvec(np.linalg.solve(tables.superoperator, _vec(u)))
-
-
 @lru_cache(maxsize=8)
 def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
-                              n_polar: int = MIN_POLAR_NODES) -> QuditQuantizerAuthority:
-    """Select the qudit quantizer for the given scheme and report why.
+                              n_polar: int = MIN_POLAR_NODES) -> QuditQuantizerReport:
+    """Check the paper's explicit qudit quantizer on one grid and report.
 
-    The explicit candidate (each sign reading) is accepted only if its
-    reconstruction round trip stays below ``EXPLICIT_QUANTIZER_THRESHOLD``
-    on a fixed sample of random states; otherwise the dual frame is used.
+    A diagnostic, computed on request: reconstruction and kernels always
+    use the multipole dual. The explicit candidate (each sign reading) is
+    evaluated on a fixed sample of random states and on a Werner state,
+    and ``selected`` names it only if its round trip stays below
+    ``EXPLICIT_QUANTIZER_THRESHOLD``.
     """
     tables = _qudit_tables(n_azimuth, n_polar)
+    grid = make_grid(n_azimuth, n_polar, spheres=1, enforce_minimum=False)
+    nodes = list(zip(grid.sphere_alpha(), grid.sphere_beta()))
+    explicit = {
+        reading: np.array([[explicit_qudit_b_matrix(m, a, b, reading) for a, b in nodes]
+                           for m in QUDIT_PROJECTIONS]) / FULL_SPHERE_MEASURE
+        for reading in SIGN_READINGS
+    }
     from .matcore import random_density  # local import to avoid cycle at module load
 
     samples = [random_density(4, seed).mat for seed in _AUTHORITY_SAMPLE_SEEDS]
-    dual_res = max(_stack_roundtrip_residual(r, tables, tables.dual_quantizer) for r in samples)
+    dual_res = max(_stack_roundtrip_residual(r, tables, tables.quantizer) for r in samples)
     explicit_res = {}
     werner_res = {}
     for reading in SIGN_READINGS:
-        stack = tables.explicit[reading]
+        stack = explicit[reading]
         explicit_res[reading] = max(_stack_roundtrip_residual(r, tables, stack) for r in samples)
         werner_res[reading] = _stack_roundtrip_residual(werner(0.5).mat, tables, stack)
     best_reading = min(SIGN_READINGS, key=lambda r: explicit_res[r])
@@ -527,7 +574,7 @@ def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
         selected = f"explicit:{best_reading}"
     else:
         selected = "dual_frame"
-    dev = np.abs(tables.explicit[best_reading] - tables.dual_quantizer).max(axis=(0, 1))
+    dev = np.abs(explicit[best_reading] - tables.quantizer).max(axis=(0, 1))
     dev = dev * FULL_SPHERE_MEASURE  # report in the unnormalized candidate scale
     deviations = [
         {"entry": [i, j], "max_abs_deviation": float(dev[i, j])}
@@ -535,23 +582,16 @@ def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
         for j in range(4)
         if dev[i, j] > _REPORT_ENTRY_TOL
     ]
-    report = QuditQuantizerReport(
+    return QuditQuantizerReport(
         scheme=(n_azimuth, n_polar),
         threshold=EXPLICIT_QUANTIZER_THRESHOLD,
         selected=selected,
         dual_frame_max_residual=float(dual_res),
         explicit_residuals={k: float(v) for k, v in explicit_res.items()},
         werner_residuals={k: float(v) for k, v in werner_res.items()},
-        hermiticity_failures=_hermiticity_failures((n_azimuth, n_polar)),
+        hermiticity_failures=_hermiticity_failures(),
         entry_deviations_vs_dual=deviations,
     )
-    return QuditQuantizerAuthority(scheme=(n_azimuth, n_polar), report=report)
-
-
-def quantizer_qudit(point: FramePointQudit, grid: QuadratureGrid | None = None) -> np.ndarray:
-    """Authority-selected qudit quantizer at a frame point."""
-    scheme = (grid.n_azimuth, grid.n_polar) if grid is not None else (MIN_AZIMUTH_NODES, MIN_POLAR_NODES)
-    return qudit_quantizer_authority(*scheme).quantizer(point)
 
 
 # --------------------------------------------------------------------------
@@ -602,19 +642,6 @@ def tomogram_evaluator(state, representation: str):
     raise ValueError(f"unknown representation {representation!r}")
 
 
-def _two_qubit_value_tensor(rho: np.ndarray, tables: _TwoQubitTables) -> np.ndarray:
-    """Tomogram values on the product grid, shape (2, n, 2, n)."""
-    rho_r = rho.reshape(2, 2, 2, 2)
-    return np.einsum(
-        "abcd,msca,ntdb->msnt", rho_r, tables.dequantizer, tables.dequantizer, optimize=True
-    ).real
-
-
-def _qudit_value_matrix(rho: np.ndarray, tables: _QuditTables) -> np.ndarray:
-    """Tomogram values on the sphere grid, shape (4, n)."""
-    return np.einsum("ab,msba->ms", rho, tables.dequantizer, optimize=True).real
-
-
 @dataclass(frozen=True)
 class TomogramTable:
     """Evaluated tomogram keyed by (projections, grid node).
@@ -659,13 +686,12 @@ def _validate_table(values_by_projection: np.ndarray) -> None:
 
 def tomogram_table(state, representation: str, grid: QuadratureGrid) -> TomogramTable:
     """Tomogram of ``state`` over every (projection, grid node) pair."""
+    _require_grid(grid, spheres=_spheres(representation))
+    rho = _check_basis(state, representation)
+    values = _analyze(rho, representation, grid).real
+    alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
     if representation == BASIS_QUDIT:
-        _require_grid(grid, spheres=1)
-        rho = _check_basis(state, BASIS_QUDIT)
-        tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
-        values = _qudit_value_matrix(rho, tables)
         _validate_table(values)
-        alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
         rows = []
         for mi, m in enumerate(QUDIT_PROJECTIONS):
             for s in range(len(alpha)):
@@ -675,28 +701,21 @@ def tomogram_table(state, representation: str, grid: QuadratureGrid) -> Tomogram
             columns=("m", "alpha", "beta", "value"),
             rows=np.array(rows),
         )
-    if representation == BASIS_TWO_QUBIT:
-        _require_grid(grid, spheres=2)
-        rho = _check_basis(state, BASIS_TWO_QUBIT)
-        tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
-        values = _two_qubit_value_tensor(rho, tables)
-        _validate_table(values.transpose(0, 2, 1, 3).reshape(4, -1))
-        alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
-        n = len(alpha)
-        rows = []
-        for mi, m1 in enumerate(TWO_QUBIT_PROJECTIONS):
-            for ni, m2 in enumerate(TWO_QUBIT_PROJECTIONS):
-                for s in range(n):
-                    for t in range(n):
-                        rows.append(
-                            (m1, m2, beta[s], alpha[s], beta[t], alpha[t], values[mi, s, ni, t])
-                        )
-        return TomogramTable(
-            representation=representation,
-            columns=("m1", "m2", "theta1", "phi1", "theta2", "phi2", "value"),
-            rows=np.array(rows),
-        )
-    raise ValueError(f"unknown representation {representation!r}")
+    _validate_table(values.transpose(0, 2, 1, 3).reshape(4, -1))
+    n = len(alpha)
+    rows = []
+    for mi, m1 in enumerate(TWO_QUBIT_PROJECTIONS):
+        for ni, m2 in enumerate(TWO_QUBIT_PROJECTIONS):
+            for s in range(n):
+                for t in range(n):
+                    rows.append(
+                        (m1, m2, beta[s], alpha[s], beta[t], alpha[t], values[mi, s, ni, t])
+                    )
+    return TomogramTable(
+        representation=representation,
+        columns=("m1", "m2", "theta1", "phi1", "theta2", "phi2", "value"),
+        rows=np.array(rows),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -734,34 +753,18 @@ def reconstruct(tomogram_fn, quantizer_fn, grid: QuadratureGrid, representation:
 
 def reconstruct_state(state, representation: str, grid: QuadratureGrid,
                       enforce_grid: bool = True) -> np.ndarray:
-    """Round-trip a state through its tomogram (vectorized fast path).
+    """Round-trip a state through its tomogram: synthesis of its analysis.
 
-    Identical, up to summation order, to feeding :func:`tomogram_evaluator`
-    into :func:`reconstruct`; kept separate because bulk validation runs
-    many thousand frame points. ``enforce_grid=False`` is the hook used to
-    demonstrate failure on deliberately coarse grids.
+    Equal, up to summation order, to feeding :func:`tomogram_evaluator`
+    into :func:`reconstruct` with the frame's quantizer.
+    ``enforce_grid=False`` is the hook used to demonstrate failure on
+    deliberately coarse grids.
     """
-    if representation == BASIS_QUDIT:
-        if enforce_grid:
-            _require_grid(grid, spheres=1)
-        rho = _check_basis(state, BASIS_QUDIT)
-        tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
-        authority = qudit_quantizer_authority(grid.n_azimuth, grid.n_polar)
-        values = _qudit_value_matrix(rho, tables)
-        return np.einsum("ms,s,msab->ab", values, tables.weights,
-                         authority.quantizer_stack(), optimize=True)
-    if representation == BASIS_TWO_QUBIT:
-        if enforce_grid:
-            _require_grid(grid, spheres=2)
-        rho = _check_basis(state, BASIS_TWO_QUBIT)
-        tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
-        values = _two_qubit_value_tensor(rho, tables)
-        rec = np.einsum(
-            "msnt,msab,ntcd->acbd", values,
-            tables.weighted_quantizer, tables.weighted_quantizer, optimize=True,
-        )
-        return rec.reshape(4, 4)
-    raise ValueError(f"unknown representation {representation!r}")
+    spheres = _spheres(representation)
+    if enforce_grid:
+        _require_grid(grid, spheres=spheres)
+    rho = _check_basis(state, representation)
+    return _synthesize(_analyze(rho, representation, grid).real, representation, grid)
 
 
 def roundtrip_residual(state, representation: str, grid: QuadratureGrid,
@@ -785,7 +788,7 @@ def symbol(op, point) -> complex:
     raise TypeError("point must be FramePoint2Q or FramePointQudit")
 
 
-def dual_symbol(op, point, grid: QuadratureGrid | None = None) -> complex:
+def dual_symbol(op, point) -> complex:
     """Dual tomographic symbol: Tr(A * quantizer(point)).
 
     Pairs with :func:`symbol` under the grid sum to give operator traces:
@@ -798,34 +801,26 @@ def dual_symbol(op, point, grid: QuadratureGrid | None = None) -> complex:
     if isinstance(point, FramePoint2Q):
         return complex(np.trace(op @ quantizer_2q(point)))
     if isinstance(point, FramePointQudit):
-        return complex(np.trace(op @ quantizer_qudit(point, grid)))
+        return complex(np.trace(op @ quantizer_qudit(point)))
     raise TypeError("point must be FramePoint2Q or FramePointQudit")
+
+
+def _frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:
+    # sum_x w symbol(A)(x) Tr(B D(x)) = Tr(B * synthesis of the symbols of A)
+    _require_grid(grid, spheres=_spheres(representation))
+    values = _analyze(np.asarray(symbol_op, dtype=complex), representation, grid)
+    rec = _synthesize(values, representation, grid)
+    return complex(np.trace(np.asarray(dual_op, dtype=complex) @ rec))
 
 
 def frame_pairing_two_qubit(symbol_op, dual_op, grid: QuadratureGrid) -> complex:
     """sum over points of symbol(symbol_op) * dual_symbol(dual_op), 2q frame."""
-    _require_grid(grid, spheres=2)
-    tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
-    a = np.asarray(symbol_op, dtype=complex).reshape(2, 2, 2, 2)
-    b = np.asarray(dual_op, dtype=complex).reshape(2, 2, 2, 2)
-    sym = np.einsum("abcd,msca,ntdb->msnt", a, tables.dequantizer, tables.dequantizer,
-                    optimize=True)
-    dual = np.einsum("abcd,msca,ntdb->msnt", b, tables.quantizer, tables.quantizer,
-                     optimize=True)
-    w = tables.weights
-    return complex(np.einsum("msnt,msnt,s,t->", sym, dual, w, w, optimize=True))
+    return _frame_pairing(symbol_op, dual_op, BASIS_TWO_QUBIT, grid)
 
 
 def frame_pairing_qudit(symbol_op, dual_op, grid: QuadratureGrid) -> complex:
-    """Same pairing in the spin-3/2 frame, with the selected quantizer."""
-    _require_grid(grid, spheres=1)
-    tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
-    authority = qudit_quantizer_authority(grid.n_azimuth, grid.n_polar)
-    a = np.asarray(symbol_op, dtype=complex)
-    b = np.asarray(dual_op, dtype=complex)
-    sym = np.einsum("ab,msba->ms", a, tables.dequantizer, optimize=True)
-    dual = np.einsum("ab,msba->ms", b, authority.quantizer_stack(), optimize=True)
-    return complex(np.einsum("ms,ms,s->", sym, dual, tables.weights, optimize=True))
+    """Same pairing in the spin-3/2 frame."""
+    return _frame_pairing(symbol_op, dual_op, BASIS_QUDIT, grid)
 
 
 # --------------------------------------------------------------------------

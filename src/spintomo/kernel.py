@@ -12,17 +12,26 @@ with the trace-defined kernels
     K_qudit_to_pair = Tr[ D_qudit(m, n) U_pair(m1, m2, n1, n2) ]
     K_pair_to_qudit = Tr[ D_pair(m1, m2, n1, n2) U_qudit(m, n) ]
 
-(U = dequantizer, D = quantizer; the qudit quantizer is the authority
-selected in :mod:`spintomo.frames`). The trace definition is authoritative
-here. An explicit closed-form expression for the qudit-to-pair kernel is
-also implemented; it fails the cross-check against the trace definition
-(bare exp(i phi) factors where a real result needs cos terms, and the same
-defects as the explicit quantizer blocks), so
-:func:`closed_kernel_report` quantifies the disagreement term by term
-instead of asserting it away.
+(U = dequantizer, D = quantizer, both from :mod:`spintomo.frames`; the
+quantizers are the grid-independent multipole duals).
 
-Kernel evaluation against a fixed grid reuses the cached frame-operator
-stacks, so mapping many target points does not rebuild the kernel table.
+Mapping a tomogram never tabulates a kernel. The kernel integral is linear
+in the tomogram and factors through operator space,
+
+    sum_x w(x) value(x) K(x, y) = Tr[ (sum_x w(x) value(x) D(x)) U(y) ],
+
+so each map synthesizes the node values into one 4x4 operator, with the
+same synthesis that reconstruction uses, and reads it against the target's
+dequantizer. This holds for any tomogram function, physical or not. The
+evaluator variants take the node values from a callable, the state
+variants from the state's own tomogram.
+
+The trace definition is authoritative. An explicit closed-form expression
+for the qudit-to-pair kernel is also implemented; it fails the cross-check
+against the trace definition (bare exp(i phi) factors where a real result
+needs cos terms, and the same defects as the explicit quantizer blocks),
+so :func:`closed_kernel_report` quantifies the disagreement term by term
+instead of asserting it away.
 """
 
 from __future__ import annotations
@@ -32,12 +41,10 @@ from math import cos, factorial, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import state_matrix
+from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, state_matrix
 from .su2 import EulerAngles, twice
 from .frames import (
     FULL_SPHERE_MEASURE,
-    MIN_AZIMUTH_NODES,
-    MIN_POLAR_NODES,
     QUDIT_PROJECTIONS,
     SIGN_READING_REAL,
     SIGN_READINGS,
@@ -45,16 +52,14 @@ from .frames import (
     FramePoint2Q,
     FramePointQudit,
     QuadratureGrid,
-    _qudit_tables,
-    _qudit_value_matrix,
     _require_grid,
     _sign_reading_factor,
-    _two_qubit_tables,
-    _two_qubit_value_tensor,
+    _synthesize,
     dequantizer_2q,
     dequantizer_qudit,
     quantizer_2q,
-    qudit_quantizer_authority,
+    quantizer_qudit,
+    reconstruct_state,
 )
 
 
@@ -77,16 +82,9 @@ class KernelPoint:
         return FramePoint2Q(self.m1, self.m2, self.qubit1, self.qubit2)
 
 
-def _default_scheme(grid: QuadratureGrid | None) -> tuple:
-    if grid is None:
-        return (MIN_AZIMUTH_NODES, MIN_POLAR_NODES)
-    return (grid.n_azimuth, grid.n_polar)
-
-
-def kernel_qudit_to_pair(point: KernelPoint, grid: QuadratureGrid | None = None) -> complex:
+def kernel_qudit_to_pair(point: KernelPoint) -> complex:
     """Trace-defined kernel converting a qudit tomogram to a two-qubit one."""
-    authority = qudit_quantizer_authority(*_default_scheme(grid))
-    d = authority.quantizer(point.qudit_point())
+    d = quantizer_qudit(point.qudit_point())
     u = dequantizer_2q(point.pair_point())
     return complex(np.trace(d @ u))
 
@@ -99,14 +97,14 @@ def kernel_pair_to_qudit(point: KernelPoint) -> complex:
     return complex(np.trace(d @ u))
 
 
-def dual_kernels(point: KernelPoint, grid: QuadratureGrid | None = None) -> tuple[complex, complex]:
+def dual_kernels(point: KernelPoint) -> tuple[complex, complex]:
     """Kernels transporting dual symbols: the pair (K^d_12, K^d_21).
 
     Swapping quantizer and dequantizer roles swaps the kernels, so the
     first component is :func:`kernel_pair_to_qudit` at the same point and
     the second is :func:`kernel_qudit_to_pair`.
     """
-    return kernel_pair_to_qudit(point), kernel_qudit_to_pair(point, grid)
+    return kernel_pair_to_qudit(point), kernel_qudit_to_pair(point)
 
 
 # --------------------------------------------------------------------------
@@ -202,12 +200,12 @@ def _random_kernel_point(rng) -> KernelPoint:
     )
 
 
-def closed_kernel_report(grid: QuadratureGrid | None = None, n_points: int = 100,
-                         seed: int = 515, tolerance: float = 1e-10) -> ClosedKernelReport:
+def closed_kernel_report(n_points: int = 100, seed: int = 515,
+                         tolerance: float = 1e-10) -> ClosedKernelReport:
     """Compare trace-defined and closed-form kernels at random points."""
     rng = np.random.default_rng(seed)
     points = [_random_kernel_point(rng) for _ in range(n_points)]
-    trace_values = np.array([kernel_qudit_to_pair(p, grid) for p in points])
+    trace_values = np.array([kernel_qudit_to_pair(p) for p in points])
     stats = {}
     term_max = {}
     for reading in SIGN_READINGS:
@@ -251,6 +249,10 @@ def _real_result(value: complex, tol: float = 1e-10) -> float:
     return float(value.real)
 
 
+def _read_against(rec: np.ndarray, u_target: np.ndarray) -> float:
+    return _real_result(complex(np.trace(rec @ u_target)))
+
+
 def map_qudit_to_two_qubit(tomogram_fn, grid: QuadratureGrid, target: FramePoint2Q) -> float:
     """Convert a qudit tomogram evaluator into a two-qubit tomogram value.
 
@@ -258,62 +260,34 @@ def map_qudit_to_two_qubit(tomogram_fn, grid: QuadratureGrid, target: FramePoint
     kernel over the grid; the projection sum over m is always included.
     """
     _require_grid(grid, spheres=1)
-    tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
-    authority = qudit_quantizer_authority(grid.n_azimuth, grid.n_polar)
-    u_target = dequantizer_2q(target)
-    kernel = np.einsum("msab,ba->ms", authority.quantizer_stack(), u_target, optimize=True)
-    alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
-    values = np.array(
-        [[tomogram_fn(m, EulerAngles(a, b)) for a, b in zip(alpha, beta)]
-         for m in QUDIT_PROJECTIONS]
-    )
-    return _real_result(complex(np.einsum("ms,s,ms->", values, tables.weights, kernel)))
+    nodes = [EulerAngles(a, b) for a, b in zip(grid.sphere_alpha(), grid.sphere_beta())]
+    values = np.array([[tomogram_fn(m, n) for n in nodes] for m in QUDIT_PROJECTIONS])
+    return _read_against(_synthesize(values, BASIS_QUDIT, grid), dequantizer_2q(target))
 
 
 def map_two_qubit_to_qudit(tomogram_fn, grid: QuadratureGrid, target: FramePointQudit) -> float:
     """Convert a two-qubit tomogram evaluator into a qudit tomogram value."""
     _require_grid(grid, spheres=2)
-    tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
-    u_target = dequantizer_qudit(target).reshape(2, 2, 2, 2)
-    kernel = np.einsum("msab,ntcd,bdac->msnt", tables.quantizer, tables.quantizer,
-                       u_target, optimize=True)
-    alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
-    angles = [EulerAngles(a, b) for a, b in zip(alpha, beta)]
+    nodes = [EulerAngles(a, b) for a, b in zip(grid.sphere_alpha(), grid.sphere_beta())]
+    # axes (m1, node1, m2, node2), the layout of the two-qubit synthesis
     values = np.array(
-        [[[[tomogram_fn(m1, m2, n1, n2) for n2 in angles]
+        [[[[tomogram_fn(m1, m2, n1, n2) for n2 in nodes]
            for m2 in TWO_QUBIT_PROJECTIONS]
-          for n1 in angles]
+          for n1 in nodes]
          for m1 in TWO_QUBIT_PROJECTIONS]
     )
-    # axes come out as (m1, node1, m2, node2), matching the kernel tensor
-    w = tables.weights
-    return _real_result(complex(np.einsum("msnt,s,t,msnt->", values, w, w, kernel)))
+    return _read_against(_synthesize(values, BASIS_TWO_QUBIT, grid), dequantizer_qudit(target))
 
 
 def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint2Q,
                                  enforce_grid: bool = True) -> float:
-    """Fast path of :func:`map_qudit_to_two_qubit` for a density matrix."""
-    if enforce_grid:
-        _require_grid(grid, spheres=1)
-    rho = state_matrix(state)
-    tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
-    authority = qudit_quantizer_authority(grid.n_azimuth, grid.n_polar)
-    values = _qudit_value_matrix(rho, tables)
-    kernel = np.einsum("msab,ba->ms", authority.quantizer_stack(),
-                       dequantizer_2q(target), optimize=True)
-    return _real_result(complex(np.einsum("ms,s,ms->", values, tables.weights, kernel)))
+    """:func:`map_qudit_to_two_qubit` of a density matrix's own tomogram."""
+    rec = reconstruct_state(state_matrix(state), BASIS_QUDIT, grid, enforce_grid=enforce_grid)
+    return _read_against(rec, dequantizer_2q(target))
 
 
 def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid, target: FramePointQudit,
                                  enforce_grid: bool = True) -> float:
-    """Fast path of :func:`map_two_qubit_to_qudit` for a density matrix."""
-    if enforce_grid:
-        _require_grid(grid, spheres=2)
-    rho = state_matrix(state)
-    tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
-    values = _two_qubit_value_tensor(rho, tables)
-    u_target = dequantizer_qudit(target).reshape(2, 2, 2, 2)
-    kernel = np.einsum("msab,ntcd,bdac->msnt", tables.quantizer, tables.quantizer,
-                       u_target, optimize=True)
-    w = tables.weights
-    return _real_result(complex(np.einsum("msnt,s,t,msnt->", values, w, w, kernel)))
+    """:func:`map_two_qubit_to_qudit` of a density matrix's own tomogram."""
+    rec = reconstruct_state(state_matrix(state), BASIS_TWO_QUBIT, grid, enforce_grid=enforce_grid)
+    return _read_against(rec, dequantizer_qudit(target))

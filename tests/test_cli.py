@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spintomo import frames
 from spintomo.cli import main
 from spintomo.matcore import matrix_to_json_dict, random_density, werner
 
@@ -124,10 +125,42 @@ class TestReconstruct:
         assert payload["residual"] <= 1e-8
         assert payload["quantizer_report"]["selected"] == "dual_frame"
 
+    def test_quantizer_report_schema(self, capsys):
+        code, out, _ = run(capsys, "reconstruct", "--state", "werner:0.3", "--rep", "qudit")
+        assert code == 0
+        report = json.loads(out)["quantizer_report"]
+        assert set(report) == {
+            "scheme", "threshold", "selected", "dual_frame_max_residual",
+            "explicit_residuals", "werner_residuals", "hermiticity_failures",
+            "entry_deviations_vs_dual"}
+        assert report["selected"] == "dual_frame"
+        assert report["scheme"] == [8, 8]
+
     def test_coarse_grid_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "reconstruct", "--state", "werner:0.5",
                          "--rep", "two_qubit", "--grid-azimuth", "4")
         assert code == 2
+
+
+class TestGridBound:
+    # Both inputs exceed the node cap; the cap is looked up first, so a
+    # build without it fails here instead of running the oversized grid.
+    def test_huge_polar_count_is_usage_error(self, capsys):
+        assert 8 * 100000 > frames.MAX_SPHERE_NODES
+        code, out, err = run(capsys, "reconstruct", "--state", "werner:0.5",
+                             "--rep", "qudit", "--grid-polar", "100000")
+        assert code == 2
+        assert out == ""
+        assert "at most 1024 nodes" in err
+
+    def test_huge_two_sphere_table_is_usage_error(self, capsys):
+        assert 64 * 64 > frames.MAX_SPHERE_NODES
+        code, out, err = run(capsys, "tomogram", "--state", "werner:0.5",
+                             "--rep", "two_qubit", "--full-grid",
+                             "--grid-azimuth", "64", "--grid-polar", "64")
+        assert code == 2
+        assert out == ""
+        assert "at most 1024 nodes" in err
 
 
 class TestMap:
@@ -228,6 +261,14 @@ class TestSelftestCommand:
         assert code == 1
         assert any(line.startswith("FAIL  2") or line.startswith("FAIL  3")
                    for line in out.split("\n"))
+
+    def test_out_file_holds_the_report(self, capsys, tmp_path):
+        target = tmp_path / "selftest.json"
+        code, _, _ = run(capsys, "selftest", "--out", str(target))
+        assert code == 0
+        report = json.loads(target.read_text())
+        assert len(report["results"]) == 12
+        assert report["all_passed"] is True
 
     def test_stdout_deterministic_for_fixed_seed(self, capsys):
         _, out1, _ = run(capsys, "selftest", "--seed", "7")

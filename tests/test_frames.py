@@ -87,6 +87,14 @@ class TestGrid:
         grid = make_grid(2, 2, enforce_minimum=False)
         assert grid.n_sphere_nodes == 4
 
+    def test_node_cap_in_both_modes(self):
+        assert make_grid(32, 32).n_sphere_nodes == frames.MAX_SPHERE_NODES
+        for enforce in (True, False):
+            with pytest.raises(ValueError, match="at most 1024 nodes"):
+                make_grid(8, 129, enforce_minimum=enforce)
+            with pytest.raises(ValueError, match="at most 1024 nodes"):
+                make_grid(33, 32, spheres=2, enforce_minimum=enforce)
+
 
 # --------------------------------------------------------------------------
 # two-qubit frame
@@ -149,6 +157,39 @@ class TestTwoQubitFrame:
         with pytest.raises(ValueError):
             FramePoint2Q(1.5, 0.5, EulerAngles(0, 0), EulerAngles(0, 0))
 
+    def test_factors_are_the_paper_forms(self):
+        # the spin-1/2 frame reproduces (1/2) I + m F and its dual
+        # ((1/2) I + 3 m F) / 8 pi^2, F built from qubit_axis_operator
+        rng = np.random.default_rng(112)
+        eye = np.eye(2)
+        for _ in range(20):
+            n1, n2 = rand_angles(rng, third=True), rand_angles(rng, third=True)
+            f1 = frames.qubit_axis_operator(n1.azimuth, n1.polar)
+            f2 = frames.qubit_axis_operator(n2.azimuth, n2.polar)
+            for m1 in TWO_QUBIT_PROJECTIONS:
+                for m2 in TWO_QUBIT_PROJECTIONS:
+                    point = FramePoint2Q(m1, m2, n1, n2)
+                    np.testing.assert_allclose(
+                        dequantizer_2q(point),
+                        np.kron(0.5 * eye + m1 * f1, 0.5 * eye + m2 * f2), rtol=0, atol=1e-15)
+                    np.testing.assert_allclose(
+                        quantizer_2q(point),
+                        np.kron(0.5 * eye + 3 * m1 * f1, 0.5 * eye + 3 * m2 * f2)
+                        / FULL_SPHERE_MEASURE**2, rtol=0, atol=1e-17)
+
+    def test_table_factors_are_the_paper_forms(self, grid_single):
+        tables = frames._two_qubit_tables(grid_single.n_azimuth, grid_single.n_polar)
+        eye = np.eye(2)
+        nodes = zip(grid_single.sphere_alpha(), grid_single.sphere_beta())
+        for s, (phi, theta) in enumerate(nodes):
+            f = frames.qubit_axis_operator(phi, theta)
+            for mi, m in enumerate(TWO_QUBIT_PROJECTIONS):
+                np.testing.assert_allclose(tables.dequantizer[mi, s], 0.5 * eye + m * f,
+                                           rtol=0, atol=1e-15)
+                np.testing.assert_allclose(tables.quantizer[mi, s],
+                                           (0.5 * eye + 3 * m * f) / FULL_SPHERE_MEASURE,
+                                           rtol=0, atol=1e-16)
+
 
 # --------------------------------------------------------------------------
 # qudit frame
@@ -210,10 +251,25 @@ class TestExplicitQuditQuantizer:
         assert got.shape == (4, 4)
 
 
+class TestMultipoleDual:
+    @pytest.mark.parametrize("nodes", (8, 12, 16))
+    @pytest.mark.parametrize("tables_of", (frames._two_qubit_tables, frames._qudit_tables),
+                             ids=("qubit", "qudit"))
+    def test_equals_numerically_solved_dual(self, tables_of, nodes):
+        # reference: the frame superoperator S summed over the table's own
+        # dequantizer stack, then D = S^-1 U by a linear solve
+        tables = tables_of(nodes, nodes)
+        n_proj, n_nodes, dim, _ = tables.dequantizer.shape
+        vecs = tables.dequantizer.reshape(n_proj, n_nodes, dim * dim)
+        superoperator = np.einsum("s,msi,msj->ij", tables.weights, vecs, vecs.conj())
+        solved = np.linalg.solve(superoperator, vecs.reshape(-1, dim * dim).T).T
+        np.testing.assert_allclose(tables.quantizer.reshape(-1, dim * dim), solved,
+                                   rtol=0, atol=1e-13)
+
+
 class TestQuditAuthority:
     def test_dual_frame_selected_and_documented(self):
-        authority = qudit_quantizer_authority()
-        report = authority.report
+        report = qudit_quantizer_authority()
         assert report.selected == "dual_frame"
         # the explicit candidate fails on random states under both readings
         assert min(report.explicit_residuals.values()) > report.threshold
@@ -238,7 +294,7 @@ class TestQuditAuthority:
 
     def test_report_is_json_serializable(self):
         import json
-        json.dumps(qudit_quantizer_authority().report.as_dict())
+        json.dumps(qudit_quantizer_authority().as_dict())
 
 
 # --------------------------------------------------------------------------

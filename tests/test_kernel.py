@@ -259,8 +259,8 @@ class TestClosedFormKernel:
             assert np.isfinite(at_zero.real) and np.isfinite(at_zero.imag)
             assert abs(kernel_qudit_to_pair_closed(near) - at_zero) < 1e-6
 
-    def test_cross_check_or_discrepancy_report(self, grid_single):
-        report = closed_kernel_report(grid_single, n_points=20, seed=99)
+    def test_cross_check_or_discrepancy_report(self):
+        report = closed_kernel_report(n_points=20, seed=99)
         if report.agrees:
             rng = np.random.default_rng(55)
             for _ in range(20):
@@ -275,6 +275,6 @@ class TestClosedFormKernel:
                 "bracket_mixed", "bracket_double_azimuth"}
             assert len(report.notes) >= 1
 
-    def test_report_serializable(self, grid_single):
+    def test_report_serializable(self):
         import json
-        json.dumps(closed_kernel_report(grid_single, n_points=5, seed=1).as_dict())
+        json.dumps(closed_kernel_report(n_points=5, seed=1).as_dict())
