@@ -153,7 +153,7 @@ def cmd_validate(args) -> int:
     # builtin werner states skip the domain check here on purpose: the whole
     # point of `validate werner:1.5` is to watch the PSD check fail
     mat, _, _ = _parse_state(args.state, enforce_domain=False)
-    report = validate_density(mat, tol=args.tol if args.tol else 1e-12)
+    report = validate_density(mat, tol=1e-12 if args.tol is None else args.tol)
     _emit(args, report.as_dict())
     return 0 if report.passed else 1
 
@@ -215,7 +215,7 @@ def cmd_reconstruct(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     residual = float(np.linalg.norm(rec - mat))
-    tol = args.tol if args.tol else 1e-8
+    tol = 1e-8 if args.tol is None else args.tol
     payload = {
         "matrix": matrix_to_json_dict(rec, basis=REP_TO_BASIS[rep]),
         "residual": residual,
@@ -245,7 +245,7 @@ def cmd_map(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     residual = abs(mapped - direct)
-    tol = args.tol if args.tol else 1e-8
+    tol = 1e-8 if args.tol is None else args.tol
     _emit(args, {"direction": args.direction, "value": mapped,
                  "direct": direct, "residual": residual, "tolerance": tol})
     return 0 if residual <= tol else 1
@@ -296,6 +296,14 @@ def cmd_selftest(args) -> int:
 # --------------------------------------------------------------------------
 # parser
 
+def _tolerance(text: str) -> float:
+    """Type of ``--tol``: a finite number >= 0 (argparse exits 2 otherwise)."""
+    value = float(text)
+    if not (isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--state", help="matrix JSON file or builtin 'werner:<p>'")
     parser.add_argument("--grid-azimuth", type=int, default=frames.MIN_AZIMUTH_NODES,
@@ -305,8 +313,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance override for pass/fail exit codes")
+    parser.add_argument("--tol", type=_tolerance, default=None,
+                        help="tolerance override for pass/fail exit codes (finite, >= 0)")
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:

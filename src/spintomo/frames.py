@@ -29,8 +29,14 @@ it on request and records residuals and failing entries in a
 
 On a grid each picture has two primitives, analysis (Tr(A * U(x)) at every
 frame point) and synthesis (the weighted sum of node values against the
-quantizers); reconstruction, the frame pairing and the kernel maps in
-:mod:`spintomo.kernel` are compositions of the two.
+quantizers). Tabulating a tomogram is analysis alone; mapping tomogram
+values given as a function is synthesis alone. A round trip of an operator
+(reconstruction, the frame pairing, and so the state maps in
+:mod:`spintomo.kernel`) never forms the node values: by associativity it is
+the per-grid operator-space Gram a^T b of the analysis and synthesis
+stacks applied to the operator (16 x 16 for the qudit, 4 x 4 per qubit
+factor). Built from the grid's own tables, the Gram is the identity on an
+exact grid and keeps every defect of a coarse one.
 
 Angular integrals use a product quadrature: uniform azimuth nodes, Gauss-
 Legendre nodes in cos(polar), and an analytic 2*pi factor for the third
@@ -408,9 +414,14 @@ def quantizer_qudit_explicit(point: FramePointQudit,
 class _SphereTables:
     """Dequantizer and dual stacks of the spin-j frame on one sphere.
 
-    ``analysis`` maps a row-major flattened operator A to Tr(A U) at every
-    (projection, node); ``synthesis`` maps node values back to the
-    flattened weighted sum of quantizers.
+    ``analysis`` (a) maps a row-major flattened operator A to Tr(A U) at
+    every (projection, node); ``synthesis`` (b) maps node values back to the
+    flattened weighted sum of quantizers. Their operator-space Grams
+    ``gram`` = a^T b and ``gram_conj`` = conj(a)^T b (dim^2 x dim^2) are the
+    whole round trip on this grid: synthesis of the analysis of A is
+    vec(A) a^T b, and of its conjugated symbols vec(conj A) conj(a)^T b. On
+    an exact grid ``gram`` is the identity; on a coarse one it carries the
+    grid's defects.
     """
 
     def __init__(self, j: float, n_azimuth: int, n_polar: int):
@@ -421,6 +432,8 @@ class _SphereTables:
         dim = self.dequantizer.shape[-1]
         self.analysis = self.dequantizer.swapaxes(-1, -2).reshape(-1, dim * dim)
         self.synthesis = (self.quantizer * self.weights[:, None, None]).reshape(-1, dim * dim)
+        self.gram = self.analysis.T @ self.synthesis
+        self.gram_conj = self.analysis.conj().T @ self.synthesis
 
 
 @lru_cache(maxsize=8)
@@ -464,6 +477,30 @@ def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -
         return (values.reshape(-1) @ tables.synthesis).reshape(4, 4)
     b = _two_qubit_tables(grid.n_azimuth, grid.n_polar).synthesis
     return _pair_reshuffle(b.T @ (values.reshape(len(b), len(b)) @ b))
+
+
+def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid,
+             real_values: bool) -> np.ndarray:
+    """``_synthesize(_analyze(op))`` through the grid's Gram, with the
+    symbols' real part taken first when ``real_values``.
+
+    The same linear map by associativity: vec(op) G in the qudit picture,
+    G^T R G on the reshuffled R = op per qubit factor in the two-qubit one.
+    Re(v) = (v + conj v) / 2 brings in the conjugate Gram.
+    """
+    if _spheres(representation) == 1:
+        tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
+        v = op.reshape(-1)
+        rec = v @ tables.gram
+        if real_values:
+            rec = 0.5 * (rec + v.conj() @ tables.gram_conj)
+        return rec.reshape(4, 4)
+    tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
+    r = _pair_reshuffle(op)
+    rec = tables.gram.T @ r @ tables.gram
+    if real_values:
+        rec = 0.5 * (rec + tables.gram_conj.T @ r.conj() @ tables.gram_conj)
+    return _pair_reshuffle(rec)
 
 
 # --------------------------------------------------------------------------
@@ -692,29 +729,29 @@ def tomogram_table(state, representation: str, grid: QuadratureGrid) -> Tomogram
     alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
     if representation == BASIS_QUDIT:
         _validate_table(values)
-        rows = []
-        for mi, m in enumerate(QUDIT_PROJECTIONS):
-            for s in range(len(alpha)):
-                rows.append((m, alpha[s], beta[s], values[mi, s]))
+        k = len(QUDIT_PROJECTIONS)
         return TomogramTable(
             representation=representation,
             columns=("m", "alpha", "beta", "value"),
-            rows=np.array(rows),
+            rows=np.column_stack((np.repeat(QUDIT_PROJECTIONS, len(alpha)),
+                                  np.tile(alpha, k), np.tile(beta, k), values.ravel())),
         )
-    _validate_table(values.transpose(0, 2, 1, 3).reshape(4, -1))
+    values = values.transpose(0, 2, 1, 3)  # (m1, m2, node1, node2): the row order
+    _validate_table(values.reshape(4, -1))
     n = len(alpha)
-    rows = []
-    for mi, m1 in enumerate(TWO_QUBIT_PROJECTIONS):
-        for ni, m2 in enumerate(TWO_QUBIT_PROJECTIONS):
-            for s in range(n):
-                for t in range(n):
-                    rows.append(
-                        (m1, m2, beta[s], alpha[s], beta[t], alpha[t], values[mi, s, ni, t])
-                    )
+    k = len(TWO_QUBIT_PROJECTIONS)
     return TomogramTable(
         representation=representation,
         columns=("m1", "m2", "theta1", "phi1", "theta2", "phi2", "value"),
-        rows=np.array(rows),
+        rows=np.column_stack((
+            np.repeat(TWO_QUBIT_PROJECTIONS, k * n * n),
+            np.tile(np.repeat(TWO_QUBIT_PROJECTIONS, n * n), k),
+            np.tile(np.repeat(beta, n), k * k),
+            np.tile(np.repeat(alpha, n), k * k),
+            np.tile(beta, k * k * n),
+            np.tile(alpha, k * k * n),
+            values.ravel(),
+        )),
     )
 
 
@@ -764,7 +801,7 @@ def reconstruct_state(state, representation: str, grid: QuadratureGrid,
     if enforce_grid:
         _require_grid(grid, spheres=spheres)
     rho = _check_basis(state, representation)
-    return _synthesize(_analyze(rho, representation, grid).real, representation, grid)
+    return _closure(rho, representation, grid, real_values=True)
 
 
 def roundtrip_residual(state, representation: str, grid: QuadratureGrid,
@@ -808,8 +845,7 @@ def dual_symbol(op, point) -> complex:
 def _frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:
     # sum_x w symbol(A)(x) Tr(B D(x)) = Tr(B * synthesis of the symbols of A)
     _require_grid(grid, spheres=_spheres(representation))
-    values = _analyze(np.asarray(symbol_op, dtype=complex), representation, grid)
-    rec = _synthesize(values, representation, grid)
+    rec = _closure(np.asarray(symbol_op, dtype=complex), representation, grid, real_values=False)
     return complex(np.trace(np.asarray(dual_op, dtype=complex) @ rec))
 
 

@@ -20,11 +20,13 @@ in the tomogram and factors through operator space,
 
     sum_x w(x) value(x) K(x, y) = Tr[ (sum_x w(x) value(x) D(x)) U(y) ],
 
-so each map synthesizes the node values into one 4x4 operator, with the
-same synthesis that reconstruction uses, and reads it against the target's
-dequantizer. This holds for any tomogram function, physical or not. The
-evaluator variants take the node values from a callable, the state
-variants from the state's own tomogram.
+so each map reads one 4x4 operator against the target's dequantizer. This
+holds for any tomogram function, physical or not. The evaluator variants
+take the node values from a callable and synthesize them into that
+operator. The state variants never evaluate the state's tomogram on the
+grid: the operator is :func:`spintomo.frames.reconstruct_state`, which
+applies the grid's operator-space Gram to the state (same value, a few
+16 x 16 products instead of a pass over every node).
 
 The trace definition is authoritative. An explicit closed-form expression
 for the qudit-to-pair kernel is also implemented; it fails the cross-check

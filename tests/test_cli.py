@@ -189,6 +189,47 @@ class TestMap:
         assert json.loads(out)["residual"] <= 1e-8
 
 
+class TestTolerance:
+    MAP_ARGS = ("map", "--direction", "qudit_to_2q", "--state", "werner:0.5",
+                "--m1", "0.5", "--m2", "-0.5", "--theta1", "0.4", "--phi1", "1.1",
+                "--theta2", "2.0", "--phi2", "0.3")
+
+    @pytest.mark.parametrize("argv", [
+        ("reconstruct", "--state", "werner:0.5", "--rep", "two_qubit"),
+        MAP_ARGS,
+    ])
+    def test_zero_is_honoured(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--tol=0")
+        payload = json.loads(out)
+        assert payload["tolerance"] == 0.0
+        assert code == (0 if payload["residual"] <= 0.0 else 1)
+
+    def test_zero_reaches_validation(self, capsys, tmp_path):
+        rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        rho[0, 1] = 1e-14
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(matrix_to_json_dict(rho)))
+        code, _, _ = run(capsys, "validate", "--state", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, "validate", "--state", str(path), "--tol=0")
+        assert code == 1
+        assert json.loads(out)["hermitian_ok"] is False
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--state", "werner:0.5"),
+        ("reconstruct", "--state", "werner:0.5", "--rep", "qudit"),
+        MAP_ARGS,
+    ])
+    def test_negative_or_non_finite_is_usage_error(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv) + [f"--tol={value}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+
 class TestCorrelationAndSteering:
     def test_correlation_forms(self, capsys):
         code, out, _ = run(capsys, "correlation", "--state", "werner:0.4",

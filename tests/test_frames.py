@@ -393,6 +393,27 @@ class TestTomogramTable:
         assert lines[1].endswith(",0.0")
         assert table.rows[0, -1] == -5e-13
 
+    @pytest.mark.parametrize("n_azimuth, n_polar", [(8, 8), (8, 12), (12, 8)])
+    def test_rows_match_loop_order(self, n_azimuth, n_polar):
+        rho = random_density(4, 34)
+        grid = make_grid(n_azimuth, n_polar, spheres=1)
+        alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
+        values = frames._analyze(rho.mat, BASIS_QUDIT, grid).real
+        loop = np.array([(m, alpha[s], beta[s], values[mi, s])
+                         for mi, m in enumerate(QUDIT_PROJECTIONS)
+                         for s in range(len(alpha))])
+        rows = tomogram_table(rho, BASIS_QUDIT, grid).rows
+        assert rows.dtype == loop.dtype and rows.tobytes() == loop.tobytes()
+        grid = make_grid(n_azimuth, n_polar, spheres=2)
+        values = frames._analyze(rho.mat, BASIS_TWO_QUBIT, grid).real
+        loop = np.array([(m1, m2, beta[s], alpha[s], beta[t], alpha[t], values[mi, s, ni, t])
+                         for mi, m1 in enumerate(TWO_QUBIT_PROJECTIONS)
+                         for ni, m2 in enumerate(TWO_QUBIT_PROJECTIONS)
+                         for s in range(len(alpha))
+                         for t in range(len(alpha))])
+        rows = tomogram_table(rho, BASIS_TWO_QUBIT, grid).rows
+        assert rows.dtype == loop.dtype and rows.tobytes() == loop.tobytes()
+
     def test_values_match_pointwise_tomogram(self, grid_single):
         rho = random_density(4, 33)
         table = tomogram_table(rho, BASIS_QUDIT, grid_single)
@@ -443,6 +464,53 @@ class TestReconstruction:
     def test_sphere_count_mismatch_rejected(self, grid_single):
         with pytest.raises(ValueError):
             reconstruct_state(werner(0.5), BASIS_TWO_QUBIT, grid_single)
+
+
+class TestGramClosure:
+    """``_closure`` is the analysis -> synthesis round trip, on any grid."""
+
+    GRIDS = [(8, 8), (16, 16), (32, 32), (3, 2), (2, 3), (1, 1)]
+
+    @pytest.mark.parametrize("representation, spheres",
+                             [(BASIS_QUDIT, 1), (BASIS_TWO_QUBIT, 2)])
+    @pytest.mark.parametrize("n_azimuth, n_polar", GRIDS)
+    def test_matches_explicit_composition(self, representation, spheres, n_azimuth, n_polar):
+        grid = make_grid(n_azimuth, n_polar, spheres=spheres, enforce_minimum=False)
+        rng = np.random.default_rng(n_azimuth * 100 + n_polar)
+        for seed in (71, 72):
+            rho = random_density(4, seed).mat
+            composed = frames._synthesize(frames._analyze(rho, representation, grid).real,
+                                          representation, grid)
+            got = frames._closure(rho, representation, grid, real_values=True)
+            np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
+        op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        composed = frames._synthesize(frames._analyze(op, representation, grid),
+                                      representation, grid)
+        got = frames._closure(op, representation, grid, real_values=False)
+        np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
+        composed = frames._synthesize(frames._analyze(op, representation, grid).real,
+                                      representation, grid)
+        got = frames._closure(op, representation, grid, real_values=True)
+        np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
+
+    def test_two_qubit_round_trip_memory_is_bounded(self):
+        import tracemalloc
+
+        grid = make_grid(32, 32, spheres=2)
+        rho = random_density(4, 74)
+        op = np.kron(SZ, SZ)
+        reconstruct_state(rho, BASIS_TWO_QUBIT, grid)  # warm the tables
+        tracemalloc.start()
+        try:
+            reconstruct_state(rho, BASIS_TWO_QUBIT, grid)
+            _, peak_reconstruct = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            frames.frame_pairing_two_qubit(op, rho.mat, grid)
+            _, peak_pairing = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak_reconstruct < 2**20
+        assert peak_pairing < 2**20
 
 
 # --------------------------------------------------------------------------
