@@ -1,3 +1,4 @@
+import tracemalloc
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -494,8 +495,6 @@ class TestGramClosure:
         np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
 
     def test_two_qubit_round_trip_memory_is_bounded(self):
-        import tracemalloc
-
         grid = make_grid(32, 32, spheres=2)
         rho = random_density(4, 74)
         op = np.kron(SZ, SZ)
