@@ -171,6 +171,8 @@ def _tomogram_point(args, rep):
 
 
 def cmd_tomogram(args) -> int:
+    if args.format == "csv" and not args.full_grid:
+        raise CliError("--format csv needs --full-grid")
     mat, basis, _ = _parse_state(args.state)
     state = _density(mat, basis)
     rep = args.rep
@@ -304,17 +306,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--state", help="matrix JSON file or builtin 'werner:<p>'")
-    parser.add_argument("--grid-azimuth", type=int, default=frames.MIN_AZIMUTH_NODES,
-                        help="azimuth nodes per sphere (>= 8)")
-    parser.add_argument("--grid-polar", type=int, default=frames.MIN_POLAR_NODES,
-                        help="polar Gauss-Legendre nodes per sphere (>= 8)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--tol", type=_tolerance, default=None,
-                        help="tolerance override for pass/fail exit codes (finite, >= 0)")
+def _seed(text: str) -> int:
+    """Type of ``--seed``: an integer >= 0 (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return value
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
@@ -339,43 +336,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a state against the density-matrix axioms")
-    _add_common(p)
+    # shared options, each registered only on the commands that read it
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", help="matrix JSON file or builtin 'werner:<p>'")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-azimuth", type=int, default=frames.MIN_AZIMUTH_NODES,
+                      help="azimuth nodes per sphere (>= 8)")
+    grid.add_argument("--grid-polar", type=int, default=frames.MIN_POLAR_NODES,
+                      help="polar Gauss-Legendre nodes per sphere (>= 8)")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=None,
+                     help="tolerance override for pass/fail exit codes (finite, >= 0)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to this path instead of stdout")
+
+    p = sub.add_parser("validate", parents=[state, tol, out],
+                       help="check a state against the density-matrix axioms")
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("tomogram", help="evaluate a tomogram at a point or over the grid")
-    _add_common(p)
+    p = sub.add_parser("tomogram", parents=[state, grid, out],
+                       help="evaluate a tomogram at a point or over the grid")
     p.add_argument("--rep", choices=("two_qubit", "qudit"), required=True)
     p.add_argument("--full-grid", action="store_true",
                    help="emit the full (projection, node) table")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="format of the --full-grid table")
     _add_point_flags(p)
     p.set_defaults(handler=cmd_tomogram)
 
-    p = sub.add_parser("reconstruct", help="round-trip a state through its tomogram")
-    _add_common(p)
+    p = sub.add_parser("reconstruct", parents=[state, grid, tol, out],
+                       help="round-trip a state through its tomogram")
     p.add_argument("--rep", choices=("two_qubit", "qudit"), required=True)
     p.set_defaults(handler=cmd_reconstruct)
 
-    p = sub.add_parser("map", help="convert a tomogram between the two pictures")
-    _add_common(p)
+    p = sub.add_parser("map", parents=[state, grid, tol, out],
+                       help="convert a tomogram between the two pictures")
     p.add_argument("--direction", choices=("qudit_to_2q", "2q_to_qudit"), required=True)
     _add_point_flags(p)
     p.set_defaults(handler=cmd_map)
 
-    p = sub.add_parser("correlation", help="all four correlation-function forms")
-    _add_common(p)
+    p = sub.add_parser("correlation", parents=[state, grid, out],
+                       help="all four correlation-function forms")
     p.add_argument("--k1", help="first direction: x|y|z or 'a,b,c'")
     p.add_argument("--k2", help="second direction")
     p.set_defaults(handler=cmd_correlation)
 
-    p = sub.add_parser("steering", help="steering inequality and CHSH report")
-    _add_common(p)
+    p = sub.add_parser("steering", parents=[state, grid, out],
+                       help="steering inequality and CHSH report")
     p.add_argument("--k1", help="direction for the correlation forms (default z)")
     p.add_argument("--k2", help="direction for the correlation forms (default z)")
     p.set_defaults(handler=cmd_steering)
 
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_common(p)
+    p = sub.add_parser("selftest", parents=[grid, out], help="run the full acceptance suite")
+    p.add_argument("--seed", type=_seed, default=2026,
+                   help="base seed of the random states (integer >= 0)")
     p.add_argument("--coarse", action="store_true",
                    help="degrade the grid to demonstrate reconstruction failure")
     p.set_defaults(handler=cmd_selftest)

@@ -64,9 +64,13 @@ MIN_AZIMUTH_NODES = 8
 MIN_POLAR_NODES = 8
 
 #: Largest number of nodes (azimuth x polar) on one rotation sphere: 32x32.
-#: It bounds the Gauss-Legendre solve and every table; a two-sphere table
-#: at the cap already has 4 * 1024^2 rows.
+#: It bounds the Gauss-Legendre solve and the frame tables.
 MAX_SPHERE_NODES = 1024
+
+#: Largest full-grid tomogram table: the 16x16 two-sphere table. A
+#: two-sphere table at the node cap would have 4 * 1024^2 rows (235 MB as
+#: the row array alone); tomogram_table refuses it before building.
+MAX_TABLE_ROWS = 4 * 256**2
 
 #: Total measure of one rotation sphere, third Euler angle included:
 #: int dphi int sin(theta) dtheta int dpsi = 2pi * 2 * 2pi.
@@ -722,8 +726,14 @@ def _validate_table(values_by_projection: np.ndarray) -> None:
 
 
 def tomogram_table(state, representation: str, grid: QuadratureGrid) -> TomogramTable:
-    """Tomogram of ``state`` over every (projection, grid node) pair."""
+    """Tomogram of ``state`` over every (projection, grid node) pair.
+
+    Raises ValueError when the table would exceed :data:`MAX_TABLE_ROWS`.
+    """
     _require_grid(grid, spheres=_spheres(representation))
+    rows = 4 * grid.n_angle_nodes  # 4 projections, or 4 projection pairs, per node
+    if rows > MAX_TABLE_ROWS:
+        raise ValueError(f"table too large: at most {MAX_TABLE_ROWS} rows, got {rows}")
     rho = _check_basis(state, representation)
     values = _analyze(rho, representation, grid).real
     alpha, beta = grid.sphere_alpha(), grid.sphere_beta()

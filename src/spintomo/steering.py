@@ -10,9 +10,11 @@ as equivalent.
 E is bilinear in the directions through the 3x3 correlation tensor
 T_ij = Tr(rho sigma_i (x) sigma_j): E = k1^T T k2. The largest value of E
 over direction pairs is the top singular value of T; the CHSH maximum is
-2*sqrt(s1^2 + s2^2) over the two largest singular values. Both closed
-forms are cross-validated by a deterministic direction-lattice search with
-local refinement.
+the Horodecki closed form 2*sqrt(s1^2 + s2^2) over the two largest
+singular values. Both are exact and computed from one SVD each. The
+deterministic direction search :func:`max_correlation_grid` stays as an
+independent check of the first; the tests check the second against a
+brute-force search over the same directions.
 
 The steering inequality evaluated here reads
 
@@ -263,21 +265,21 @@ def chsh_value(state, a, b, c, d) -> float:
 
 @dataclass(frozen=True)
 class ChshResult:
+    """Maximum of :func:`chsh_value` and four directions ``a``..``d`` that attain it."""
+
     value: float
     directions: dict
-    candidate_value: float
-    grid_value: float
 
 
-def chsh_max(state_or_tensor, n_polar: int = 9, n_azimuth: int = 8,
-             refine_steps: int = 80) -> ChshResult:
-    """Maximum |CHSH| over four directions.
+def chsh_max(state_or_tensor) -> ChshResult:
+    """Maximum CHSH combination over four directions, in closed form.
 
-    The closed-form candidate 2*sqrt(s1^2 + s2^2) (top two singular values
-    of T, directions from the corresponding singular vectors) is checked
-    against a direction-lattice search refined by alternating best
-    responses; the returned value is the larger of the two and the two
-    always agree to the refinement tolerance.
+    Accepts a state or its real 3x3 correlation tensor T. With singular
+    values s1 >= s2 >= s3 and singular vectors u_i, v_i of T the maximum is
+    2*sqrt(s1^2 + s2^2) (Horodecki, Horodecki & Horodecki, Phys. Lett. A
+    200, 340 (1995)). It is attained at a = u1, d = u2 and
+    b, c = cos(chi) v1 +- sin(chi) v2 with chi = atan2(s2, s1); for T = 0
+    all four directions are the x axis.
     """
     if isinstance(state_or_tensor, np.ndarray) and state_or_tensor.shape == (3, 3) \
             and not np.iscomplexobj(state_or_tensor):
@@ -285,57 +287,17 @@ def chsh_max(state_or_tensor, n_polar: int = 9, n_azimuth: int = 8,
     else:
         t = correlation_tensor(state_or_tensor)
     u, s, vt = np.linalg.svd(t)
-    candidate = 2.0 * sqrt(s[0] ** 2 + s[1] ** 2)
-    if candidate > 0:
+    value = 2.0 * sqrt(s[0] ** 2 + s[1] ** 2)
+    if value > 0:
         chi = np.arctan2(s[1], s[0])
         b = np.cos(chi) * vt[0] + np.sin(chi) * vt[1]
         c = np.cos(chi) * vt[0] - np.sin(chi) * vt[1]
-        a, d = u[:, 0], u[:, 1]
-        directions = (a, b, c, d)
+        directions = (u[:, 0], b, c, u[:, 1])
     else:
         directions = (X_AXIS, X_AXIS, X_AXIS, X_AXIS)
-
-    lattice = sphere_directions(n_polar, n_azimuth)
-    m = lattice @ t @ lattice.T  # m[i, j] = e(dir_i, dir_j)
-    plus = m[:, :, None] + m[:, None, :]    # over (a, b, c)
-    minus = m[:, :, None] - m[:, None, :]   # over (d, b, c)
-    s1 = plus.max(axis=0)
-    s2 = minus.max(axis=0)
-    total = s1 + s2
-    bi, ci = np.unravel_index(np.argmax(total), total.shape)
-    ai = int(np.argmax(plus[:, bi, ci]))
-    di = int(np.argmax(minus[:, bi, ci]))
-    ga, gb, gc, gd = lattice[ai], lattice[bi], lattice[ci], lattice[di]
-    grid_value = float(total[bi, ci])
-
-    def refine(a, b, c, d):
-        value = 0.0
-        for _ in range(refine_steps):
-            v = t @ (b + c)
-            if np.linalg.norm(v) > 1e-15:
-                a = v / np.linalg.norm(v)
-            v = t @ (b - c)
-            if np.linalg.norm(v) > 1e-15:
-                d = v / np.linalg.norm(v)
-            v = t.T @ (a + d)
-            if np.linalg.norm(v) > 1e-15:
-                b = v / np.linalg.norm(v)
-            v = t.T @ (a - d)
-            if np.linalg.norm(v) > 1e-15:
-                c = v / np.linalg.norm(v)
-            value = float(a @ t @ b + a @ t @ c + d @ t @ b - d @ t @ c)
-        return value, (a, b, c, d)
-
-    refined_value, refined_dirs = refine(ga, gb, gc, gd)
-    if refined_value >= candidate:
-        value, best_dirs = refined_value, refined_dirs
-    else:
-        value, best_dirs = candidate, directions
     return ChshResult(
         value=float(value),
-        directions={name: list(map(float, vec)) for name, vec in zip("abcd", best_dirs)},
-        candidate_value=float(candidate),
-        grid_value=grid_value,
+        directions={name: list(map(float, vec)) for name, vec in zip("abcd", directions)},
     )
 
 

@@ -162,6 +162,46 @@ class TestGridBound:
         assert out == ""
         assert "at most 1024 nodes" in err
 
+    def test_two_sphere_table_above_row_cap_is_usage_error(self, capsys):
+        assert 4 * 1024**2 > frames.MAX_TABLE_ROWS
+        code, out, err = run(capsys, "tomogram", "--state", "werner:0.5",
+                             "--rep", "two_qubit", "--full-grid",
+                             "--grid-azimuth", "32", "--grid-polar", "32")
+        assert code == 2
+        assert out == ""
+        assert f"at most {frames.MAX_TABLE_ROWS} rows" in err
+
+
+class TestOptionScope:
+    # each shared option is registered only on the commands that read it
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--state", "werner:0.5", "--grid-azimuth", "8"),
+        ("validate", "--state", "werner:0.5", "--format", "json"),
+        ("validate", "--state", "werner:0.5", "--seed", "1"),
+        ("reconstruct", "--state", "werner:0.5", "--rep", "qudit", "--format", "csv"),
+        ("map", "--state", "werner:0", "--direction", "2q_to_qudit", "--m", "0.5",
+         "--alpha", "1", "--beta", "2", "--seed", "1"),
+        ("correlation", "--state", "werner:0.4", "--tol", "1"),
+        ("steering", "--state", "werner:0.4", "--tol", "1"),
+        ("steering", "--state", "werner:0.4", "--format", "json"),
+        ("selftest", "--state", "werner:0.5"),
+        ("selftest", "--tol", "1"),
+    ])
+    def test_option_the_command_ignores_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_csv_needs_full_grid(self, capsys):
+        code, out, err = run(capsys, "tomogram", "--state", "werner:0.5", "--rep", "qudit",
+                             "--m", "1.5", "--alpha", "0", "--beta", "0", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "--full-grid" in err
+
 
 class TestMap:
     def test_qudit_to_pair(self, capsys):
@@ -310,6 +350,15 @@ class TestSelftestCommand:
         report = json.loads(target.read_text())
         assert len(report["results"]) == 12
         assert report["all_passed"] is True
+
+    @pytest.mark.parametrize("value", ["-5000", "-1", "1.5", "abc"])
+    def test_seed_must_be_non_negative_integer(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--seed", value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--seed" in captured.err
 
     def test_stdout_deterministic_for_fixed_seed(self, capsys):
         _, out1, _ = run(capsys, "selftest", "--seed", "7")

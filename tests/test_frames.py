@@ -382,6 +382,17 @@ class TestTomogramTable:
         table = tomogram_table(werner(0.2), BASIS_TWO_QUBIT, grid_pair)
         assert table.rows.shape == (4 * grid_pair.n_angle_nodes, 7)
 
+    def test_row_cap(self):
+        # The cap is read first, so a build without it fails before the
+        # oversized 32x16 two-sphere table (4 * 512^2 rows) is attempted.
+        assert frames.MAX_TABLE_ROWS == 4 * 256**2
+        table = tomogram_table(werner(0.5), BASIS_TWO_QUBIT, make_grid(16, 16, spheres=2))
+        assert table.rows.shape == (frames.MAX_TABLE_ROWS, 7)
+        with pytest.raises(ValueError, match="table too large"):
+            tomogram_table(werner(0.5), BASIS_TWO_QUBIT, make_grid(32, 16, spheres=2))
+        table = tomogram_table(werner(0.5), BASIS_QUDIT, make_grid(32, 32))
+        assert table.rows.shape == (4 * 1024, 4)
+
     def test_csv_export_clamps_only_on_export(self):
         table = frames.TomogramTable(
             representation=BASIS_QUDIT,
