@@ -122,15 +122,17 @@ def _make_grids(args, spheres_needed):
 
 
 def _emit(args, payload) -> None:
-    if isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(args, lambda stream: stream.write(text))
+
+
+def _write(args, write) -> None:
+    # write(stream) goes to the --out file, or to stdout without one
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _require(args, names) -> None:
@@ -182,12 +184,12 @@ def cmd_tomogram(args) -> int:
             grid = _make_grids(args, (spheres,))[spheres]
             table = frames.tomogram_table(state, REP_TO_BASIS[rep], grid)
             if args.format == "csv":
-                _emit(args, table.to_csv_string())
+                _write(args, table.to_csv)
             else:
                 _emit(args, {
                     "representation": table.representation,
                     "columns": list(table.columns),
-                    "rows": [[float(x) for x in row] for row in table.rows],
+                    "rows": table.rows.tolist(),
                 })
             return 0
         point = _tomogram_point(args, rep)

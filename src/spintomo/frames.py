@@ -72,6 +72,9 @@ MAX_SPHERE_NODES = 1024
 #: the row array alone); tomogram_table refuses it before building.
 MAX_TABLE_ROWS = 4 * 256**2
 
+#: Rows TomogramTable.to_csv formats and writes at a time.
+CSV_BLOCK_ROWS = 1024
+
 #: Total measure of one rotation sphere, third Euler angle included:
 #: int dphi int sin(theta) dtheta int dpsi = 2pi * 2 * 2pi.
 FULL_SPHERE_MEASURE = 8.0 * pi**2
@@ -691,6 +694,14 @@ class TomogramTable:
     ``rows`` is the matching float array. Values are validated against
     [-1e-12, 1 + 1e-12] and per-node normalization; CSV export clamps the
     tiny negative roundoff to zero, the in-memory values stay untouched.
+
+    :meth:`to_csv` writes the table in blocks of :data:`CSV_BLOCK_ROWS`
+    rows, formatting a block column by column: a projection or angle
+    column holds few distinct values, so each distinct bit pattern is
+    formatted once (keeping -0.0 apart from 0.0). The output is exactly
+    that of formatting every cell with ``repr(float(x))``, the value as
+    ``max(v, 0.0)`` when ``v >= -1e-12`` (so -0.0 and NaN pass through),
+    and the memory it needs is bounded by the block, not the table.
     """
 
     representation: str
@@ -703,12 +714,18 @@ class TomogramTable:
     def to_csv(self, stream) -> None:
         header = ("representation",) + self.columns
         stream.write(",".join(header) + "\n")
-        for row in self.rows:
-            value = max(row[-1], 0.0) if row[-1] >= -1e-12 else row[-1]
-            cells = [self.representation]
-            cells += [repr(float(x)) for x in row[:-1]]
-            cells.append(repr(float(value)))
-            stream.write(",".join(cells) + "\n")
+        rows = np.asarray(self.rows, dtype=np.float64)
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            cols = [[self.representation] * len(block)]
+            for column in block[:, :-1].T:
+                bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+                cells = list(map(repr, bits.view(np.float64).tolist()))
+                cols.append(list(map(cells.__getitem__, inverse.tolist())))
+            value = block[:, -1].copy()
+            value[(value >= -1e-12) & (value < 0.0)] = 0.0
+            cols.append(list(map(repr, value.tolist())))
+            stream.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()

@@ -22,6 +22,7 @@ completeness) are pinned against this convention by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, factorial, pi, sin, sqrt
 
 import numpy as np
@@ -173,8 +174,27 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full (2j+1)x(2j+1) small-d matrix, rows and columns by descending m."""
     j2 = twice(j)
     _check_spin_indices(j2, j2, j2)
+    direct, cells = _wigner_d_plan(j2)
+    values = [_wigner_d_twice(j2, mp2, m2, beta) for mp2, m2 in direct]
+    return np.array([sign * values[pos] for pos, sign in cells]).reshape(j2 + 1, j2 + 1)
+
+
+@lru_cache(maxsize=None)
+def _wigner_d_plan(j2: int):
+    # The pairs _wigner_d_twice evaluates directly (m' >= |m|) and, for each
+    # matrix cell row by row, the direct pair it equals through the
+    # symmetries _wigner_d_twice recurses through, with the sign. Signs are
+    # +-1, so the matrix is bit-identical with one evaluation per pair.
+    def source(mp2, m2, sign):
+        if mp2 >= abs(m2):
+            return direct.index((mp2, m2)), sign
+        if -m2 >= abs(mp2):
+            return source(-m2, -mp2, sign)
+        return source(m2, mp2, -sign if ((m2 - mp2) // 2) % 2 else sign)
+
     ms = range(j2, -j2 - 1, -2)
-    return np.array([[_wigner_d_twice(j2, r, c, beta) for c in ms] for r in ms])
+    direct = [(mp2, m2) for mp2 in ms for m2 in ms if mp2 >= abs(m2)]
+    return tuple(direct), tuple(source(mp2, m2, 1.0) for mp2 in ms for m2 in ms)
 
 
 def wigner_D(j, angles: EulerAngles) -> np.ndarray:

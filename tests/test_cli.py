@@ -5,7 +5,13 @@ import pytest
 
 from spintomo import frames
 from spintomo.cli import main
-from spintomo.matcore import matrix_to_json_dict, random_density, werner
+from spintomo.matcore import (
+    BASIS_QUDIT,
+    BASIS_TWO_QUBIT,
+    matrix_to_json_dict,
+    random_density,
+    werner,
+)
 
 
 def run(capsys, *argv):
@@ -94,6 +100,20 @@ class TestTomogram:
         assert len(lines) == 1 + 4 * 64
         values = np.array([float(line.split(",")[-1]) for line in lines[1:]])
         assert values.min() >= 0.0 and values.max() <= 1.0
+
+    @pytest.mark.parametrize("rep, basis, spheres",
+                             [("qudit", BASIS_QUDIT, 1), ("two_qubit", BASIS_TWO_QUBIT, 2)])
+    def test_full_grid_writes_the_table(self, capsys, tmp_path, rep, basis, spheres):
+        table = frames.tomogram_table(werner(0.5), basis, frames.make_grid(8, 8, spheres=spheres))
+        argv = ("tomogram", "--state", "werner:0.5", "--rep", rep, "--full-grid")
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and out == table.to_csv_string()
+        path = tmp_path / "table.csv"
+        code, out, _ = run(capsys, *argv, "--format", "csv", "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_bytes() == table.to_csv_string().encode()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["rows"] == table.rows.tolist()
 
     def test_out_of_domain_parameter_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "tomogram", "--state", "werner:1.5", "--rep", "qudit",

@@ -370,6 +370,28 @@ class TestTomogram:
         assert shifted == base
 
 
+def _loop_csv(table):
+    # the per-cell writer TomogramTable.to_csv must reproduce byte for byte
+    lines = [",".join(("representation",) + table.columns)]
+    for row in table.rows:
+        value = max(row[-1], 0.0) if row[-1] >= -1e-12 else row[-1]
+        cells = [table.representation]
+        cells += [repr(float(x)) for x in row[:-1]]
+        cells.append(repr(float(value)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class _NullStream:
+    # discards what is written, counting lines
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
 class TestTomogramTable:
     def test_qudit_table_rows_and_norm(self, grid_single):
         table = tomogram_table(werner(0.5), BASIS_QUDIT, grid_single)
@@ -404,6 +426,58 @@ class TestTomogramTable:
         assert lines[0] == "representation,m,alpha,beta,value"
         assert lines[1].endswith(",0.0")
         assert table.rows[0, -1] == -5e-13
+
+    @pytest.mark.parametrize("n_azimuth, n_polar", [(8, 8), (8, 12), (12, 8)])
+    def test_csv_matches_cell_loop(self, n_azimuth, n_polar):
+        for seed in range(5):
+            rho = random_density(4, 50 + seed)
+            for basis, spheres in ((BASIS_QUDIT, 1), (BASIS_TWO_QUBIT, 2)):
+                grid = make_grid(n_azimuth, n_polar, spheres=spheres)
+                table = tomogram_table(rho, basis, grid)
+                assert table.to_csv_string() == _loop_csv(table)
+
+    def test_csv_edge_values_match_cell_loop(self):
+        values = [-0.0, -5e-13, -1e-11, float("nan"), 1e-05, 1e20]
+        rows = np.array([[1.5, -0.0, 0.0, v] for v in values] + [[-1.5, 0.0, -0.0, 0.5]])
+        table = frames.TomogramTable(BASIS_QUDIT, ("m", "alpha", "beta", "value"), rows)
+        csv = table.to_csv_string()
+        assert csv == _loop_csv(table)
+        assert csv.split("\n")[1:-1] == [
+            "qudit_3_2,1.5,-0.0,0.0,-0.0",
+            "qudit_3_2,1.5,-0.0,0.0,0.0",
+            "qudit_3_2,1.5,-0.0,0.0,-1e-11",
+            "qudit_3_2,1.5,-0.0,0.0,nan",
+            "qudit_3_2,1.5,-0.0,0.0,1e-05",
+            "qudit_3_2,1.5,-0.0,0.0,1e+20",
+            "qudit_3_2,-1.5,0.0,-0.0,0.5",
+        ]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2049])
+    def test_csv_block_edges_match_cell_loop(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        rows = np.column_stack([
+            rng.choice(QUDIT_PROJECTIONS, n_rows),
+            rng.choice([0.0, -0.0, pi / 3, 2.5], n_rows),
+            rng.uniform(0, pi, n_rows),
+            rng.uniform(-2e-12, 1.0, n_rows),
+        ]).reshape(n_rows, 4)
+        table = frames.TomogramTable(BASIS_QUDIT, ("m", "alpha", "beta", "value"), rows)
+        csv = table.to_csv_string()
+        assert csv == _loop_csv(table)
+        assert csv.count("\n") == 1 + n_rows
+
+    def test_csv_memory_bounded_by_block(self):
+        # the capped 16x16 two-qubit table is 262,144 rows (~15 MB as CSV)
+        table = tomogram_table(werner(0.5), BASIS_TWO_QUBIT, make_grid(16, 16, spheres=2))
+        stream = _NullStream()
+        tracemalloc.start()
+        try:
+            table.to_csv(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stream.lines == 1 + frames.MAX_TABLE_ROWS
+        assert peak < 2**20
 
     @pytest.mark.parametrize("n_azimuth, n_polar", [(8, 8), (8, 12), (12, 8)])
     def test_rows_match_loop_order(self, n_azimuth, n_polar):

@@ -133,6 +133,17 @@ class TestWignerSmallD:
                     assert wigner_d(1.5, mp, m, beta) == pytest.approx(
                         wigner_d(1.5, -m, -mp, beta), abs=1e-12)
 
+    def test_matrix_equals_elementwise(self):
+        # the matrix fills its entries through the d symmetries; every entry
+        # must still be bit-identical to wigner_d
+        rng = np.random.default_rng(6)
+        betas = np.concatenate([rng.uniform(0, pi, 100), [0.0, pi / 2, pi]])
+        for j in (0.5, 1, 1.5, 2):
+            ms = spin_projections(j)
+            for beta in betas:
+                loop = np.array([[wigner_d(j, mp, m, beta) for m in ms] for mp in ms])
+                assert wigner_d_matrix(j, beta).tobytes() == loop.tobytes()
+
     def test_polar_additivity(self):
         # the family must compose like rotations about a fixed axis
         d1 = wigner_d_matrix(1.5, 0.4)
