@@ -41,11 +41,9 @@ from .frames import (
     quantizer_qudit,
     quantizer_qudit_explicit,
     qudit_quantizer_authority,
-    reconstruct,
     reconstruct_state,
     symbol,
     tomogram,
-    tomogram_evaluator,
     tomogram_table,
 )
 from .kernel import (

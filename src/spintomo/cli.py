@@ -262,9 +262,8 @@ def cmd_correlation(args) -> int:
     k2 = _parse_direction(args.k2) if args.k2 else np.array([0.0, 0.0, 1.0])
     grids = _make_grids(args, (1, 2))
     forms = steering.correlation_forms(state, k1, k2, grids[2], grids[1])
-    spread = max(abs(x - y) for x in forms.values() for y in forms.values())
     _emit(args, {"k1": [float(x) for x in k1], "k2": [float(x) for x in k2],
-                 "forms": forms, "max_pairwise_deviation": spread})
+                 "forms": forms, "max_pairwise_deviation": steering._form_spread(forms)})
     return 0
 
 

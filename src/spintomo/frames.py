@@ -27,16 +27,20 @@ states. It is a diagnostic only: :func:`qudit_quantizer_authority` builds
 it on request and records residuals and failing entries in a
 :class:`QuditQuantizerReport`.
 
-On a grid each picture has two primitives, analysis (Tr(A * U(x)) at every
-frame point) and synthesis (the weighted sum of node values against the
-quantizers). Tabulating a tomogram is analysis alone; mapping tomogram
-values given as a function is synthesis alone. A round trip of an operator
-(reconstruction, the frame pairing, and so the state maps in
-:mod:`spintomo.kernel`) never forms the node values: by associativity it is
-the per-grid operator-space Gram a^T b of the analysis and synthesis
-stacks applied to the operator (16 x 16 for the qudit, 4 x 4 per qubit
-factor). Built from the grid's own tables, the Gram is the identity on an
-exact grid and keeps every defect of a coarse one.
+On a grid each picture is a pair of factor frames: the two-qubit picture
+is (spin-1/2, spin-1/2), the qudit picture (spin-3/2, the one-point frame
+of C^1, whose analysis, synthesis and Gram are all [[1]]). Every grid
+operation is then one expression for both pictures, on the operator
+regrouped by factor, R[(a c), (b d)] = A[(a b), (c d)]: analysis (Tr(A U)
+at every frame point) is a1 R a2^T, synthesis (the weighted sum of node
+values against the quantizers) is b1^T V b2 regrouped back. Tabulating a
+tomogram is analysis alone; mapping given node values is synthesis alone.
+A round trip of an operator (reconstruction, the frame pairing, and so the
+state maps in :mod:`spintomo.kernel`) never forms the node values: by
+associativity it is vec(A) G with the picture's 16 x 16 operator-space
+Gram, the Kronecker product of the factor Grams a^T b. Built from the
+grid's own tables, the Gram is the identity on an exact grid and keeps
+every defect of a coarse one.
 
 Angular integrals use a product quadrature: uniform azimuth nodes, Gauss-
 Legendre nodes in cos(polar), and an analytic 2*pi factor for the third
@@ -50,7 +54,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import cos, factorial, pi, sin, sqrt
+from math import cos, factorial, isqrt, pi, sin, sqrt
 
 import numpy as np
 
@@ -148,10 +152,6 @@ class QuadratureGrid:
     polar_weight: np.ndarray = field(repr=False)
 
     @property
-    def scheme(self) -> tuple:
-        return (self.n_azimuth, self.n_polar, self.spheres)
-
-    @property
     def n_sphere_nodes(self) -> int:
         return self.n_azimuth * self.n_polar
 
@@ -169,12 +169,6 @@ class QuadratureGrid:
         w = np.tile(self.polar_weight, self.n_azimuth)
         return w * (2.0 * pi / self.n_azimuth) * (2.0 * pi)
 
-    def sphere_points(self) -> list[tuple[EulerAngles, float]]:
-        return [
-            (EulerAngles(a, b), w)
-            for a, b, w in zip(self.sphere_alpha(), self.sphere_beta(), self.sphere_weights())
-        ]
-
 
 def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
               enforce_minimum: bool = True) -> QuadratureGrid:
@@ -182,11 +176,14 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
 
     ``enforce_minimum=False`` is a test hook for deliberately degraded
     grids; normal callers keep the default and get a ValueError below the
-    declared minimum node counts. Either way a sphere holds at most
-    :data:`MAX_SPHERE_NODES` nodes.
+    declared minimum node counts. Either way the node counts must be whole
+    numbers and a sphere holds at most :data:`MAX_SPHERE_NODES` nodes.
     """
     if spheres not in (1, 2):
         raise ValueError("spheres must be 1 or 2")
+    if not (float(n_azimuth).is_integer() and float(n_polar).is_integer()):
+        raise ValueError(f"node counts must be whole numbers, got ({n_azimuth}, {n_polar})")
+    n_azimuth, n_polar = int(n_azimuth), int(n_polar)
     if enforce_minimum and (n_azimuth < MIN_AZIMUTH_NODES or n_polar < MIN_POLAR_NODES):
         raise ValueError(
             f"grid too coarse: need at least {MIN_AZIMUTH_NODES} azimuth and "
@@ -202,8 +199,8 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
     azimuth = 2.0 * pi * np.arange(n_azimuth) / n_azimuth
     x, wx = np.polynomial.legendre.leggauss(n_polar)
     return QuadratureGrid(
-        n_azimuth=int(n_azimuth),
-        n_polar=int(n_polar),
+        n_azimuth=n_azimuth,
+        n_polar=n_polar,
         spheres=int(spheres),
         azimuth=azimuth,
         polar=np.arccos(x),
@@ -211,9 +208,10 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
     )
 
 
-def _require_grid(grid: QuadratureGrid, spheres: int) -> None:
+def _require_grid(grid: QuadratureGrid, representation: str) -> None:
     if grid.n_azimuth < MIN_AZIMUTH_NODES or grid.n_polar < MIN_POLAR_NODES:
         raise ValueError("grid below minimum node counts")
+    spheres = _picture_frame(representation, grid.n_azimuth, grid.n_polar).spheres
     if grid.spheres != spheres:
         raise ValueError(f"grid covers {grid.spheres} sphere(s), {spheres} required")
 
@@ -281,24 +279,27 @@ def qubit_axis_operator(phi: float, theta: float) -> np.ndarray:
     return np.array([[ct, -e * st], [-st / e, -ct]])
 
 
-def _pair_reshuffle(mat: np.ndarray) -> np.ndarray:
-    """Swap the middle two indices of a 4x4 read as (2,2,2,2): takes
-    A[(a b), (c d)] to A[(a c), (b d)], so the outer product of two
-    flattened 2x2 factors becomes their Kronecker product (and back)."""
-    return mat.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+def _regroup(mat: np.ndarray, d1: int, d2: int, inverse: bool = False) -> np.ndarray:
+    """Regroup an operator on C^d1 (x) C^d2 by factor: A[(a b), (c d)] to
+    R[(a c), (b d)], a d1^2 x d2^2 matrix; ``inverse`` takes R back to A.
+    The outer product of two flattened factors regroups back to their
+    Kronecker product; for d2 = 1, R is the flattened A as a column."""
+    if inverse:
+        return mat.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+    return mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
 
 
 def dequantizer_2q(point: FramePoint2Q) -> np.ndarray:
     """Product of the two single-qubit projectors; Hermitian, trace 1."""
-    return _pair_reshuffle(np.outer(_point_projector(0.5, point.m1, point.n1),
-                                    _point_projector(0.5, point.m2, point.n2)))
+    return _regroup(np.outer(_point_projector(0.5, point.m1, point.n1),
+                             _point_projector(0.5, point.m2, point.n2)), 2, 2, inverse=True)
 
 
 def quantizer_2q(point: FramePoint2Q) -> np.ndarray:
     """Product of the two single-qubit dual factors, each carrying the
     1/(8 pi^2) sphere normalization."""
-    return _pair_reshuffle(np.outer(_dual(_point_projector(0.5, point.m1, point.n1)),
-                                    _dual(_point_projector(0.5, point.m2, point.n2))))
+    return _regroup(np.outer(_dual(_point_projector(0.5, point.m1, point.n1)),
+                             _dual(_point_projector(0.5, point.m2, point.n2))), 2, 2, inverse=True)
 
 
 def dequantizer_qudit(point: FramePointQudit) -> np.ndarray:
@@ -422,13 +423,13 @@ class _SphereTables:
     """Dequantizer and dual stacks of the spin-j frame on one sphere.
 
     ``analysis`` (a) maps a row-major flattened operator A to Tr(A U) at
-    every (projection, node); ``synthesis`` (b) maps node values back to the
-    flattened weighted sum of quantizers. Their operator-space Grams
-    ``gram`` = a^T b and ``gram_conj`` = conj(a)^T b (dim^2 x dim^2) are the
-    whole round trip on this grid: synthesis of the analysis of A is
-    vec(A) a^T b, and of its conjugated symbols vec(conj A) conj(a)^T b. On
-    an exact grid ``gram`` is the identity; on a coarse one it carries the
-    grid's defects.
+    every (projection, node), the ``axes`` of its rows; ``synthesis`` (b)
+    maps node values back to the flattened weighted sum of quantizers.
+    Their operator-space Grams ``gram`` = a^T b and ``gram_conj`` =
+    conj(a)^T b (dim^2 x dim^2) are the whole round trip on this grid:
+    synthesis of the analysis of A is vec(A) a^T b, and of its conjugated
+    symbols vec(conj A) conj(a)^T b. On an exact grid ``gram`` is the
+    identity; on a coarse one it carries the grid's defects.
     """
 
     def __init__(self, j: float, n_azimuth: int, n_polar: int):
@@ -436,11 +437,23 @@ class _SphereTables:
         self.weights = grid.sphere_weights()
         self.dequantizer = _frame_projectors(j, grid.azimuth, grid.polar)
         self.quantizer = _dual(self.dequantizer)
+        self.axes = self.dequantizer.shape[:2]
         dim = self.dequantizer.shape[-1]
         self.analysis = self.dequantizer.swapaxes(-1, -2).reshape(-1, dim * dim)
         self.synthesis = (self.quantizer * self.weights[:, None, None]).reshape(-1, dim * dim)
         self.gram = self.analysis.T @ self.synthesis
         self.gram_conj = self.analysis.conj().T @ self.synthesis
+
+
+class _OnePointTables:
+    """The frame of C^1 on any grid: U = D = 1 at one point of weight 1, so
+    analysis, synthesis and both Grams are [[1]] and there are no axes."""
+
+    axes = ()
+    analysis = synthesis = gram = gram_conj = np.ones((1, 1))
+
+    def __init__(self, n_azimuth: int, n_polar: int):
+        pass  # the grid does not enter
 
 
 @lru_cache(maxsize=8)
@@ -453,37 +466,54 @@ def _qudit_tables(n_azimuth: int, n_polar: int) -> _SphereTables:
     return _SphereTables(1.5, n_azimuth, n_polar)
 
 
-_SPHERES = {BASIS_QUDIT: 1, BASIS_TWO_QUBIT: 2}
+#: Each picture as its pair of factor frames, by table builder.
+_PICTURES = {
+    BASIS_TWO_QUBIT: (_two_qubit_tables, _two_qubit_tables),
+    BASIS_QUDIT: (_qudit_tables, _OnePointTables),
+}
 
 
-def _spheres(representation: str) -> int:
-    if representation not in _SPHERES:
+class _PictureFrame:
+    """One picture on one grid: its factor tables, factor dimensions, the
+    shape of its node values and its operator-space Grams, the Kronecker
+    products of the factor Grams permuted into row-major operator order."""
+
+    def __init__(self, first, second):
+        self.factors = (first, second)
+        self.dims = (isqrt(first.analysis.shape[1]), isqrt(second.analysis.shape[1]))
+        self.shape = first.axes + second.axes  # (projection, node) per sphere
+        self.spheres = len(self.shape) // 2
+        dim = self.dims[0] * self.dims[1]
+        order = np.argsort(_regroup(np.arange(dim * dim).reshape(dim, dim), *self.dims).ravel())
+        self.gram = np.kron(first.gram, second.gram)[np.ix_(order, order)]
+        self.gram_conj = np.kron(first.gram_conj, second.gram_conj)[np.ix_(order, order)]
+
+
+@lru_cache(maxsize=16)
+def _picture_frame(representation: str, n_azimuth: int, n_polar: int) -> _PictureFrame:
+    if representation not in _PICTURES:
         raise ValueError(f"unknown representation {representation!r}")
-    return _SPHERES[representation]
+    return _PictureFrame(*(tables(n_azimuth, n_polar) for tables in _PICTURES[representation]))
 
 
 def _analyze(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
-    """Symbols Tr(op * U(x)) at every frame point of the grid.
+    """Symbols Tr(op * U(x)) at every frame point of the grid, a1 R a2^T.
 
     Shape (4, n) in the qudit picture (projection, node) and (2, n, 2, n)
     in the two-qubit picture (m1, node1, m2, node2); complex.
     """
-    if _spheres(representation) == 1:
-        tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
-        return (tables.analysis @ op.ravel()).reshape(4, -1)
-    tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
-    a = tables.analysis
-    return (a @ _pair_reshuffle(op) @ a.T).reshape(2, -1, 2, grid.n_sphere_nodes)
+    frame = _picture_frame(representation, grid.n_azimuth, grid.n_polar)
+    first, second = frame.factors
+    return (first.analysis @ _regroup(op, *frame.dims) @ second.analysis.T).reshape(frame.shape)
 
 
 def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
-    """Weighted sum of node values against the quantizers: the 4x4
-    operator whose symbols the values are, when the grid is exact."""
-    if _spheres(representation) == 1:
-        tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
-        return (values.reshape(-1) @ tables.synthesis).reshape(4, 4)
-    b = _two_qubit_tables(grid.n_azimuth, grid.n_polar).synthesis
-    return _pair_reshuffle(b.T @ (values.reshape(len(b), len(b)) @ b))
+    """Weighted sum of node values (in the :func:`_analyze` layout) against
+    the quantizers, b1^T V b2: the 4x4 operator whose symbols the values
+    are, when the grid is exact."""
+    frame = _picture_frame(representation, grid.n_azimuth, grid.n_polar)
+    b1, b2 = (tables.synthesis for tables in frame.factors)
+    return _regroup(b1.T @ (values.reshape(len(b1), len(b2)) @ b2), *frame.dims, inverse=True)
 
 
 def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid,
@@ -491,23 +521,15 @@ def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid,
     """``_synthesize(_analyze(op))`` through the grid's Gram, with the
     symbols' real part taken first when ``real_values``.
 
-    The same linear map by associativity: vec(op) G in the qudit picture,
-    G^T R G on the reshuffled R = op per qubit factor in the two-qubit one.
-    Re(v) = (v + conj v) / 2 brings in the conjugate Gram.
+    The same linear map by associativity, vec(op) G; Re(v) = (v + conj v) / 2
+    brings in the conjugate Gram.
     """
-    if _spheres(representation) == 1:
-        tables = _qudit_tables(grid.n_azimuth, grid.n_polar)
-        v = op.reshape(-1)
-        rec = v @ tables.gram
-        if real_values:
-            rec = 0.5 * (rec + v.conj() @ tables.gram_conj)
-        return rec.reshape(4, 4)
-    tables = _two_qubit_tables(grid.n_azimuth, grid.n_polar)
-    r = _pair_reshuffle(op)
-    rec = tables.gram.T @ r @ tables.gram
+    frame = _picture_frame(representation, grid.n_azimuth, grid.n_polar)
+    v = op.reshape(-1)
+    rec = v @ frame.gram
     if real_values:
-        rec = 0.5 * (rec + tables.gram_conj.T @ r.conj() @ tables.gram_conj)
-    return _pair_reshuffle(rec)
+        rec = 0.5 * (rec + v.conj() @ frame.gram_conj)
+    return rec.reshape(op.shape)
 
 
 # --------------------------------------------------------------------------
@@ -641,12 +663,17 @@ def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
 # --------------------------------------------------------------------------
 # tomograms
 
-def _check_basis(state, expected: str) -> np.ndarray:
+def _four_by_four(state) -> np.ndarray:
     rho = state_matrix(state)
     if rho.shape != (4, 4):
         raise ValueError("tomographic frames act on 4x4 states")
+    return rho
+
+
+def _check_basis(state, expected: str) -> np.ndarray:
+    rho = _four_by_four(state)
     if isinstance(state, DensityMatrix) and state.basis is not None and state.basis != expected:
-        raise ValueError(f"state is tagged {state.basis!r} but the point belongs to {expected!r}")
+        raise ValueError(f"state is tagged {state.basis!r} but {expected!r} was requested")
     return rho
 
 
@@ -671,19 +698,6 @@ def tomogram(state, point) -> float:
     else:
         raise TypeError("point must be FramePoint2Q or FramePointQudit")
     return _real_trace(np.trace(rho @ op), 1e-12)
-
-
-def tomogram_evaluator(state, representation: str):
-    """Callable tomogram of a fixed state.
-
-    Returns ``f(m, angles)`` for the qudit picture and
-    ``f(m1, m2, angles1, angles2)`` for the two-qubit picture.
-    """
-    if representation == BASIS_QUDIT:
-        return lambda m, n: tomogram(state, FramePointQudit(m, n))
-    if representation == BASIS_TWO_QUBIT:
-        return lambda m1, m2, n1, n2: tomogram(state, FramePoint2Q(m1, m2, n1, n2))
-    raise ValueError(f"unknown representation {representation!r}")
 
 
 @dataclass(frozen=True)
@@ -747,86 +761,48 @@ def tomogram_table(state, representation: str, grid: QuadratureGrid) -> Tomogram
 
     Raises ValueError when the table would exceed :data:`MAX_TABLE_ROWS`.
     """
-    _require_grid(grid, spheres=_spheres(representation))
+    _require_grid(grid, representation)
     rows = 4 * grid.n_angle_nodes  # 4 projections, or 4 projection pairs, per node
     if rows > MAX_TABLE_ROWS:
         raise ValueError(f"table too large: at most {MAX_TABLE_ROWS} rows, got {rows}")
     rho = _check_basis(state, representation)
     values = _analyze(rho, representation, grid).real
-    alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
-    if representation == BASIS_QUDIT:
-        _validate_table(values)
-        k = len(QUDIT_PROJECTIONS)
-        return TomogramTable(
-            representation=representation,
-            columns=("m", "alpha", "beta", "value"),
-            rows=np.column_stack((np.repeat(QUDIT_PROJECTIONS, len(alpha)),
-                                  np.tile(alpha, k), np.tile(beta, k), values.ravel())),
-        )
-    values = values.transpose(0, 2, 1, 3)  # (m1, m2, node1, node2): the row order
+    # row order: projections before nodes, (m, node) or (m1, m2, node1, node2)
+    values = values.transpose(*range(0, values.ndim, 2), *range(1, values.ndim, 2))
     _validate_table(values.reshape(4, -1))
+    alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
     n = len(alpha)
-    k = len(TWO_QUBIT_PROJECTIONS)
-    return TomogramTable(
-        representation=representation,
-        columns=("m1", "m2", "theta1", "phi1", "theta2", "phi2", "value"),
-        rows=np.column_stack((
+    if representation == BASIS_QUDIT:
+        k = len(QUDIT_PROJECTIONS)
+        columns = ("m", "alpha", "beta")
+        keys = (np.repeat(QUDIT_PROJECTIONS, n), np.tile(alpha, k), np.tile(beta, k))
+    else:
+        k = len(TWO_QUBIT_PROJECTIONS)
+        columns = ("m1", "m2", "theta1", "phi1", "theta2", "phi2")
+        keys = (
             np.repeat(TWO_QUBIT_PROJECTIONS, k * n * n),
             np.tile(np.repeat(TWO_QUBIT_PROJECTIONS, n * n), k),
             np.tile(np.repeat(beta, n), k * k),
             np.tile(np.repeat(alpha, n), k * k),
             np.tile(beta, k * k * n),
             np.tile(alpha, k * k * n),
-            values.ravel(),
-        )),
-    )
+        )
+    return TomogramTable(representation=representation, columns=columns + ("value",),
+                         rows=np.column_stack(keys + (values.ravel(),)))
 
 
 # --------------------------------------------------------------------------
 # reconstruction
 
-def reconstruct(tomogram_fn, quantizer_fn, grid: QuadratureGrid, representation: str) -> np.ndarray:
-    """Weighted sum of tomogram values against a quantizer family.
-
-    ``tomogram_fn`` has the :func:`tomogram_evaluator` signature for the
-    chosen representation; ``quantizer_fn`` maps a frame point to a 4x4
-    matrix. The reconstruction is returned unvalidated so that defects of
-    a wrong quantizer stay observable. The node sum runs in a fixed order,
-    so the result is bit-reproducible for a given grid.
-    """
-    total = np.zeros((4, 4), dtype=complex)
-    if representation == BASIS_QUDIT:
-        _require_grid(grid, spheres=1)
-        for m in QUDIT_PROJECTIONS:
-            for angles, w in grid.sphere_points():
-                point = FramePointQudit(m, angles)
-                total += w * tomogram_fn(m, angles) * quantizer_fn(point)
-        return total
-    if representation == BASIS_TWO_QUBIT:
-        _require_grid(grid, spheres=2)
-        points = grid.sphere_points()
-        for m1 in TWO_QUBIT_PROJECTIONS:
-            for m2 in TWO_QUBIT_PROJECTIONS:
-                for n1, w1 in points:
-                    for n2, w2 in points:
-                        point = FramePoint2Q(m1, m2, n1, n2)
-                        total += w1 * w2 * tomogram_fn(m1, m2, n1, n2) * quantizer_fn(point)
-        return total
-    raise ValueError(f"unknown representation {representation!r}")
-
-
 def reconstruct_state(state, representation: str, grid: QuadratureGrid,
                       enforce_grid: bool = True) -> np.ndarray:
-    """Round-trip a state through its tomogram: synthesis of its analysis.
-
-    Equal, up to summation order, to feeding :func:`tomogram_evaluator`
-    into :func:`reconstruct` with the frame's quantizer.
-    ``enforce_grid=False`` is the hook used to demonstrate failure on
-    deliberately coarse grids.
+    """Round-trip a state through its tomogram: synthesis of its analysis,
+    equal up to summation order to the weighted sum of its tomogram values
+    against the frame's quantizers. ``enforce_grid=False`` is the hook used
+    to demonstrate failure on deliberately coarse grids.
     """
-    spheres = _spheres(representation)
     if enforce_grid:
-        _require_grid(grid, spheres=spheres)
+        _require_grid(grid, representation)
     rho = _check_basis(state, representation)
     return _closure(rho, representation, grid, real_values=True)
 
@@ -871,7 +847,7 @@ def dual_symbol(op, point) -> complex:
 
 def _frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:
     # sum_x w symbol(A)(x) Tr(B D(x)) = Tr(B * synthesis of the symbols of A)
-    _require_grid(grid, spheres=_spheres(representation))
+    _require_grid(grid, representation)
     rec = _closure(np.asarray(symbol_op, dtype=complex), representation, grid, real_values=False)
     return complex(np.trace(np.asarray(dual_op, dtype=complex) @ rec))
 

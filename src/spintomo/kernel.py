@@ -21,12 +21,14 @@ in the tomogram and factors through operator space,
     sum_x w(x) value(x) K(x, y) = Tr[ (sum_x w(x) value(x) D(x)) U(y) ],
 
 so each map reads one 4x4 operator against the target's dequantizer. This
-holds for any tomogram function, physical or not. The evaluator variants
-take the node values from a callable and synthesize them into that
-operator. The state variants never evaluate the state's tomogram on the
-grid: the operator is :func:`spintomo.frames.reconstruct_state`, which
-applies the grid's operator-space Gram to the state (same value, a few
-16 x 16 products instead of a pass over every node).
+holds for any tomogram values, physical or not. The evaluator maps take
+the source tomogram as an array of node values, in the layout of
+:func:`spintomo.frames._analyze` ((4, n) for the qudit, (2, n, 2, n) for
+two qubits), and synthesize them into that operator. The state maps never
+evaluate the state's tomogram on the grid: the operator is
+:func:`spintomo.frames.reconstruct_state`, which applies the grid's
+operator-space Gram to the state (same value, one 16 x 16 product instead
+of a pass over every node).
 
 The trace definition is authoritative. An explicit closed-form expression
 for the qudit-to-pair kernel is also implemented; it fails the cross-check
@@ -255,30 +257,24 @@ def _read_against(rec: np.ndarray, u_target: np.ndarray) -> float:
     return _real_result(complex(np.trace(rec @ u_target)))
 
 
-def map_qudit_to_two_qubit(tomogram_fn, grid: QuadratureGrid, target: FramePoint2Q) -> float:
-    """Convert a qudit tomogram evaluator into a two-qubit tomogram value.
+def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -> float:
+    """Convert qudit tomogram node values, shape (4, n) over (projection,
+    node), into a two-qubit tomogram value at ``target``.
 
-    ``tomogram_fn(m, angles)`` is integrated against the qudit-to-pair
-    kernel over the grid; the projection sum over m is always included.
+    The values are integrated against the qudit-to-pair kernel over the
+    grid; the projection sum over m is always included.
     """
-    _require_grid(grid, spheres=1)
-    nodes = [EulerAngles(a, b) for a, b in zip(grid.sphere_alpha(), grid.sphere_beta())]
-    values = np.array([[tomogram_fn(m, n) for n in nodes] for m in QUDIT_PROJECTIONS])
-    return _read_against(_synthesize(values, BASIS_QUDIT, grid), dequantizer_2q(target))
+    _require_grid(grid, BASIS_QUDIT)
+    return _read_against(_synthesize(np.asarray(values), BASIS_QUDIT, grid),
+                         dequantizer_2q(target))
 
 
-def map_two_qubit_to_qudit(tomogram_fn, grid: QuadratureGrid, target: FramePointQudit) -> float:
-    """Convert a two-qubit tomogram evaluator into a qudit tomogram value."""
-    _require_grid(grid, spheres=2)
-    nodes = [EulerAngles(a, b) for a, b in zip(grid.sphere_alpha(), grid.sphere_beta())]
-    # axes (m1, node1, m2, node2), the layout of the two-qubit synthesis
-    values = np.array(
-        [[[[tomogram_fn(m1, m2, n1, n2) for n2 in nodes]
-           for m2 in TWO_QUBIT_PROJECTIONS]
-          for n1 in nodes]
-         for m1 in TWO_QUBIT_PROJECTIONS]
-    )
-    return _read_against(_synthesize(values, BASIS_TWO_QUBIT, grid), dequantizer_qudit(target))
+def map_two_qubit_to_qudit(values, grid: QuadratureGrid, target: FramePointQudit) -> float:
+    """Convert two-qubit tomogram node values, shape (2, n, 2, n) over
+    (m1, node1, m2, node2), into a qudit tomogram value at ``target``."""
+    _require_grid(grid, BASIS_TWO_QUBIT)
+    return _read_against(_synthesize(np.asarray(values), BASIS_TWO_QUBIT, grid),
+                         dequantizer_qudit(target))
 
 
 def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint2Q,

@@ -33,12 +33,13 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .matcore import PAULI, IDENTITY_2, pauli_dot, state_matrix, werner
+from .matcore import PAULI, IDENTITY_2, pauli_dot, werner
 from .su2 import EulerAngles, as_direction
 from .frames import (
     FramePoint2Q,
     FramePointQudit,
     QuadratureGrid,
+    _four_by_four,
     frame_pairing_qudit,
     frame_pairing_two_qubit,
     make_grid,
@@ -123,7 +124,7 @@ def product_observable(k1, k2) -> ObservableTriple:
 
 def correlation_direct(state, k1, k2) -> float:
     """E(k1, k2) as a plain operator trace."""
-    rho = state_matrix(state)
+    rho = _four_by_four(state)
     value = np.trace(rho @ product_observable(k1, k2).product)
     if abs(value.imag) > 1e-12:
         raise ArithmeticError(f"correlation has imaginary part {value.imag:.3e}")
@@ -133,7 +134,7 @@ def correlation_direct(state, k1, k2) -> float:
 def correlation_tomographic_two_qubit(state, k1, k2, grid: QuadratureGrid,
                                       variant: str = VARIANT_SYMBOL_DUAL) -> float:
     """E(k1, k2) through the two-qubit frame pairing, either symbol order."""
-    rho = state_matrix(state)
+    rho = _four_by_four(state)
     b = product_observable(k1, k2).product
     if variant == VARIANT_SYMBOL_DUAL:
         value = frame_pairing_two_qubit(b, rho, grid)
@@ -150,14 +151,14 @@ def correlation_tomographic_qudit(state, k1, k2, grid: QuadratureGrid) -> float:
     The state and the product observable are read in the spin-3/2 basis;
     the numerical value coincides with :func:`correlation_direct`.
     """
-    rho = state_matrix(state)
+    rho = _four_by_four(state)
     b = product_observable(k1, k2).product
     return float(frame_pairing_qudit(b, rho, grid).real)
 
 
 def correlation_tensor(state) -> np.ndarray:
     """T_ij = Tr(rho sigma_i (x) sigma_j), a real 3x3 matrix."""
-    rho = state_matrix(state)
+    rho = _four_by_four(state)
     t = np.empty((3, 3))
     for i in range(3):
         for j in range(3):

@@ -328,6 +328,16 @@ class TestCorrelationAndSteering:
         _, out2, _ = run(capsys, "steering", "--state", "werner:0.3")
         assert out1 == out2
 
+    @pytest.mark.parametrize("command", ("correlation", "steering"))
+    def test_two_by_two_state_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "qubit.json"
+        path.write_text(json.dumps(matrix_to_json_dict(np.eye(2) / 2)))
+        code, out, err = run(capsys, command, "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert "act on 4x4 states" in err
+        assert "matmul" not in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "steering", "--state", "werner:0.2",

@@ -22,16 +22,16 @@ from spintomo.frames import (
     quantizer_qudit,
     quantizer_qudit_explicit,
     qudit_quantizer_authority,
-    reconstruct,
     reconstruct_state,
     roundtrip_residual,
     symbol,
     tomogram,
-    tomogram_evaluator,
     tomogram_table,
 )
 from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, random_density, werner
 from spintomo.su2 import EulerAngles
+
+from frame_reference import reconstruct, tomogram_evaluator
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -95,6 +95,15 @@ class TestGrid:
                 make_grid(8, 129, enforce_minimum=enforce)
             with pytest.raises(ValueError, match="at most 1024 nodes"):
                 make_grid(33, 32, spheres=2, enforce_minimum=enforce)
+
+    def test_node_counts_must_be_whole(self):
+        for n_azimuth, n_polar in ((8.5, 8), (8, 8.5)):
+            for enforce in (True, False):
+                with pytest.raises(ValueError, match="whole numbers"):
+                    make_grid(n_azimuth, n_polar, enforce_minimum=enforce)
+        grid = make_grid(9.0, 10.0)
+        assert (grid.n_azimuth, grid.n_polar) == (9, 10)
+        assert (len(grid.azimuth), len(grid.polar)) == (9, 10)
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +277,52 @@ class TestMultipoleDual:
                                    rtol=0, atol=1e-13)
 
 
+class TestSpinFrameProperties:
+    """The shared spin-j construction for every supported spin, 2j <= 4."""
+
+    SPINS = (0.5, 1.0, 1.5, 2.0)
+
+    @staticmethod
+    def spectrum(tables):
+        # eigenvalues of the frame superoperator sum_x w vec(U) vec(U)^dag
+        n_proj, n_nodes, dim, _ = tables.dequantizer.shape
+        vecs = tables.dequantizer.reshape(n_proj, n_nodes, dim * dim)
+        return np.linalg.eigvalsh(np.einsum("s,msi,msj->ij", tables.weights, vecs, vecs.conj()))
+
+    @staticmethod
+    def multipole_spectrum(j):
+        # 8 pi^2 / (2L+1) with multiplicity 2L+1, L = 0 ... 2j
+        return np.sort([FULL_SPHERE_MEASURE / (2 * rank + 1)
+                        for rank in range(round(2 * j) + 1) for _ in range(2 * rank + 1)])
+
+    @pytest.mark.parametrize("j", SPINS)
+    def test_frame_superoperator_spectrum(self, j):
+        np.testing.assert_allclose(self.spectrum(frames._SphereTables(j, 16, 16)),
+                                   self.multipole_spectrum(j), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("j", SPINS)
+    def test_analysis_then_synthesis_reconstructs(self, j):
+        tables = frames._SphereTables(j, 16, 16)
+        dim = round(2 * j) + 1
+        rng = np.random.default_rng(round(2 * j))
+        for _ in range(5):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            values = (tables.analysis @ rho.ravel()).real
+            np.testing.assert_allclose((values @ tables.synthesis).reshape(dim, dim), rho,
+                                       rtol=0, atol=1e-12)
+
+    def test_minimum_grid_is_exact_below_spin_two(self):
+        # the superoperator carries azimuth frequencies up to 4j, and 8
+        # uniform azimuth nodes integrate frequencies below 8 only: the 8x8
+        # minimum is exact for j <= 3/2 and misses the j = 2 spectrum
+        for j in self.SPINS[:-1]:
+            np.testing.assert_allclose(self.spectrum(frames._SphereTables(j, 8, 8)),
+                                       self.multipole_spectrum(j), rtol=1e-12, atol=0)
+        deviation = self.spectrum(frames._SphereTables(2.0, 8, 8)) - self.multipole_spectrum(2.0)
+        assert np.abs(deviation).max() == pytest.approx(8.8, abs=0.05)
+
+
 class TestQuditAuthority:
     def test_dual_frame_selected_and_documented(self):
         report = qudit_quantizer_authority()
@@ -360,6 +415,11 @@ class TestTomogram:
         rho = DensityMatrix(np.eye(4) / 4, basis=BASIS_TWO_QUBIT)
         with pytest.raises(ValueError):
             tomogram(rho, FramePointQudit(0.5, EulerAngles(0, 0)))
+
+    def test_basis_mismatch_names_the_requested_picture(self, grid_pair):
+        rho = DensityMatrix(np.eye(4) / 4, basis=BASIS_QUDIT)
+        with pytest.raises(ValueError, match=f"tagged {BASIS_QUDIT!r} but {BASIS_TWO_QUBIT!r} was"):
+            reconstruct_state(rho, BASIS_TWO_QUBIT, grid_pair)
 
     def test_psi_angles_ignored(self):
         rho = random_density(4, 9)

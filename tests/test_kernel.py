@@ -25,10 +25,11 @@ from spintomo.frames import (
     make_grid,
     quantizer_2q,
     tomogram,
-    tomogram_evaluator,
 )
 from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, random_density, werner
 from spintomo.su2 import EulerAngles
+
+from frame_reference import node_values, tomogram_evaluator
 
 
 def rand_angles(rng):
@@ -59,13 +60,15 @@ class TestKernelSanity:
         rng = np.random.default_rng(40)
         for _ in range(5):
             target = rand_two_qubit_target(rng)
-            got = map_qudit_to_two_qubit(lambda m, n: 0.25, grid_single, target)
+            got = map_qudit_to_two_qubit(node_values(lambda m, n: 0.25, BASIS_QUDIT, grid_single),
+                                         grid_single, target)
             assert got == pytest.approx(0.25, abs=1e-12)
 
     def test_flat_tomogram_reverse(self, grid_pair):
         rng = np.random.default_rng(41)
         target = FramePointQudit(QUDIT_PROJECTIONS[rng.integers(4)], rand_angles(rng))
-        got = map_two_qubit_to_qudit(lambda m1, m2, n1, n2: 0.25, grid_pair, target)
+        got = map_two_qubit_to_qudit(
+            node_values(lambda m1, m2, n1, n2: 0.25, BASIS_TWO_QUBIT, grid_pair), grid_pair, target)
         assert got == pytest.approx(0.25, abs=1e-12)
 
     def test_kernel_sum_rule(self, grid_single):
@@ -105,7 +108,8 @@ class TestWernerMapping:
             w_fn = tomogram_evaluator(rho, BASIS_QUDIT)
             for _ in range(5):
                 target = rand_two_qubit_target(rng)
-                got = map_qudit_to_two_qubit(w_fn, grid_single, target)
+                got = map_qudit_to_two_qubit(node_values(w_fn, BASIS_QUDIT, grid_single),
+                                             grid_single, target)
                 th1, ph1 = target.n1.polar, target.n1.azimuth
                 th2, ph2 = target.n2.polar, target.n2.azimuth
                 want = 0.25 + p * target.m1 * target.m2 * (
@@ -133,7 +137,8 @@ class TestWernerMapping:
             # mapped two-qubit tomogram fed into the reverse map
             omega = lambda m1, m2, n1, n2: map_state_qudit_to_two_qubit(
                 rho, grid_single, FramePoint2Q(m1, m2, n1, n2))
-            via_pair = map_two_qubit_to_qudit(omega, grid_pair, qtarget)
+            via_pair = map_two_qubit_to_qudit(node_values(omega, BASIS_TWO_QUBIT, grid_pair),
+                                              grid_pair, qtarget)
             assert via_pair == pytest.approx(tomogram(rho.mat, qtarget), abs=1e-8)
 
 
@@ -158,8 +163,9 @@ class TestIntertwiningOnRandomStates:
         rng = np.random.default_rng(48)
         rho = random_density(4, 51)
         target = rand_two_qubit_target(rng)
-        slow = map_qudit_to_two_qubit(tomogram_evaluator(rho, BASIS_QUDIT),
-                                      grid_single, target)
+        slow = map_qudit_to_two_qubit(
+            node_values(tomogram_evaluator(rho, BASIS_QUDIT), BASIS_QUDIT, grid_single),
+            grid_single, target)
         fast = map_state_qudit_to_two_qubit(rho, grid_single, target)
         assert slow == pytest.approx(fast, abs=1e-13)
 
@@ -170,15 +176,17 @@ class TestIntertwiningOnRandomStates:
         w_a = tomogram_evaluator(werner(0.9), BASIS_QUDIT)
         w_b = tomogram_evaluator(werner(-0.2), BASIS_QUDIT)
         mix = lambda m, n: lam * w_a(m, n) + (1 - lam) * w_b(m, n)
-        got = map_qudit_to_two_qubit(mix, grid_single, target)
-        want = (lam * map_qudit_to_two_qubit(w_a, grid_single, target)
-                + (1 - lam) * map_qudit_to_two_qubit(w_b, grid_single, target))
+        got = map_qudit_to_two_qubit(node_values(mix, BASIS_QUDIT, grid_single), grid_single, target)
+        want = (lam * map_qudit_to_two_qubit(node_values(w_a, BASIS_QUDIT, grid_single),
+                                             grid_single, target)
+                + (1 - lam) * map_qudit_to_two_qubit(node_values(w_b, BASIS_QUDIT, grid_single),
+                                                     grid_single, target))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_coarse_grid_rejected(self):
         grid = make_grid(2, 2, spheres=1, enforce_minimum=False)
         with pytest.raises(ValueError):
-            map_qudit_to_two_qubit(lambda m, n: 0.25, grid,
+            map_qudit_to_two_qubit(node_values(lambda m, n: 0.25, BASIS_QUDIT, grid), grid,
                                    FramePoint2Q(0.5, 0.5, EulerAngles(0, 0), EulerAngles(0, 0)))
 
 
