@@ -37,6 +37,9 @@ log = logging.getLogger("spintomo")
 
 REP_TO_BASIS = {"two_qubit": BASIS_TWO_QUBIT, "qudit": BASIS_QUDIT}
 
+#: (source picture, target picture) of each ``map --direction``
+_MAP_PICTURES = {"qudit_to_2q": ("qudit", "two_qubit"), "2q_to_qudit": ("two_qubit", "qudit")}
+
 _AXIS_ALIASES = {
     "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0),
     "-x": (-1.0, 0.0, 0.0), "-y": (0.0, -1.0, 0.0), "-z": (0.0, 0.0, -1.0),
@@ -121,6 +124,12 @@ def _make_grids(args, spheres_needed):
         raise CliError(str(exc)) from exc
 
 
+def _picture_grid(args, rep):
+    # as many spheres as the picture's frame covers
+    spheres = frames._picture_spheres(REP_TO_BASIS[rep])
+    return _make_grids(args, (spheres,))[spheres]
+
+
 def _emit(args, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write(args, lambda stream: stream.write(text))
@@ -180,8 +189,7 @@ def cmd_tomogram(args) -> int:
     rep = args.rep
     try:
         if args.full_grid:
-            spheres = 1 if rep == "qudit" else 2
-            grid = _make_grids(args, (spheres,))[spheres]
+            grid = _picture_grid(args, rep)
             table = frames.tomogram_table(state, REP_TO_BASIS[rep], grid)
             if args.format == "csv":
                 _write(args, table.to_csv)
@@ -212,8 +220,7 @@ def cmd_reconstruct(args) -> int:
     mat, basis, _ = _parse_state(args.state)
     state = _density(mat, basis)
     rep = args.rep
-    spheres = 1 if rep == "qudit" else 2
-    grid = _make_grids(args, (spheres,))[spheres]
+    grid = _picture_grid(args, rep)
     try:
         rec = frames.reconstruct_state(state, REP_TO_BASIS[rep], grid)
     except ValueError as exc:
@@ -235,16 +242,14 @@ def cmd_reconstruct(args) -> int:
 def cmd_map(args) -> int:
     mat, _, _ = _parse_state(args.state)
     state = _density(mat, None)
-    grids = _make_grids(args, (1, 2))
+    source, target_rep = _MAP_PICTURES[args.direction]
+    grid = _picture_grid(args, source)  # the kernel integrates over the source frame
     try:
-        if args.direction == "qudit_to_2q":
-            target = _tomogram_point(args, "two_qubit")
-            mapped = kernel.map_state_qudit_to_two_qubit(state, grids[1], target)
-        elif args.direction == "2q_to_qudit":
-            target = _tomogram_point(args, "qudit")
-            mapped = kernel.map_state_two_qubit_to_qudit(state, grids[2], target)
+        target = _tomogram_point(args, target_rep)
+        if source == "qudit":
+            mapped = kernel.map_state_qudit_to_two_qubit(state, grid, target)
         else:
-            raise CliError("--direction must be qudit_to_2q or 2q_to_qudit")
+            mapped = kernel.map_state_two_qubit_to_qudit(state, grid, target)
         direct = frames.tomogram(mat, target)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", parents=[state, grid, tol, out],
                        help="convert a tomogram between the two pictures")
-    p.add_argument("--direction", choices=("qudit_to_2q", "2q_to_qudit"), required=True)
+    p.add_argument("--direction", choices=tuple(_MAP_PICTURES), required=True)
     _add_point_flags(p)
     p.set_defaults(handler=cmd_map)
 

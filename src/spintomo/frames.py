@@ -211,7 +211,7 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
 def _require_grid(grid: QuadratureGrid, representation: str) -> None:
     if grid.n_azimuth < MIN_AZIMUTH_NODES or grid.n_polar < MIN_POLAR_NODES:
         raise ValueError("grid below minimum node counts")
-    spheres = _picture_frame(representation, grid.n_azimuth, grid.n_polar).spheres
+    spheres = _picture_spheres(representation)
     if grid.spheres != spheres:
         raise ValueError(f"grid covers {grid.spheres} sphere(s), {spheres} required")
 
@@ -231,11 +231,19 @@ def _frame_projectors(j: float, azimuth, polar) -> np.ndarray:
     """
     if j == 0.5:
         azimuth = pi - np.asarray(azimuth, dtype=float)
-    m = spin_projections(j)
+    m = _projections(j)
     d = np.array([wigner_d_matrix(j, b) for b in polar])
     rows = d[None] * np.exp(1j * np.multiply.outer(azimuth, m))[:, None, None, :]
     rows = rows.reshape(-1, len(m), len(m)).swapaxes(0, 1)
     return rows.conj()[..., :, None] * rows[..., None, :]
+
+
+@lru_cache(maxsize=None)
+def _projections(j: float) -> np.ndarray:
+    """:func:`spin_projections` of spin j, built once and read-only."""
+    m = spin_projections(j)
+    m.flags.writeable = False
+    return m
 
 
 def _point_projector(j: float, m: float, angles: EulerAngles) -> np.ndarray:
@@ -277,6 +285,15 @@ def qubit_axis_operator(phi: float, theta: float) -> np.ndarray:
     st, ct = sin(theta), cos(theta)
     e = np.exp(1j * phi)
     return np.array([[ct, -e * st], [-st / e, -ct]])
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """Tr(a b) as the sum of a * b^T, without forming the product: equal to
+    ``np.trace(a @ b)`` up to summation order. Shapes that do not multiply
+    to a square matrix raise ValueError."""
+    if a.shape != b.shape[::-1]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    return (a * b.T).sum()
 
 
 def _regroup(mat: np.ndarray, d1: int, d2: int, inverse: bool = False) -> np.ndarray:
@@ -473,6 +490,14 @@ _PICTURES = {
 }
 
 
+def _picture_spheres(representation: str) -> int:
+    """Rotation spheres a picture's grid covers: one per factor frame other
+    than the one-point frame."""
+    if representation not in _PICTURES:
+        raise ValueError(f"unknown representation {representation!r}")
+    return sum(tables is not _OnePointTables for tables in _PICTURES[representation])
+
+
 class _PictureFrame:
     """One picture on one grid: its factor tables, factor dimensions, the
     shape of its node values and its operator-space Grams, the Kronecker
@@ -482,7 +507,6 @@ class _PictureFrame:
         self.factors = (first, second)
         self.dims = (isqrt(first.analysis.shape[1]), isqrt(second.analysis.shape[1]))
         self.shape = first.axes + second.axes  # (projection, node) per sphere
-        self.spheres = len(self.shape) // 2
         dim = self.dims[0] * self.dims[1]
         order = np.argsort(_regroup(np.arange(dim * dim).reshape(dim, dim), *self.dims).ravel())
         self.gram = np.kron(first.gram, second.gram)[np.ix_(order, order)]
@@ -510,8 +534,10 @@ def _analyze(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.nd
 def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
     """Weighted sum of node values (in the :func:`_analyze` layout) against
     the quantizers, b1^T V b2: the 4x4 operator whose symbols the values
-    are, when the grid is exact."""
+    are, when the grid is exact. Values of any other shape raise ValueError."""
     frame = _picture_frame(representation, grid.n_azimuth, grid.n_polar)
+    if values.shape != frame.shape:
+        raise ValueError(f"node values must have shape {frame.shape}, got {values.shape}")
     b1, b2 = (tables.synthesis for tables in frame.factors)
     return _regroup(b1.T @ (values.reshape(len(b1), len(b2)) @ b2), *frame.dims, inverse=True)
 
@@ -697,7 +723,7 @@ def tomogram(state, point) -> float:
         op = dequantizer_qudit(point)
     else:
         raise TypeError("point must be FramePoint2Q or FramePointQudit")
-    return _real_trace(np.trace(rho @ op), 1e-12)
+    return _real_trace(_trace_product(rho, op), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -822,9 +848,9 @@ def symbol(op, point) -> complex:
     """Tomographic symbol of an operator: Tr(A * dequantizer(point))."""
     op = np.asarray(op, dtype=complex)
     if isinstance(point, FramePoint2Q):
-        return complex(np.trace(op @ dequantizer_2q(point)))
+        return complex(_trace_product(op, dequantizer_2q(point)))
     if isinstance(point, FramePointQudit):
-        return complex(np.trace(op @ dequantizer_qudit(point)))
+        return complex(_trace_product(op, dequantizer_qudit(point)))
     raise TypeError("point must be FramePoint2Q or FramePointQudit")
 
 
@@ -839,9 +865,9 @@ def dual_symbol(op, point) -> complex:
     if op.shape != (4, 4):
         raise ValueError("dual symbols are defined for 4x4 operators here")
     if isinstance(point, FramePoint2Q):
-        return complex(np.trace(op @ quantizer_2q(point)))
+        return complex(_trace_product(op, quantizer_2q(point)))
     if isinstance(point, FramePointQudit):
-        return complex(np.trace(op @ quantizer_qudit(point)))
+        return complex(_trace_product(op, quantizer_qudit(point)))
     raise TypeError("point must be FramePoint2Q or FramePointQudit")
 
 

@@ -28,7 +28,9 @@ two qubits), and synthesize them into that operator. The state maps never
 evaluate the state's tomogram on the grid: the operator is
 :func:`spintomo.frames.reconstruct_state`, which applies the grid's
 operator-space Gram to the state (same value, one 16 x 16 product instead
-of a pass over every node).
+of a pass over every node). They read the state's matrix once: a
+DensityMatrix, already checked when it was made, is not checked again,
+and a basis tag does not stop a state from mapping in either direction.
 
 The trace definition is authoritative. An explicit closed-form expression
 for the qudit-to-pair kernel is also implemented; it fails the cross-check
@@ -45,7 +47,7 @@ from math import cos, factorial, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, state_matrix
+from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix
 from .su2 import EulerAngles, twice
 from .frames import (
     FULL_SPHERE_MEASURE,
@@ -59,6 +61,7 @@ from .frames import (
     _require_grid,
     _sign_reading_factor,
     _synthesize,
+    _trace_product,
     dequantizer_2q,
     dequantizer_qudit,
     quantizer_2q,
@@ -90,7 +93,7 @@ def kernel_qudit_to_pair(point: KernelPoint) -> complex:
     """Trace-defined kernel converting a qudit tomogram to a two-qubit one."""
     d = quantizer_qudit(point.qudit_point())
     u = dequantizer_2q(point.pair_point())
-    return complex(np.trace(d @ u))
+    return complex(_trace_product(d, u))
 
 
 def kernel_pair_to_qudit(point: KernelPoint) -> complex:
@@ -98,7 +101,7 @@ def kernel_pair_to_qudit(point: KernelPoint) -> complex:
     against the qudit dequantizer); independent of all third Euler angles."""
     d = quantizer_2q(point.pair_point())
     u = dequantizer_qudit(point.qudit_point())
-    return complex(np.trace(d @ u))
+    return complex(_trace_product(d, u))
 
 
 def dual_kernels(point: KernelPoint) -> tuple[complex, complex]:
@@ -254,7 +257,7 @@ def _real_result(value: complex, tol: float = 1e-10) -> float:
 
 
 def _read_against(rec: np.ndarray, u_target: np.ndarray) -> float:
-    return _real_result(complex(np.trace(rec @ u_target)))
+    return _real_result(complex(_trace_product(rec, u_target)))
 
 
 def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -> float:
@@ -262,7 +265,8 @@ def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -
     node), into a two-qubit tomogram value at ``target``.
 
     The values are integrated against the qudit-to-pair kernel over the
-    grid; the projection sum over m is always included.
+    grid; the projection sum over m is always included. Values of any
+    other shape raise ValueError.
     """
     _require_grid(grid, BASIS_QUDIT)
     return _read_against(_synthesize(np.asarray(values), BASIS_QUDIT, grid),
@@ -271,21 +275,33 @@ def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -
 
 def map_two_qubit_to_qudit(values, grid: QuadratureGrid, target: FramePointQudit) -> float:
     """Convert two-qubit tomogram node values, shape (2, n, 2, n) over
-    (m1, node1, m2, node2), into a qudit tomogram value at ``target``."""
+    (m1, node1, m2, node2), into a qudit tomogram value at ``target``.
+    Values of any other shape raise ValueError."""
     _require_grid(grid, BASIS_TWO_QUBIT)
     return _read_against(_synthesize(np.asarray(values), BASIS_TWO_QUBIT, grid),
                          dequantizer_qudit(target))
 
 
+def _in_picture(state, representation: str):
+    # The state maps read a state in either picture: a DensityMatrix tagged
+    # with the other one goes in as its bare matrix. Any other state goes in
+    # as it is, so a DensityMatrix is not checked again.
+    if isinstance(state, DensityMatrix) and state.basis not in (None, representation):
+        return state.mat
+    return state
+
+
 def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint2Q,
                                  enforce_grid: bool = True) -> float:
     """:func:`map_qudit_to_two_qubit` of a density matrix's own tomogram."""
-    rec = reconstruct_state(state_matrix(state), BASIS_QUDIT, grid, enforce_grid=enforce_grid)
+    rec = reconstruct_state(_in_picture(state, BASIS_QUDIT), BASIS_QUDIT, grid,
+                            enforce_grid=enforce_grid)
     return _read_against(rec, dequantizer_2q(target))
 
 
 def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid, target: FramePointQudit,
                                  enforce_grid: bool = True) -> float:
     """:func:`map_two_qubit_to_qudit` of a density matrix's own tomogram."""
-    rec = reconstruct_state(state_matrix(state), BASIS_TWO_QUBIT, grid, enforce_grid=enforce_grid)
+    rec = reconstruct_state(_in_picture(state, BASIS_TWO_QUBIT), BASIS_TWO_QUBIT, grid,
+                            enforce_grid=enforce_grid)
     return _read_against(rec, dequantizer_qudit(target))

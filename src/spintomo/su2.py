@@ -13,6 +13,13 @@ extended to the remaining index pairs through the symmetries
 
     d_{m',m} = (-1)^(m-m') d_{m,m'} = d_{-m,-m'}.
 
+:func:`wigner_d_matrix` evaluates each directly evaluable pair once. A plan
+cached per spin carries each such pair's prefactor and Jacobi parameters
+(n, a, b), and for every other cell the direct pair it equals with its sign
++-1. cos(beta/2), sin(beta/2) and cos(beta) are computed once per beta; each
+pair then takes the same operations, in the same order, as :func:`wigner_d`,
+so the matrix is bit-identical to it entry by entry.
+
 The resulting convention is self-consistent (orthogonal, homomorphic in
 beta); relative to the most common textbook table it is the transpose.
 All downstream sign-sensitive anchors (Werner tomogram values, frame
@@ -146,15 +153,18 @@ def wigner_d(j, mp, m, beta: float) -> float:
     return _wigner_d_twice(j2, mp2, m2, beta)
 
 
+def _direct_terms(j2: int, mp2: int, m2: int) -> tuple:
+    # (prefactor, n, a, b) of the Jacobi form at a directly evaluable pair
+    pref = sqrt(
+        factorial((j2 + mp2) // 2) * factorial((j2 - mp2) // 2)
+        / (factorial((j2 + m2) // 2) * factorial((j2 - m2) // 2))
+    )
+    return pref, (j2 - mp2) // 2, (mp2 - m2) // 2, (mp2 + m2) // 2
+
+
 def _wigner_d_twice(j2: int, mp2: int, m2: int, beta: float) -> float:
     if mp2 >= abs(m2):
-        n = (j2 - mp2) // 2
-        a = (mp2 - m2) // 2
-        b = (mp2 + m2) // 2
-        pref = sqrt(
-            factorial((j2 + mp2) // 2) * factorial((j2 - mp2) // 2)
-            / (factorial((j2 + m2) // 2) * factorial((j2 - m2) // 2))
-        )
+        pref, n, a, b = _direct_terms(j2, mp2, m2)
         return pref * cos(beta / 2.0) ** b * sin(beta / 2.0) ** a * jacobi_poly(n, a, b, cos(beta))
     if -m2 >= abs(mp2):
         # d_{m',m} = d_{-m,-m'}
@@ -174,17 +184,20 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full (2j+1)x(2j+1) small-d matrix, rows and columns by descending m."""
     j2 = twice(j)
     _check_spin_indices(j2, j2, j2)
-    direct, cells = _wigner_d_plan(j2)
-    values = [_wigner_d_twice(j2, mp2, m2, beta) for mp2, m2 in direct]
+    terms, cells = _wigner_d_plan(j2)
+    c, s, x = cos(beta / 2.0), sin(beta / 2.0), cos(beta)
+    values = [pref * c ** b * s ** a * jacobi_poly(n, a, b, x) for pref, n, a, b in terms]
     return np.array([sign * values[pos] for pos, sign in cells]).reshape(j2 + 1, j2 + 1)
 
 
 @lru_cache(maxsize=None)
 def _wigner_d_plan(j2: int):
-    # The pairs _wigner_d_twice evaluates directly (m' >= |m|) and, for each
-    # matrix cell row by row, the direct pair it equals through the
-    # symmetries _wigner_d_twice recurses through, with the sign. Signs are
-    # +-1, so the matrix is bit-identical with one evaluation per pair.
+    # For each pair _wigner_d_twice evaluates directly (m' >= |m|), its
+    # Jacobi-form terms (prefactor, n, a, b) from the same _direct_terms;
+    # for each matrix cell row by row, the direct pair it equals through the
+    # symmetries _wigner_d_twice recurses through, with the sign +-1.
+    # wigner_d_matrix applies the operations of _wigner_d_twice to these
+    # terms in the same order, so it is bit-identical to wigner_d.
     def source(mp2, m2, sign):
         if mp2 >= abs(m2):
             return direct.index((mp2, m2)), sign
@@ -194,7 +207,8 @@ def _wigner_d_plan(j2: int):
 
     ms = range(j2, -j2 - 1, -2)
     direct = [(mp2, m2) for mp2 in ms for m2 in ms if mp2 >= abs(m2)]
-    return tuple(direct), tuple(source(mp2, m2, 1.0) for mp2 in ms for m2 in ms)
+    terms = tuple(_direct_terms(j2, mp2, m2) for mp2, m2 in direct)
+    return terms, tuple(source(mp2, m2, 1.0) for mp2 in ms for m2 in ms)
 
 
 def wigner_D(j, angles: EulerAngles) -> np.ndarray:

@@ -29,7 +29,7 @@ from spintomo.frames import (
     tomogram_table,
 )
 from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, random_density, werner
-from spintomo.su2 import EulerAngles
+from spintomo.su2 import EulerAngles, spin_projections
 
 from frame_reference import reconstruct, tomogram_evaluator
 
@@ -312,6 +312,12 @@ class TestSpinFrameProperties:
             np.testing.assert_allclose((values @ tables.synthesis).reshape(dim, dim), rho,
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("j", SPINS)
+    def test_cached_projections_are_read_only(self, j):
+        m = frames._projections(j)
+        assert m.tobytes() == spin_projections(j).tobytes()
+        assert not m.flags.writeable
+
     def test_minimum_grid_is_exact_below_spin_two(self):
         # the superoperator carries azimuth frequencies up to 4j, and 8
         # uniform azimuth nodes integrate frequencies below 8 only: the 8x8
@@ -567,6 +573,43 @@ class TestTomogramTable:
             m, alpha, beta, value = row
             assert value == pytest.approx(
                 tomogram(rho, FramePointQudit(m, EulerAngles(alpha, beta))), abs=1e-14)
+
+
+class TestOnePointAndTableConstruction:
+    """The per-point operators and the grid tables are one projector
+    construction: at every frame point of the 8x8 grid they agree bit for
+    bit, so a separate per-point formula cannot creep in unnoticed."""
+
+    def test_qudit_dequantizer(self, grid_single):
+        table = frames._qudit_tables(8, 8).dequantizer
+        nodes = list(zip(grid_single.sphere_alpha(), grid_single.sphere_beta()))
+        for k, m in enumerate(QUDIT_PROJECTIONS):
+            for i, (a, b) in enumerate(nodes):
+                point = dequantizer_qudit(FramePointQudit(m, EulerAngles(a, b)))
+                assert point.tobytes() == table[k, i].tobytes()
+
+    def test_two_qubit_dequantizer(self, grid_single):
+        table = frames._two_qubit_tables(8, 8).dequantizer
+        nodes = list(enumerate(zip(grid_single.sphere_alpha(), grid_single.sphere_beta())))
+        for k1, m1 in enumerate(TWO_QUBIT_PROJECTIONS):
+            for k2, m2 in enumerate(TWO_QUBIT_PROJECTIONS):
+                for i1, (a1, b1) in nodes:
+                    for i2, (a2, b2) in nodes:
+                        point = dequantizer_2q(FramePoint2Q(m1, m2, EulerAngles(a1, b1),
+                                                            EulerAngles(a2, b2)))
+                        want = frames._regroup(np.outer(table[k1, i1], table[k2, i2]),
+                                               2, 2, inverse=True)
+                        assert point.tobytes() == want.tobytes()
+
+    def test_tomogram_matches_table(self, grid_single, grid_pair):
+        rho = random_density(4, 36)
+        for m, alpha, beta, value in tomogram_table(rho, BASIS_QUDIT, grid_single).rows:
+            point = FramePointQudit(m, EulerAngles(alpha, beta))
+            assert abs(tomogram(rho, point) - value) <= 1e-15
+        for m1, m2, theta1, phi1, theta2, phi2, value in tomogram_table(
+                rho, BASIS_TWO_QUBIT, grid_pair).rows:
+            point = FramePoint2Q(m1, m2, EulerAngles(phi1, theta1), EulerAngles(phi2, theta2))
+            assert abs(tomogram(rho, point) - value) <= 1e-15
 
 
 # --------------------------------------------------------------------------

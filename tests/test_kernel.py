@@ -183,6 +183,25 @@ class TestIntertwiningOnRandomStates:
                                                      grid_single, target))
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_node_values_of_another_shape_rejected(self, grid_single, grid_pair):
+        # values of the right size in the wrong layout used to be reshaped
+        # silently into a wrong answer
+        rng = np.random.default_rng(52)
+        rho = random_density(4, 53)
+        qudit = node_values(tomogram_evaluator(rho, BASIS_QUDIT), BASIS_QUDIT, grid_single)
+        target = rand_two_qubit_target(rng)
+        assert map_qudit_to_two_qubit(qudit, grid_single, target) == pytest.approx(
+            tomogram(rho, target), abs=1e-12)
+        for wrong in (qudit.T, qudit.ravel(), qudit[None]):
+            with pytest.raises(ValueError, match=r"shape \(4, 64\)"):
+                map_qudit_to_two_qubit(wrong, grid_single, target)
+        pair = np.full((2, 64, 2, 64), 0.25)
+        target = FramePointQudit(0.5, rand_angles(rng))
+        assert map_two_qubit_to_qudit(pair, grid_pair, target) == pytest.approx(0.25, abs=1e-12)
+        for wrong in (pair.transpose(1, 0, 3, 2), pair.reshape(128, 128), pair.ravel()):
+            with pytest.raises(ValueError, match=r"shape \(2, 64, 2, 64\)"):
+                map_two_qubit_to_qudit(wrong, grid_pair, target)
+
     def test_coarse_grid_rejected(self):
         grid = make_grid(2, 2, spheres=1, enforce_minimum=False)
         with pytest.raises(ValueError):
