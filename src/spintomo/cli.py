@@ -187,9 +187,9 @@ def cmd_tomogram(args) -> int:
     mat, basis, _ = _parse_state(args.state)
     state = _density(mat, basis)
     rep = args.rep
+    grid = _picture_grid(args, rep)  # a point ignores the grid, but its flags must be valid
     try:
         if args.full_grid:
-            grid = _picture_grid(args, rep)
             table = frames.tomogram_table(state, REP_TO_BASIS[rep], grid)
             if args.format == "csv":
                 _write(args, table.to_csv)

@@ -25,7 +25,9 @@ prefactor i*(-1)^m is ambiguous for half-integer m, so both natural
 readings are implemented) misses the reconstruction identity on generic
 states. It is a diagnostic only: :func:`qudit_quantizer_authority` builds
 it on request and records residuals and failing entries in a
-:class:`QuditQuantizerReport`.
+:class:`QuditQuantizerReport`. Its blocks broadcast over arrays of
+projections and angles, so the report evaluates each sign reading once
+over the whole grid.
 
 On a grid each picture is a pair of factor frames: the two-qubit picture
 is (spin-1/2, spin-1/2), the qudit picture (spin-3/2, the one-point frame
@@ -52,9 +54,9 @@ scheme's exactness degree, so "numerical" integration is exact to roundoff.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from math import cos, factorial, isqrt, pi, sin, sqrt
+from math import cos, isqrt, pi, sin, sqrt
 
 import numpy as np
 
@@ -219,7 +221,7 @@ def _require_grid(grid: QuadratureGrid, representation: str) -> None:
 # --------------------------------------------------------------------------
 # the spin-j frame: rotated projectors and their multipole dual
 
-def _frame_projectors(j: float, azimuth, polar) -> np.ndarray:
+def _frame_projectors(j: float, azimuth, polar, projection=slice(None)) -> np.ndarray:
     """Dequantizers U^dag |m><m| U of the spin-j frame at every node pair.
 
     Shape (2j+1, len(azimuth) * len(polar), 2j+1, 2j+1): projections by
@@ -228,13 +230,15 @@ def _frame_projectors(j: float, azimuth, polar) -> np.ndarray:
     the third Euler angle cancels in the projector. The qubit factor
     measures its azimuth the other way round: the spin-1/2 frame at phi is
     the rotated projector at azimuth pi - phi, i.e. (1/2) I + m F(phi, theta).
+    An integer ``projection`` (the index of m) keeps that row of U before
+    the outer product, and drops the projection axis.
     """
     if j == 0.5:
         azimuth = pi - np.asarray(azimuth, dtype=float)
     m = _projections(j)
     d = np.array([wigner_d_matrix(j, b) for b in polar])
     rows = d[None] * np.exp(1j * np.multiply.outer(azimuth, m))[:, None, None, :]
-    rows = rows.reshape(-1, len(m), len(m)).swapaxes(0, 1)
+    rows = rows.reshape(-1, len(m), len(m)).swapaxes(0, 1)[projection]
     return rows.conj()[..., :, None] * rows[..., None, :]
 
 
@@ -247,7 +251,7 @@ def _projections(j: float) -> np.ndarray:
 
 
 def _point_projector(j: float, m: float, angles: EulerAngles) -> np.ndarray:
-    return _frame_projectors(j, (angles.azimuth,), (angles.polar,))[round(j - m), 0]
+    return _frame_projectors(j, (angles.azimuth,), (angles.polar,), round(j - m))[0]
 
 
 @lru_cache(maxsize=8)
@@ -331,62 +335,67 @@ def quantizer_qudit(point: FramePointQudit) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# the paper's explicit qudit quantizer (diagnostic only)
+# the paper's explicit qudit quantizer (diagnostic only), as array expressions
 
-def _sign_reading_factor(m: float, reading: str) -> complex:
-    """The ambiguous prefactor i * (-1)^m under the two supported readings."""
-    m2 = twice(m)
+def _sign_reading_factor(m, reading: str):
+    """The paper's prefactor i * (-1)^m / ((m + 3/2)! (3/2 - m)!) under the
+    two readings of its ambiguous sign, elementwise over projections m."""
+    m2 = 2.0 * np.asarray(m, dtype=float)
+    if not np.isin(m2, (3.0, 1.0, -1.0, -3.0)).all():
+        raise ValueError(f"projections must lie in {QUDIT_PROJECTIONS}, got {m}")
     if reading == SIGN_READING_REAL:
-        return 1.0 if (3 - m2) % 4 == 0 else -1.0
-    if reading == SIGN_READING_IMAG:
-        return 1j * (-1.0 if ((m2 + 3) // 2) % 2 else 1.0)
-    raise ValueError(f"unknown sign reading {reading!r}")
+        sign = np.where(m2 % 4 == 3, 1.0, -1.0)
+    elif reading == SIGN_READING_IMAG:
+        sign = np.where(m2 % 4 == 3, -1j, 1j)
+    else:
+        raise ValueError(f"unknown sign reading {reading!r}")
+    return sign / np.where(np.abs(m2) == 3, 6.0, 2.0)  # (m + 3/2)! (3/2 - m)!
 
 
-def _explicit_block_degree1(m: float, alpha: float, beta: float) -> np.ndarray:
+def _matrices(rows) -> np.ndarray:
+    """Complex (..., 4, 4) stack from four rows of broadcastable entries."""
+    entries = np.broadcast_arrays(*(x for row in rows for x in row))
+    return np.stack(entries, axis=-1, dtype=complex).reshape(entries[0].shape + (4, 4))
+
+
+def _explicit_block_degree1(m, alpha, beta) -> np.ndarray:
     """Tridiagonal block, trace 1; carries the projection m linearly."""
-    sb, cb = sin(beta), cos(beta)
+    sb, cb = np.sin(beta), np.cos(beta)
     e = np.exp(1j * alpha)
     q = 0.3 * sqrt(3.0) * m * sb
     r = 0.6 * m * sb  # 63/105 = 3/5
-    return np.array(
-        [
-            [0.25 + 0.9 * m * cb, q / e, 0, 0],
-            [q * e, 0.25 + 0.3 * m * cb, r * e, 0],
-            [0, r * e, 0.25 - 0.3 * m * cb, q / e],
-            [0, 0, q * e, 0.25 - 0.9 * m * cb],
-        ],
-        dtype=complex,
-    )
+    return _matrices([
+        [0.25 + 0.9 * m * cb, q / e, 0, 0],
+        [q * e, 0.25 + 0.3 * m * cb, r * e, 0],
+        [0, r * e, 0.25 - 0.3 * m * cb, q / e],
+        [0, 0, q * e, 0.25 - 0.9 * m * cb],
+    ])
 
 
-def _explicit_block_degree2(alpha: float, beta: float) -> np.ndarray:
+def _explicit_block_degree2(alpha, beta) -> np.ndarray:
     """Traceless block, second order in the polar angle."""
-    sb = sin(beta)
-    s2b = sin(2.0 * beta)
-    c2 = cos(beta) ** 2
+    sb = np.sin(beta)
+    s2b = np.sin(2.0 * beta)
+    c2 = np.cos(beta) ** 2
     e = np.exp(1j * alpha)
     e2 = np.exp(2j * alpha)
     r3 = sqrt(3.0)
-    return np.array(
-        [
-            [3 * c2 - 1, r3 * s2b / e, r3 * sb * sb / e2, 0],
-            [r3 * s2b * e, 1 - 3 * c2, 0, -r3 * sb * sb / e2],
-            [r3 * sb * sb * e2, 0, 1 - 3 * c2, -r3 * s2b / e],
-            [0, -r3 * sb * sb * e2, -r3 * s2b * e, 3 * c2 - 1],
-        ],
-        dtype=complex,
-    )
+    return _matrices([
+        [3 * c2 - 1, r3 * s2b / e, r3 * sb * sb / e2, 0],
+        [r3 * s2b * e, 1 - 3 * c2, 0, -r3 * sb * sb / e2],
+        [r3 * sb * sb * e2, 0, 1 - 3 * c2, -r3 * s2b / e],
+        [0, -r3 * sb * sb * e2, -r3 * s2b * e, 3 * c2 - 1],
+    ])
 
 
-def _explicit_block_degree3_sin(alpha: float, beta: float) -> np.ndarray:
+def _explicit_block_degree3_sin(alpha, beta) -> np.ndarray:
     """sin(beta) times the third-order block.
 
     The raw block carries cos(beta)/sin(beta) on its diagonal; multiplying
     by sin(beta) analytically removes the pole, so the assembled quantizer
     is finite at beta = 0 and beta = pi.
     """
-    sb, cb = sin(beta), cos(beta)
+    sb, cb = np.sin(beta), np.cos(beta)
     c2 = cb * cb
     e = np.exp(1j * alpha)
     e2 = np.exp(2j * alpha)
@@ -397,25 +406,21 @@ def _explicit_block_degree3_sin(alpha: float, beta: float) -> np.ndarray:
     off2 = r3 * sb * sb * cb
     off3 = sb**3
     mid = 3.0 * (0.2 - c2) * sb
-    return np.array(
-        [
-            [diag, off1 / e, off2 / e2, off3 / e3],
-            [off1 * e, 3 * diag, mid / e, -off2 / e2],
-            [off2 * e2, mid * e, -3 * diag, off1 / e],
-            [off3 * e3, off2 * e2, off1 * e, -diag],
-        ],
-        dtype=complex,
-    )
+    return _matrices([
+        [diag, off1 / e, off2 / e2, off3 / e3],
+        [off1 * e, 3 * diag, mid / e, -off2 / e2],
+        [off2 * e2, mid * e, -3 * diag, off1 / e],
+        [off3 * e3, off2 * e2, off1 * e, -diag],
+    ])
 
 
-def explicit_qudit_b_matrix(m: float, alpha: float, beta: float,
-                            reading: str = SIGN_READING_REAL) -> np.ndarray:
-    """Unnormalized explicit quantizer candidate (trace 1 for every point)."""
-    pref = _sign_reading_factor(m, reading)
-    m2 = twice(m)
-    fac = 2.0 * factorial((m2 + 3) // 2) * factorial((3 - m2) // 2)
-    return _explicit_block_degree1(m, alpha, beta) + (pref / fac) * (
-        5.0 * m * _explicit_block_degree2(alpha, beta)
+def explicit_qudit_b_matrix(m, alpha, beta, reading: str = SIGN_READING_REAL) -> np.ndarray:
+    """Unnormalized explicit quantizer candidate (trace 1 for every point),
+    broadcast over arrays of projections and angles."""
+    m = np.asarray(m, dtype=float)
+    pref = 0.5 * _sign_reading_factor(m, reading)[..., None, None]
+    return _explicit_block_degree1(m, alpha, beta) + pref * (
+        5.0 * m[..., None, None] * _explicit_block_degree2(alpha, beta)
         + 10.5 * _explicit_block_degree3_sin(alpha, beta)
     )
 
@@ -587,48 +592,29 @@ class QuditQuantizerReport:
     entry_deviations_vs_dual: list
 
     def as_dict(self) -> dict:
-        return {
-            "scheme": list(self.scheme),
-            "threshold": self.threshold,
-            "selected": self.selected,
-            "dual_frame_max_residual": self.dual_frame_max_residual,
-            "explicit_residuals": self.explicit_residuals,
-            "werner_residuals": self.werner_residuals,
-            "hermiticity_failures": self.hermiticity_failures,
-            "entry_deviations_vs_dual": self.entry_deviations_vs_dual,
-        }
-
-
-def _stack_roundtrip_residual(rho: np.ndarray, tables: _SphereTables,
-                              quantizer_stack: np.ndarray) -> float:
-    values = (tables.analysis @ rho.ravel()).real.reshape(4, -1)
-    rec = np.einsum("ms,s,msab->ab", values, tables.weights, quantizer_stack, optimize=True)
-    return float(np.linalg.norm(rec - rho))
+        return {**asdict(self), "scheme": list(self.scheme)}
 
 
 def _hermiticity_failures() -> dict:
+    # 24 random points per block, each drawn as (azimuth, polar, projection)
     rng = np.random.default_rng(4096)
+    draws = np.array([(rng.uniform(0, 2 * pi), rng.uniform(0, pi),
+                       QUDIT_PROJECTIONS[rng.integers(4)]) for _ in range(3 * 24)])
+    a, b, m = draws.reshape(3, 24, 3).transpose(2, 0, 1)  # each (block, point)
     blocks = {
-        "block_degree1": lambda a, b, m: _explicit_block_degree1(m, a, b),
-        "block_degree2": lambda a, b, m: _explicit_block_degree2(a, b),
-        "block_degree3_sin": lambda a, b, m: _explicit_block_degree3_sin(a, b),
+        "block_degree1": _explicit_block_degree1(m[0], a[0], b[0]),
+        "block_degree2": _explicit_block_degree2(a[1], b[1]),
+        "block_degree3_sin": _explicit_block_degree3_sin(a[2], b[2]),
     }
     out = {}
-    for name, fn in blocks.items():
-        worst = np.zeros((4, 4))
-        for _ in range(24):
-            a = rng.uniform(0, 2 * pi)
-            b = rng.uniform(0, pi)
-            m = QUDIT_PROJECTIONS[rng.integers(4)]
-            x = fn(a, b, m)
-            worst = np.maximum(worst, np.abs(x - x.conj().T))
-        failures = [
+    for name, x in blocks.items():
+        worst = np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=0)
+        out[name] = [
             {"entry": [i, j], "max_defect": float(worst[i, j])}
             for i in range(4)
             for j in range(i + 1, 4)
             if worst[i, j] > _REPORT_ENTRY_TOL
         ]
-        out[name] = failures
     return out
 
 
@@ -639,29 +625,33 @@ def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
 
     A diagnostic, computed on request: reconstruction and kernels always
     use the multipole dual. The explicit candidate (each sign reading) is
-    evaluated on a fixed sample of random states and on a Werner state,
-    and ``selected`` names it only if its round trip stays below
-    ``EXPLICIT_QUANTIZER_THRESHOLD``.
+    evaluated once over every (projection, node) of the grid, and its round
+    trip of a fixed sample of random states and of a Werner state is one
+    matrix product; ``selected`` names it only if that round trip stays
+    below ``EXPLICIT_QUANTIZER_THRESHOLD``.
     """
     tables = _qudit_tables(n_azimuth, n_polar)
     grid = make_grid(n_azimuth, n_polar, spheres=1, enforce_minimum=False)
-    nodes = list(zip(grid.sphere_alpha(), grid.sphere_beta()))
     explicit = {
-        reading: np.array([[explicit_qudit_b_matrix(m, a, b, reading) for a, b in nodes]
-                           for m in QUDIT_PROJECTIONS]) / FULL_SPHERE_MEASURE
+        reading: explicit_qudit_b_matrix(np.array(QUDIT_PROJECTIONS)[:, None], grid.sphere_alpha(),
+                                         grid.sphere_beta(), reading) / FULL_SPHERE_MEASURE
         for reading in SIGN_READINGS
     }
     from .matcore import random_density  # local import to avoid cycle at module load
 
-    samples = [random_density(4, seed).mat for seed in _AUTHORITY_SAMPLE_SEEDS]
-    dual_res = max(_stack_roundtrip_residual(r, tables, tables.quantizer) for r in samples)
-    explicit_res = {}
-    werner_res = {}
-    for reading in SIGN_READINGS:
-        stack = explicit[reading]
-        explicit_res[reading] = max(_stack_roundtrip_residual(r, tables, stack) for r in samples)
-        werner_res[reading] = _stack_roundtrip_residual(werner(0.5).mat, tables, stack)
-    best_reading = min(SIGN_READINGS, key=lambda r: explicit_res[r])
+    # the sample states, then the Werner state, as rows of flattened matrices
+    states = np.array([random_density(4, seed).mat for seed in _AUTHORITY_SAMPLE_SEEDS]
+                      + [werner(0.5).mat]).reshape(-1, 16)
+    values = (states @ tables.analysis.T).real
+
+    def residuals(stack):
+        # Frobenius error of each state's weighted sum of values against the stack
+        rec = values @ (stack * tables.weights[:, None, None]).reshape(len(tables.analysis), 16)
+        return np.linalg.norm(rec - states, axis=1)
+
+    res = {reading: residuals(explicit[reading]) for reading in SIGN_READINGS}
+    explicit_res = {reading: float(r[:-1].max()) for reading, r in res.items()}
+    best_reading = min(SIGN_READINGS, key=explicit_res.get)
     if explicit_res[best_reading] <= EXPLICIT_QUANTIZER_THRESHOLD:
         selected = f"explicit:{best_reading}"
     else:
@@ -678,9 +668,9 @@ def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
         scheme=(n_azimuth, n_polar),
         threshold=EXPLICIT_QUANTIZER_THRESHOLD,
         selected=selected,
-        dual_frame_max_residual=float(dual_res),
-        explicit_residuals={k: float(v) for k, v in explicit_res.items()},
-        werner_residuals={k: float(v) for k, v in werner_res.items()},
+        dual_frame_max_residual=float(residuals(tables.quantizer)[:-1].max()),
+        explicit_residuals=explicit_res,
+        werner_residuals={reading: float(r[-1]) for reading, r in res.items()},
         hermiticity_failures=_hermiticity_failures(),
         entry_deviations_vs_dual=deviations,
     )

@@ -1,8 +1,9 @@
 """End-to-end verification suite ("selftest") behind the CLI and the tests.
 
-Each criterion is a standalone function returning a :class:`CriterionResult`
-with the measured numbers; :func:`run_selftest` executes all of them on a
-shared context and reports one pass/fail line per criterion. Tolerances are
+Each criterion is a standalone function that declares its index, title and
+runtime budget once, in ``@_criterion``, and returns its verdict with the
+measured numbers; :func:`run_selftest` times all of them on a shared context
+as :class:`CriterionResult` records, one pass/fail line per criterion. Tolerances are
 fixed here, not configurable: they are the acceptance contract of the
 package, and loosening them would hide real regressions.
 """
@@ -83,32 +84,32 @@ def _random_angles(rng, third: bool = False) -> EulerAngles:
     )
 
 
-def _criterion(index: int, title: str):
-    """Attach the criterion identity so crashes can still be reported."""
+def _criterion(index: int, title: str, budget_seconds: float | None = None):
+    """Declare a criterion's index, title and runtime budget. The criterion
+    returns ``(passed, details)``; :func:`_timed` makes the result."""
     def wrap(fn):
         fn.index = index
         fn.title = title
+        fn.budget_seconds = budget_seconds
         return fn
     return wrap
 
 
-def _timed(fn, ctx):
+def _timed(fn, ctx) -> CriterionResult:
     t0 = time.perf_counter()
     try:
-        result = fn(ctx)
+        passed, details = fn(ctx)
     except Exception as exc:  # a crashed criterion is a failed criterion
-        result = CriterionResult(
-            fn.index, fn.title, False, {"error": f"{type(exc).__name__}: {exc}"}, 0.0,
-        )
-    result.seconds = time.perf_counter() - t0
-    return result
+        passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+    return CriterionResult(fn.index, fn.title, passed, details, time.perf_counter() - t0,
+                           budget_seconds=fn.budget_seconds)
 
 
 # --------------------------------------------------------------------------
 # criteria
 
-@_criterion(1, 'frame completeness & tomogram normalization')
-def criterion_completeness(ctx: SelftestContext) -> CriterionResult:
+@_criterion(1, 'frame completeness & tomogram normalization', budget_seconds=1.0)
+def criterion_completeness(ctx: SelftestContext) -> tuple[bool, dict]:
     """1: frame completeness and tomogram normalization."""
     rng = ctx.rng(1)
     worst_complete = 0.0
@@ -144,31 +145,23 @@ def criterion_completeness(ctx: SelftestContext) -> CriterionResult:
             )
             worst_norm = max(worst_norm, abs(total - 1.0))
     passed = worst_complete <= 1e-12 and worst_norm <= 1e-12
-    return CriterionResult(
-        1, "frame completeness & tomogram normalization", passed,
-        {"max_completeness_defect": float(worst_complete),
-         "max_normalization_defect": float(worst_norm)},
-        0.0, budget_seconds=1.0,
-    )
+    return passed, {"max_completeness_defect": float(worst_complete),
+                    "max_normalization_defect": float(worst_norm)}
 
 
-@_criterion(2, 'two-qubit reconstruction')
-def criterion_reconstruction_two_qubit(ctx: SelftestContext) -> CriterionResult:
+@_criterion(2, 'two-qubit reconstruction', budget_seconds=10.0)
+def criterion_reconstruction_two_qubit(ctx: SelftestContext) -> tuple[bool, dict]:
     """2: two-qubit reconstruction round trip on 100 random states."""
     worst = 0.0
     for k in range(100):
         rho = random_density(4, ctx.seed + 200 + k)
         worst = max(worst, frames.roundtrip_residual(
             rho, BASIS_TWO_QUBIT, ctx.grid_pair, enforce_grid=ctx.enforce_grid))
-    return CriterionResult(
-        2, "two-qubit reconstruction", worst <= 1e-8,
-        {"max_frobenius_residual": float(worst), "n_states": 100},
-        0.0, budget_seconds=10.0,
-    )
+    return worst <= 1e-8, {"max_frobenius_residual": float(worst), "n_states": 100}
 
 
-@_criterion(3, 'qudit reconstruction (selected authority)')
-def criterion_reconstruction_qudit(ctx: SelftestContext) -> CriterionResult:
+@_criterion(3, 'qudit reconstruction (selected authority)', budget_seconds=10.0)
+def criterion_reconstruction_qudit(ctx: SelftestContext) -> tuple[bool, dict]:
     """3: qudit reconstruction through the multipole dual, plus the report
     on the explicit candidate."""
     worst = 0.0
@@ -192,14 +185,11 @@ def criterion_reconstruction_qudit(ctx: SelftestContext) -> CriterionResult:
         )
         details["failing_entries_enumerated"] = enumerated
         passed = passed and enumerated
-    return CriterionResult(
-        3, "qudit reconstruction (selected authority)", passed, details,
-        0.0, budget_seconds=10.0,
-    )
+    return passed, details
 
 
 @_criterion(4, 'Werner qudit tomogram closed forms')
-def criterion_werner_qudit_closed_forms(ctx: SelftestContext) -> CriterionResult:
+def criterion_werner_qudit_closed_forms(ctx: SelftestContext) -> tuple[bool, dict]:
     """4: Werner qudit tomogram vs closed forms, plus exact beta=0 values."""
     rng = ctx.rng(4)
     worst = 0.0
@@ -219,15 +209,11 @@ def criterion_werner_qudit_closed_forms(ctx: SelftestContext) -> CriterionResult
             expected = (1.0 + p) / 4.0 if abs(m) == 1.5 else (1.0 - p) / 4.0
             worst_origin = max(worst_origin, abs(direct - expected))
     passed = worst <= 1e-10 and worst_origin <= 1e-12
-    return CriterionResult(
-        4, "Werner qudit tomogram closed forms", passed,
-        {"max_closed_form_dev": float(worst), "max_beta0_dev": float(worst_origin)},
-        0.0,
-    )
+    return passed, {"max_closed_form_dev": float(worst), "max_beta0_dev": float(worst_origin)}
 
 
-@_criterion(5, 'kernel intertwining (both directions)')
-def criterion_kernel_intertwining(ctx: SelftestContext) -> CriterionResult:
+@_criterion(5, 'kernel intertwining (both directions)', budget_seconds=30.0)
+def criterion_kernel_intertwining(ctx: SelftestContext) -> tuple[bool, dict]:
     """5: kernel-mapped tomograms match direct tomograms, both directions."""
     rng = ctx.rng(5)
     states = [random_density(4, ctx.seed + 500 + k) for k in range(50)]
@@ -251,17 +237,13 @@ def criterion_kernel_intertwining(ctx: SelftestContext) -> CriterionResult:
         direct = frames.tomogram(state_matrix(rho), qtarget)
         worst_p2q = max(worst_p2q, abs(mapped - direct))
     passed = worst_q2p <= 1e-8 and worst_p2q <= 1e-8
-    return CriterionResult(
-        5, "kernel intertwining (both directions)", passed,
-        {"max_residual_qudit_to_pair": float(worst_q2p),
-         "max_residual_pair_to_qudit": float(worst_p2q),
-         "n_states": len(states)},
-        0.0, budget_seconds=30.0,
-    )
+    return passed, {"max_residual_qudit_to_pair": float(worst_q2p),
+                    "max_residual_pair_to_qudit": float(worst_p2q),
+                    "n_states": len(states)}
 
 
 @_criterion(6, 'closed-form kernel cross-check')
-def criterion_closed_kernel(ctx: SelftestContext) -> CriterionResult:
+def criterion_closed_kernel(ctx: SelftestContext) -> tuple[bool, dict]:
     """6: closed-form kernel agrees, or the discrepancy report is emitted."""
     report = kernel.closed_kernel_report(n_points=100, seed=ctx.seed + 600)
     stats = report.reading_stats[report.best_reading]
@@ -272,18 +254,14 @@ def criterion_closed_kernel(ctx: SelftestContext) -> CriterionResult:
                 for s in report.reading_stats.values())
     )
     passed = report.agrees or report_complete
-    return CriterionResult(
-        6, "closed-form kernel cross-check", passed,
-        {"agrees": report.agrees,
-         "best_reading": report.best_reading,
-         "max_dev_measure_normalized": stats["max_abs_deviation_measure_normalized"],
-         "discrepancy_report_emitted": report_complete},
-        0.0,
-    )
+    return passed, {"agrees": report.agrees,
+                    "best_reading": report.best_reading,
+                    "max_dev_measure_normalized": stats["max_abs_deviation_measure_normalized"],
+                    "discrepancy_report_emitted": report_complete}
 
 
-@_criterion(7, 'correlation equivalence (4 forms)')
-def criterion_correlation_equivalence(ctx: SelftestContext) -> CriterionResult:
+@_criterion(7, 'correlation equivalence (4 forms)', budget_seconds=30.0)
+def criterion_correlation_equivalence(ctx: SelftestContext) -> tuple[bool, dict]:
     """7: all four correlation-function forms agree on random inputs."""
     rng = ctx.rng(7)
     worst = 0.0
@@ -293,15 +271,11 @@ def criterion_correlation_equivalence(ctx: SelftestContext) -> CriterionResult:
         k2 = _random_direction(rng)
         forms = steering.correlation_forms(rho, k1, k2, ctx.grid_pair, ctx.grid_single)
         worst = max(worst, steering._form_spread(forms))
-    return CriterionResult(
-        7, "correlation equivalence (4 forms)", worst <= 1e-8,
-        {"max_pairwise_deviation": float(worst), "n_triples": 50},
-        0.0, budget_seconds=30.0,
-    )
+    return worst <= 1e-8, {"max_pairwise_deviation": float(worst), "n_triples": 50}
 
 
 @_criterion(8, 'Werner correlations (E(z,z) = p, tensor diag(p,-p,p))')
-def criterion_werner_correlations(ctx: SelftestContext) -> CriterionResult:
+def criterion_werner_correlations(ctx: SelftestContext) -> tuple[bool, dict]:
     """8: Werner E(z,z) = p and correlation tensor diag(p, -p, p)."""
     worst_zz = 0.0
     worst_tensor = 0.0
@@ -312,11 +286,7 @@ def criterion_werner_correlations(ctx: SelftestContext) -> CriterionResult:
         t = steering.correlation_tensor(rho)
         worst_tensor = max(worst_tensor, np.abs(t - np.diag([p, -p, p])).max())
     passed = worst_zz <= 1e-12 and worst_tensor <= 1e-12
-    return CriterionResult(
-        8, "Werner correlations (E(z,z) = p, tensor diag(p,-p,p))", passed,
-        {"max_zz_dev": float(worst_zz), "max_tensor_dev": float(worst_tensor)},
-        0.0,
-    )
+    return passed, {"max_zz_dev": float(worst_zz), "max_tensor_dev": float(worst_tensor)}
 
 
 def _random_direction(rng) -> np.ndarray:
@@ -325,7 +295,7 @@ def _random_direction(rng) -> np.ndarray:
 
 
 @_criterion(9, 'Bell bounds (CHSH)')
-def criterion_bell_bounds(ctx: SelftestContext) -> CriterionResult:
+def criterion_bell_bounds(ctx: SelftestContext) -> tuple[bool, dict]:
     """9: CHSH reaches 2 sqrt(2) |p| for Werner states and stays classical
     for product states."""
     worst_werner = 0.0
@@ -345,17 +315,13 @@ def criterion_bell_bounds(ctx: SelftestContext) -> CriterionResult:
         and w1.value > 2.0
         and abs(w1.value - 2.0 * sqrt(2.0)) <= 1e-3
     )
-    return CriterionResult(
-        9, "Bell bounds (CHSH)", passed,
-        {"max_werner_dev": float(worst_werner),
-         "max_product_chsh": float(worst_product),
-         "werner1_chsh": float(w1.value)},
-        0.0,
-    )
+    return passed, {"max_werner_dev": float(worst_werner),
+                    "max_product_chsh": float(worst_product),
+                    "werner1_chsh": float(w1.value)}
 
 
 @_criterion(10, 'steering report (SVD max, grid confirmation, notes)')
-def criterion_steering_report(ctx: SelftestContext) -> CriterionResult:
+def criterion_steering_report(ctx: SelftestContext) -> tuple[bool, dict]:
     """10: steering report numbers and the documented inequality notes."""
     worst_lhs = 0.0
     worst_grid = 0.0
@@ -370,16 +336,12 @@ def criterion_steering_report(ctx: SelftestContext) -> CriterionResult:
             key in d for key in ("rhs_all_entries", "rhs_diagonal", "inequality_holds"))
         report_ok = report_ok and any("1/3 < p < 1/2" in note for note in d["notes"])
     passed = worst_lhs <= 1e-10 and worst_grid <= 1e-3 and report_ok
-    return CriterionResult(
-        10, "steering report (SVD max, grid confirmation, notes)", passed,
-        {"max_lhs_dev": float(worst_lhs), "max_grid_dev": float(worst_grid),
-         "report_complete": report_ok},
-        0.0,
-    )
+    return passed, {"max_lhs_dev": float(worst_lhs), "max_grid_dev": float(worst_grid),
+                    "report_complete": report_ok}
 
 
 @_criterion(11, 'no-signaling & third-angle invariance')
-def criterion_no_signaling(ctx: SelftestContext) -> CriterionResult:
+def criterion_no_signaling(ctx: SelftestContext) -> tuple[bool, dict]:
     """11: marginal independence and third-Euler-angle invariance."""
     rng = ctx.rng(11)
     worst_marginal = 0.0
@@ -418,12 +380,8 @@ def criterion_no_signaling(ctx: SelftestContext) -> CriterionResult:
                 EulerAngles(a2.azimuth, a2.polar, -gamma)))
             worst_third = max(worst_third, abs(v - base_2q))
     passed = worst_marginal <= 1e-12 and worst_third <= 1e-12
-    return CriterionResult(
-        11, "no-signaling & third-angle invariance", passed,
-        {"max_marginal_variation": float(worst_marginal),
-         "max_third_angle_variation": float(worst_third)},
-        0.0,
-    )
+    return passed, {"max_marginal_variation": float(worst_marginal),
+                    "max_third_angle_variation": float(worst_third)}
 
 
 CRITERIA = (

@@ -120,6 +120,15 @@ class TestTomogram:
                          "--m", "1.5", "--alpha", "0", "--beta", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [("--grid-azimuth", "-1"),
+                                       ("--grid-azimuth", "40", "--grid-polar", "40")])
+    def test_point_mode_checks_grid_flags(self, capsys, flags):
+        # a point value needs no grid, but bad grid flags are still a usage error
+        code, out, err = run(capsys, "tomogram", "--state", "werner:0.5", "--rep", "qudit",
+                             "--m", "1.5", "--alpha", "0", "--beta", "0", *flags)
+        assert code == 2
+        assert out == "" and "grid too" in err
+
 
 class TestReconstruct:
     def test_werner_two_qubit(self, capsys):

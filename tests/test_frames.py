@@ -260,6 +260,37 @@ class TestExplicitQuditQuantizer:
         got = quantizer_qudit_explicit(FramePointQudit(1.5, EulerAngles(0.4, 1.2)))
         assert got.shape == (4, 4)
 
+    @pytest.mark.parametrize("reading", (SIGN_READING_REAL, SIGN_READING_IMAG))
+    def test_broadcast_equals_scalar_calls(self, reading):
+        rng = np.random.default_rng(19)
+        alpha, beta = rng.uniform(0, 2 * pi, 7), rng.uniform(0, pi, 7)
+        m = np.array(QUDIT_PROJECTIONS)[:, None]
+        stack = explicit_qudit_b_matrix(m, alpha, beta, reading)
+        assert stack.shape == (4, 7, 4, 4)
+        for k, mk in enumerate(QUDIT_PROJECTIONS):
+            for n in range(7):
+                np.testing.assert_allclose(
+                    stack[k, n], explicit_qudit_b_matrix(mk, alpha[n], beta[n], reading),
+                    rtol=0, atol=1e-15)
+
+    def test_projection_outside_spin_three_halves_rejected(self):
+        with pytest.raises(ValueError, match="projections"):
+            explicit_qudit_b_matrix(2.5, 0.1, 0.2)
+        with pytest.raises(ValueError, match="projections"):
+            explicit_qudit_b_matrix(np.array([1.5, 0.3]), 0.1, 0.2)
+
+
+class TestPointProjector:
+    @pytest.mark.parametrize("j", (0.5, 1.5))
+    def test_equals_frame_projector_bitwise(self, j):
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            a, b = rng.uniform(0, 2 * pi), rng.uniform(0, pi)
+            table = frames._frame_projectors(j, (a,), (b,))
+            for k, m in enumerate(frames._projections(j)):
+                np.testing.assert_array_equal(
+                    frames._point_projector(j, m, EulerAngles(a, b)), table[k, 0])
+
 
 class TestMultipoleDual:
     @pytest.mark.parametrize("nodes", (8, 12, 16))
@@ -357,6 +388,16 @@ class TestQuditAuthority:
     def test_report_is_json_serializable(self):
         import json
         json.dumps(qudit_quantizer_authority().as_dict())
+
+    def test_residuals_match_per_point_reference(self):
+        # the report's values on the default 8x8 grid, as computed by the
+        # per-node loop over scalar explicit matrices it replaced
+        report = qudit_quantizer_authority()
+        assert report.explicit_residuals == pytest.approx(
+            {SIGN_READING_REAL: 0.5549429296081114, SIGN_READING_IMAG: 0.7530254888079291},
+            rel=1e-12, abs=0)
+        assert report.werner_residuals[SIGN_READING_IMAG] == pytest.approx(
+            0.6123724356957945, rel=1e-12, abs=0)
 
 
 # --------------------------------------------------------------------------

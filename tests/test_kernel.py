@@ -18,6 +18,9 @@ from spintomo.kernel import (
     map_two_qubit_to_qudit,
 )
 from spintomo.frames import (
+    SIGN_READING_IMAG,
+    SIGN_READING_REAL,
+    SIGN_READINGS,
     FramePoint2Q,
     FramePointQudit,
     QUDIT_PROJECTIONS,
@@ -305,3 +308,29 @@ class TestClosedFormKernel:
     def test_report_serializable(self):
         import json
         json.dumps(closed_kernel_report(n_points=5, seed=1).as_dict())
+
+    @pytest.mark.parametrize("reading", SIGN_READINGS)
+    def test_terms_broadcast_equal_scalar_calls(self, reading):
+        rng = np.random.default_rng(56)
+        points = [rand_kernel_point(rng) for _ in range(12)]
+        batch = kernel._stacked(points)
+        assert batch.m.shape == batch.qubit2.polar.shape == (12,)
+        terms = closed_kernel_terms(batch, reading)
+        for n, point in enumerate(points):
+            for name, value in closed_kernel_terms(point, reading).items():
+                assert abs(np.broadcast_to(terms[name], (12,))[n] - value) <= 1e-15, name
+
+    def test_report_matches_per_point_reference(self):
+        # the default report's statistics, as computed by the per-point loop
+        # over scalar closed-form values it replaced
+        expected = {
+            SIGN_READING_REAL: (4.581886442177628, 0.040368012550125544, 0.011969430691916421),
+            SIGN_READING_IMAG: (4.251986525543244, 0.07608727165978706, 0.018536609997962653),
+        }
+        stats = closed_kernel_report().reading_stats
+        for reading, values in expected.items():
+            got = stats[reading]
+            assert (got["max_abs_deviation_raw"],
+                    got["max_abs_deviation_measure_normalized"],
+                    got["mean_abs_deviation_measure_normalized"]) \
+                == pytest.approx(values, rel=1e-12, abs=0)
