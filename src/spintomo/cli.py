@@ -71,11 +71,7 @@ def _parse_state(spec: str, enforce_domain: bool = True):
         if not isfinite(p):
             raise CliError("werner parameter must be finite")
         if enforce_domain:
-            try:
-                state = werner(p)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-            return state.mat, None, p
+            return werner(p).mat, None, p
         return werner_matrix(p), None, p
     try:
         with open(spec, "r", encoding="utf-8") as fh:
@@ -108,20 +104,12 @@ def _parse_direction(spec: str) -> np.ndarray:
         v = np.array([float(x) for x in parts])
     except ValueError as exc:
         raise CliError(f"cannot parse direction {spec!r}") from exc
-    try:
-        return as_direction(v)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return as_direction(v)
 
 
 def _make_grids(args, spheres_needed):
-    try:
-        return {
-            n: frames.make_grid(args.grid_azimuth, args.grid_polar, spheres=n)
-            for n in spheres_needed
-        }
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return {n: frames.make_grid(args.grid_azimuth, args.grid_polar, spheres=n)
+            for n in spheres_needed}
 
 
 def _picture_grid(args, rep):
@@ -151,10 +139,7 @@ def _require(args, names) -> None:
 
 
 def _angles(azimuth, polar, third) -> EulerAngles:
-    try:
-        return EulerAngles(azimuth, polar, third if third is not None else 0.0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return EulerAngles(azimuth, polar, third if third is not None else 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -187,23 +172,20 @@ def cmd_tomogram(args) -> int:
     mat, basis, _ = _parse_state(args.state)
     state = _density(mat, basis)
     rep = args.rep
-    grid = _picture_grid(args, rep)  # a point ignores the grid, but its flags must be valid
-    try:
-        if args.full_grid:
-            table = frames.tomogram_table(state, REP_TO_BASIS[rep], grid)
-            if args.format == "csv":
-                _write(args, table.to_csv)
-            else:
-                _emit(args, {
-                    "representation": table.representation,
-                    "columns": list(table.columns),
-                    "rows": table.rows.tolist(),
-                })
-            return 0
-        point = _tomogram_point(args, rep)
-        value = frames.tomogram(state, point)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.full_grid:
+        table = frames.tomogram_table(state, REP_TO_BASIS[rep], _picture_grid(args, rep))
+        if args.format == "csv":
+            _write(args, table.to_csv)
+        else:
+            _emit(args, {
+                "representation": table.representation,
+                "columns": list(table.columns),
+                "rows": table.rows.tolist(),
+            })
+        return 0
+    # a point ignores the grid, but its flags must be valid
+    frames._node_counts(args.grid_azimuth, args.grid_polar)
+    value = frames.tomogram(state, _tomogram_point(args, rep))
     if rep == "qudit":
         payload = {"representation": BASIS_QUDIT, "m": args.m,
                    "alpha": args.alpha, "beta": args.beta, "value": value}
@@ -221,10 +203,7 @@ def cmd_reconstruct(args) -> int:
     state = _density(mat, basis)
     rep = args.rep
     grid = _picture_grid(args, rep)
-    try:
-        rec = frames.reconstruct_state(state, REP_TO_BASIS[rep], grid)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rec = frames.reconstruct_state(state, REP_TO_BASIS[rep], grid)
     residual = float(np.linalg.norm(rec - mat))
     tol = 1e-8 if args.tol is None else args.tol
     payload = {
@@ -244,15 +223,12 @@ def cmd_map(args) -> int:
     state = _density(mat, None)
     source, target_rep = _MAP_PICTURES[args.direction]
     grid = _picture_grid(args, source)  # the kernel integrates over the source frame
-    try:
-        target = _tomogram_point(args, target_rep)
-        if source == "qudit":
-            mapped = kernel.map_state_qudit_to_two_qubit(state, grid, target)
-        else:
-            mapped = kernel.map_state_two_qubit_to_qudit(state, grid, target)
-        direct = frames.tomogram(mat, target)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    target = _tomogram_point(args, target_rep)
+    if source == "qudit":
+        mapped = kernel.map_state_qudit_to_two_qubit(state, grid, target)
+    else:
+        mapped = kernel.map_state_two_qubit_to_qudit(state, grid, target)
+    direct = frames.tomogram(mat, target)
     residual = abs(mapped - direct)
     tol = 1e-8 if args.tol is None else args.tol
     _emit(args, {"direction": args.direction, "value": mapped,
@@ -413,10 +389,7 @@ def main(argv=None) -> int:
         code = args.handler(args)
         log.debug("command %s finished with exit code %d", args.command, code)
         return code
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -5,10 +5,13 @@ E(k1, k2) = Tr[(k1.sigma (x) k2.sigma) rho]. It is computed four ways:
 directly by that trace, through the two-qubit frame in both symbol/dual
 orders, and through the spin-3/2 frame; all four agree to quadrature
 accuracy, which is the computational content of treating the two pictures
-as equivalent.
+as equivalent. The four come from one product observable per call, built
+as regrouped outer products like the frames' Kronecker products.
 
 E is bilinear in the directions through the 3x3 correlation tensor
-T_ij = Tr(rho sigma_i (x) sigma_j): E = k1^T T k2. The largest value of E
+T_ij = Tr(rho sigma_i (x) sigma_j): E = k1^T T k2. T is one contraction
+S R S^T of the factor-regrouped state R, the frames' a1 R a2^T with Pauli
+rows for frame tables. The largest value of E
 over direction pairs is the top singular value of T; the CHSH maximum is
 the Horodecki closed form 2*sqrt(s1^2 + s2^2) over the two largest
 singular values. Both are exact and computed from one SVD each. The
@@ -40,6 +43,8 @@ from .frames import (
     FramePointQudit,
     QuadratureGrid,
     _four_by_four,
+    _kron,
+    _regroup,
     frame_pairing_qudit,
     frame_pairing_two_qubit,
     make_grid,
@@ -52,6 +57,9 @@ from .kernel import map_state_qudit_to_two_qubit, map_state_two_qubit_to_qudit
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# Tr(A sigma) = vec(A) . vec(sigma^T)
+_PAULI_ROWS = np.array([sigma.T.ravel() for sigma in PAULI])
 
 VARIANT_SYMBOL_DUAL = "symbol_dual"    # symbol of the observable, dual symbol of the state
 VARIANT_DUAL_SYMBOL = "dual_symbol"    # symbol of the state, dual symbol of the observable
@@ -97,12 +105,12 @@ class ObservableTriple:
 
 def observable_first(k1) -> np.ndarray:
     """Spin of the first side along k1: (k1 . sigma) (x) I."""
-    return np.kron(pauli_dot(as_direction(k1)), IDENTITY_2)
+    return _kron(pauli_dot(as_direction(k1)), IDENTITY_2)
 
 
 def observable_second(k2) -> np.ndarray:
     """Spin of the second side along k2: I (x) (k2 . sigma)."""
-    return np.kron(IDENTITY_2, pauli_dot(as_direction(k2)))
+    return _kron(IDENTITY_2, pauli_dot(as_direction(k2)))
 
 
 def product_observable(k1, k2) -> ObservableTriple:
@@ -113,29 +121,26 @@ def product_observable(k1, k2) -> ObservableTriple:
     """
     k1 = as_direction(k1)
     k2 = as_direction(k2)
+    a, b = pauli_dot(k1), pauli_dot(k2)
     return ObservableTriple(
-        first=observable_first(k1),
-        second=observable_second(k2),
-        product=np.kron(pauli_dot(k1), pauli_dot(k2)),
+        first=_kron(a, IDENTITY_2),
+        second=_kron(IDENTITY_2, b),
+        product=_kron(a, b),
         k1=k1,
         k2=k2,
     )
 
 
-def correlation_direct(state, k1, k2) -> float:
-    """E(k1, k2) as a plain operator trace."""
-    rho = _four_by_four(state)
-    value = np.trace(rho @ product_observable(k1, k2).product)
+# each form from a 4x4 state and the product observable b, built once per call
+
+def _direct(rho: np.ndarray, b: np.ndarray) -> float:
+    value = np.trace(rho @ b)
     if abs(value.imag) > 1e-12:
         raise ArithmeticError(f"correlation has imaginary part {value.imag:.3e}")
     return float(value.real)
 
 
-def correlation_tomographic_two_qubit(state, k1, k2, grid: QuadratureGrid,
-                                      variant: str = VARIANT_SYMBOL_DUAL) -> float:
-    """E(k1, k2) through the two-qubit frame pairing, either symbol order."""
-    rho = _four_by_four(state)
-    b = product_observable(k1, k2).product
+def _two_qubit(rho: np.ndarray, b: np.ndarray, grid: QuadratureGrid, variant: str) -> float:
     if variant == VARIANT_SYMBOL_DUAL:
         value = frame_pairing_two_qubit(b, rho, grid)
     elif variant == VARIANT_DUAL_SYMBOL:
@@ -145,28 +150,37 @@ def correlation_tomographic_two_qubit(state, k1, k2, grid: QuadratureGrid,
     return float(value.real)
 
 
+def _qudit(rho: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> float:
+    return float(frame_pairing_qudit(b, rho, grid).real)
+
+
+def correlation_direct(state, k1, k2) -> float:
+    """E(k1, k2) as a plain operator trace."""
+    return _direct(_four_by_four(state), product_observable(k1, k2).product)
+
+
+def correlation_tomographic_two_qubit(state, k1, k2, grid: QuadratureGrid,
+                                      variant: str = VARIANT_SYMBOL_DUAL) -> float:
+    """E(k1, k2) through the two-qubit frame pairing, either symbol order."""
+    return _two_qubit(_four_by_four(state), product_observable(k1, k2).product, grid, variant)
+
+
 def correlation_tomographic_qudit(state, k1, k2, grid: QuadratureGrid) -> float:
     """E(k1, k2) through the spin-3/2 frame pairing.
 
     The state and the product observable are read in the spin-3/2 basis;
     the numerical value coincides with :func:`correlation_direct`.
     """
-    rho = _four_by_four(state)
-    b = product_observable(k1, k2).product
-    return float(frame_pairing_qudit(b, rho, grid).real)
+    return _qudit(_four_by_four(state), product_observable(k1, k2).product, grid)
 
 
 def correlation_tensor(state) -> np.ndarray:
-    """T_ij = Tr(rho sigma_i (x) sigma_j), a real 3x3 matrix."""
-    rho = _four_by_four(state)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            value = np.trace(rho @ np.kron(PAULI[i], PAULI[j]))
-            if abs(value.imag) > 1e-12:
-                raise ArithmeticError("correlation tensor entry not real")
-            t[i, j] = value.real
-    return t
+    """T_ij = Tr(rho sigma_i (x) sigma_j), a real 3x3 matrix: S R S^T on the
+    factor-regrouped state R, with rows S_i = vec(sigma_i^T)."""
+    t = _PAULI_ROWS @ _regroup(_four_by_four(state), 2, 2) @ _PAULI_ROWS.T
+    if np.abs(t.imag).max() > 1e-12:
+        raise ArithmeticError("correlation tensor entry not real")
+    return t.real + 0.0  # a zero entry prints as 0.0, never -0.0
 
 
 # --------------------------------------------------------------------------
@@ -339,16 +353,16 @@ class SteeringReport:
 
 def correlation_forms(state, k1, k2, grid_pair: QuadratureGrid,
                       grid_single: QuadratureGrid) -> dict:
-    """All four correlation-function forms at one direction pair."""
-    forms = {
-        "direct": correlation_direct(state, k1, k2),
-        "tomo_2q_a": correlation_tomographic_two_qubit(state, k1, k2, grid_pair,
-                                                       VARIANT_SYMBOL_DUAL),
-        "tomo_2q_b": correlation_tomographic_two_qubit(state, k1, k2, grid_pair,
-                                                       VARIANT_DUAL_SYMBOL),
-        "tomo_qudit": correlation_tomographic_qudit(state, k1, k2, grid_single),
+    """All four correlation-function forms at one direction pair, from one
+    product observable."""
+    rho = _four_by_four(state)
+    b = product_observable(k1, k2).product
+    return {
+        "direct": _direct(rho, b),
+        "tomo_2q_a": _two_qubit(rho, b, grid_pair, VARIANT_SYMBOL_DUAL),
+        "tomo_2q_b": _two_qubit(rho, b, grid_pair, VARIANT_DUAL_SYMBOL),
+        "tomo_qudit": _qudit(rho, b, grid_single),
     }
-    return forms
 
 
 def _form_spread(forms: dict) -> float:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spintomo
 from spintomo import frames
 from spintomo.cli import main
 from spintomo.matcore import (
@@ -128,6 +133,21 @@ class TestTomogram:
                              "--m", "1.5", "--alpha", "0", "--beta", "0", *flags)
         assert code == 2
         assert out == "" and "grid too" in err
+
+    @pytest.mark.parametrize("flags, builds_grid", [((), False), (("--full-grid",), True)])
+    def test_point_mode_builds_no_grid(self, flags, builds_grid):
+        # the Gauss-Legendre nodes of a grid come from numpy.polynomial; a point
+        # checks the grid flags without them (a fresh interpreter shows the imports)
+        script = ("import sys\nfrom spintomo.cli import main\n"
+                  "code = main(sys.argv[1:])\nprint(code, 'numpy.polynomial' in sys.modules)\n")
+        src = str(Path(spintomo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "tomogram", "--state", "werner:0.5",
+             "--rep", "qudit", "--m", "1.5", "--alpha", "0", "--beta", "0", *flags],
+            capture_output=True, text=True, env=env, check=True, timeout=60)
+        assert result.stdout.splitlines()[-1] == f"0 {builds_grid}"
 
 
 class TestReconstruct:

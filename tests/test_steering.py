@@ -14,6 +14,7 @@ from spintomo.steering import (
     chsh_max,
     chsh_value,
     correlation_direct,
+    correlation_forms,
     correlation_tensor,
     correlation_tomographic_qudit,
     correlation_tomographic_two_qubit,
@@ -26,7 +27,7 @@ from spintomo.steering import (
     steering_check,
     werner_report,
 )
-from spintomo.matcore import random_density, werner
+from spintomo.matcore import IDENTITY_2, PAULI, PAULI_X, PAULI_Z, pauli_dot, random_density, werner
 
 from test_matcore import observable_matrix_reference
 
@@ -34,6 +35,18 @@ from test_matcore import observable_matrix_reference
 def random_unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def correlation_tensor_reference(rho):
+    """Reference tensor, entry by entry: nine Kronecker products and traces."""
+    t = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            value = np.trace(rho @ np.kron(PAULI[i], PAULI[j]))
+            if abs(value.imag) > 1e-12:
+                raise ArithmeticError("correlation tensor entry not real")
+            t[i, j] = value.real
+    return t
 
 
 def _best_response(v, current):
@@ -129,6 +142,20 @@ class TestObservables:
         with pytest.raises(ValueError):
             observable_first([0, 0, 1.0 + 1e-6])
 
+    def test_bit_identical_to_kron(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            k1, k2 = random_unit(rng), random_unit(rng)
+            first = np.kron(pauli_dot(k1), IDENTITY_2)
+            second = np.kron(IDENTITY_2, pauli_dot(k2))
+            triple = product_observable(k1, k2)
+            np.testing.assert_array_equal(observable_first(k1), first)
+            np.testing.assert_array_equal(observable_second(k2), second)
+            np.testing.assert_array_equal(triple.first, first)
+            np.testing.assert_array_equal(triple.second, second)
+            np.testing.assert_array_equal(triple.product,
+                                          np.kron(pauli_dot(k1), pauli_dot(k2)))
+
 
 class TestCorrelationDirect:
     def test_werner_zz(self):
@@ -189,6 +216,37 @@ class TestCorrelationTomographic:
                                               grid_pair, variant="bogus")
 
 
+class TestCorrelationForms:
+    def test_equal_single_form_functions_bit_for_bit(self, grid_single, grid_pair):
+        rng = np.random.default_rng(72)
+        for seed in range(50):
+            rho = random_density(4, 7100 + seed).mat
+            k1, k2 = random_unit(rng), random_unit(rng)
+            assert correlation_forms(rho, k1, k2, grid_pair, grid_single) == {
+                "direct": correlation_direct(rho, k1, k2),
+                "tomo_2q_a": correlation_tomographic_two_qubit(rho, k1, k2, grid_pair,
+                                                               VARIANT_SYMBOL_DUAL),
+                "tomo_2q_b": correlation_tomographic_two_qubit(rho, k1, k2, grid_pair,
+                                                               VARIANT_DUAL_SYMBOL),
+                "tomo_qudit": correlation_tomographic_qudit(rho, k1, k2, grid_single),
+            }
+
+    def test_non_unit_direction_rejected(self, grid_single, grid_pair):
+        rho = werner(0.5).mat
+        for k1, k2 in (([0, 0, 1.0 + 1e-6], Z_AXIS), (Z_AXIS, [0.5, 0, 0])):
+            with pytest.raises(ValueError, match="unit vector"):
+                correlation_forms(rho, k1, k2, grid_pair, grid_single)
+            with pytest.raises(ValueError, match="unit vector"):
+                steering_check(rho, k1, k2, grid_pair, grid_single)
+
+    def test_two_by_two_state_rejected(self, grid_single, grid_pair):
+        rho = np.eye(2) / 2
+        with pytest.raises(ValueError, match="tomographic frames act on 4x4 states"):
+            correlation_forms(rho, Z_AXIS, Z_AXIS, grid_pair, grid_single)
+        with pytest.raises(ValueError, match="tomographic frames act on 4x4 states"):
+            steering_check(rho, Z_AXIS, Z_AXIS, grid_pair, grid_single)
+
+
 class TestCorrelationTensor:
     def test_werner_diagonal(self):
         for p in (-1 / 3, 0.0, 0.5, 1.0):
@@ -213,6 +271,21 @@ class TestCorrelationTensor:
         for seed in range(10):
             t = correlation_tensor(random_density(4, 8100 + seed).mat)
             assert np.abs(t).max() <= 1 + 1e-12
+
+    def test_matches_per_entry_reference(self):
+        states = [random_density(4, 8400 + seed).mat for seed in range(100)]
+        states += [werner(p).mat for p in (-1 / 3, 0.0, 0.5, 1.0)]
+        for rho in states:
+            np.testing.assert_allclose(correlation_tensor(rho),
+                                       correlation_tensor_reference(rho), rtol=0, atol=1e-15)
+
+    def test_non_hermitian_rejected(self):
+        # an anti-Hermitian part puts 0.1j into T_xz
+        rho = werner(0.5).mat + 0.1j * np.kron(PAULI_X, PAULI_Z) / 4
+        with pytest.raises(ArithmeticError, match="not real"):
+            correlation_tensor_reference(rho)
+        with pytest.raises(ArithmeticError, match="not real"):
+            correlation_tensor(rho)
 
 
 class TestMaxCorrelation:
