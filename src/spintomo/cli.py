@@ -37,6 +37,11 @@ log = logging.getLogger("spintomo")
 
 REP_TO_BASIS = {"two_qubit": BASIS_TWO_QUBIT, "qudit": BASIS_QUDIT}
 
+#: the flags that fix a frame point in each picture, also its keys in the
+#: point-mode tomogram JSON
+_POINT_FLAGS = {"qudit": ("m", "alpha", "beta"),
+                "two_qubit": ("m1", "m2", "theta1", "phi1", "theta2", "phi2")}
+
 #: (source picture, target picture) of each ``map --direction``
 _MAP_PICTURES = {"qudit_to_2q": ("qudit", "two_qubit"), "2q_to_qudit": ("two_qubit", "qudit")}
 
@@ -99,7 +104,8 @@ def _parse_direction(spec: str) -> np.ndarray:
         return np.array(_AXIS_ALIASES[spec])
     parts = spec.split(",")
     if len(parts) != 3:
-        raise CliError(f"direction {spec!r} must be x|y|z or three comma-separated numbers")
+        raise CliError(f"direction {spec!r} must be x|y|z|-x|-y|-z "
+                       "or three comma-separated numbers")
     try:
         v = np.array([float(x) for x in parts])
     except ValueError as exc:
@@ -155,10 +161,9 @@ def cmd_validate(args) -> int:
 
 
 def _tomogram_point(args, rep):
+    _require(args, _POINT_FLAGS[rep])
     if rep == "qudit":
-        _require(args, ("m", "alpha", "beta"))
         return frames.FramePointQudit(args.m, _angles(args.alpha, args.beta, args.gamma))
-    _require(args, ("m1", "m2", "theta1", "phi1", "theta2", "phi2"))
     return frames.FramePoint2Q(
         args.m1, args.m2,
         _angles(args.phi1, args.theta1, args.psi1),
@@ -186,15 +191,8 @@ def cmd_tomogram(args) -> int:
     # a point ignores the grid, but its flags must be valid
     frames._node_counts(args.grid_azimuth, args.grid_polar)
     value = frames.tomogram(state, _tomogram_point(args, rep))
-    if rep == "qudit":
-        payload = {"representation": BASIS_QUDIT, "m": args.m,
-                   "alpha": args.alpha, "beta": args.beta, "value": value}
-    else:
-        payload = {"representation": BASIS_TWO_QUBIT,
-                   "m1": args.m1, "m2": args.m2,
-                   "theta1": args.theta1, "phi1": args.phi1,
-                   "theta2": args.theta2, "phi2": args.phi2, "value": value}
-    _emit(args, payload)
+    _emit(args, {"representation": REP_TO_BASIS[rep], "value": value,
+                 **{name: getattr(args, name) for name in _POINT_FLAGS[rep]}})
     return 0
 
 
@@ -296,6 +294,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _add_direction_flags(parser: argparse.ArgumentParser) -> None:
+    # argparse takes a separate value that starts with '-' for a flag
+    for flag, side in (("--k1", "first"), ("--k2", "second")):
+        parser.add_argument(flag, help=f"{side} side's direction (default z): x|y|z|-x|-y|-z "
+                                       f"or 'a,b,c'; a value starting with '-' needs '=', "
+                                       f"as in {flag}=-x")
+
+
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=float, help="qudit projection (1.5, 0.5, -0.5, -1.5)")
     parser.add_argument("--alpha", type=float, help="qudit azimuth angle (rad)")
@@ -359,14 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlation", parents=[state, grid, out],
                        help="all four correlation-function forms")
-    p.add_argument("--k1", help="first direction: x|y|z or 'a,b,c'")
-    p.add_argument("--k2", help="second direction")
+    _add_direction_flags(p)
     p.set_defaults(handler=cmd_correlation)
 
     p = sub.add_parser("steering", parents=[state, grid, out],
                        help="steering inequality and CHSH report")
-    p.add_argument("--k1", help="direction for the correlation forms (default z)")
-    p.add_argument("--k2", help="direction for the correlation forms (default z)")
+    _add_direction_flags(p)
     p.set_defaults(handler=cmd_steering)
 
     p = sub.add_parser("selftest", parents=[grid, out], help="run the full acceptance suite")

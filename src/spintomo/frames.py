@@ -750,9 +750,6 @@ class TomogramTable:
     columns: tuple
     rows: np.ndarray
 
-    def values(self) -> np.ndarray:
-        return self.rows[:, -1]
-
     def to_csv(self, stream) -> None:
         header = ("representation",) + self.columns
         stream.write(",".join(header) + "\n")

@@ -166,6 +166,10 @@ def kernel_qudit_to_pair_closed(point: KernelPoint, reading: str = SIGN_READING_
     return complex(sum(closed_kernel_terms(point, reading).values()))
 
 
+#: Largest measure-normalized deviation at which the closed form agrees.
+CLOSED_KERNEL_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class ClosedKernelReport:
     """Cross-check of the closed-form kernel against the trace definition.
@@ -207,8 +211,7 @@ def _stacked(points) -> KernelPoint:
                                     for r in rotations))
 
 
-def closed_kernel_report(n_points: int = 100, seed: int = 515,
-                         tolerance: float = 1e-10) -> ClosedKernelReport:
+def closed_kernel_report(n_points: int = 100, seed: int = 515) -> ClosedKernelReport:
     """Compare trace-defined and closed-form kernels at random points: the
     trace kernel point by point, the closed form once per reading over all
     points."""
@@ -231,7 +234,7 @@ def closed_kernel_report(n_points: int = 100, seed: int = 515,
             term_max = {name: np.abs(np.broadcast_to(value, closed.shape)[:20]).max()
                         for name, value in terms.items()}
     best = min(SIGN_READINGS, key=lambda r: stats[r]["max_abs_deviation_measure_normalized"])
-    agrees = stats[best]["max_abs_deviation_measure_normalized"] <= tolerance
+    agrees = stats[best]["max_abs_deviation_measure_normalized"] <= CLOSED_KERNEL_TOL
     notes = (
         "the closed form's scale matches the trace kernel only after dividing by 8*pi^2",
         "bare exp(i*phi1)/exp(i*phi2) factors make the closed form complex at points "
@@ -240,7 +243,7 @@ def closed_kernel_report(n_points: int = 100, seed: int = 515,
     return ClosedKernelReport(
         n_points=n_points,
         seed=seed,
-        tolerance=tolerance,
+        tolerance=CLOSED_KERNEL_TOL,
         agrees=agrees,
         best_reading=best,
         reading_stats=stats,

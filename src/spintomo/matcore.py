@@ -15,7 +15,7 @@ relative to these orderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ BASIS_QUDIT = "qudit_3_2"
 KNOWN_BASES = (BASIS_TWO_QUBIT, BASIS_QUDIT)
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -84,19 +83,12 @@ class ValidationReport:
         return self.hermitian_ok and self.trace_ok and self.psd_ok
 
     def as_dict(self) -> dict:
-        return {
-            "hermiticity_defect": self.hermiticity_defect,
-            "trace_defect": self.trace_defect,
-            "min_eigenvalue": self.min_eigenvalue,
-            "hermitian_ok": self.hermitian_ok,
-            "trace_ok": self.trace_ok,
-            "psd_ok": self.psd_ok,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
-def validate_density(m, tol: float = HERMITICITY_TOL, psd_tol: float = PSD_TOL) -> ValidationReport:
-    """Check Hermiticity (max-norm), unit trace and positive semidefiniteness.
+def validate_density(m, tol: float = HERMITICITY_TOL) -> ValidationReport:
+    """Check Hermiticity (max-norm) and unit trace to ``tol``, and positive
+    semidefiniteness to :data:`PSD_TOL`.
 
     Always returns a report; never raises on a failing state. Eigenvalues
     are taken from the Hermitian part so the PSD number stays meaningful
@@ -113,7 +105,7 @@ def validate_density(m, tol: float = HERMITICITY_TOL, psd_tol: float = PSD_TOL) 
         min_eigenvalue=min_eig,
         hermitian_ok=herm_defect <= tol,
         trace_ok=trace_defect <= tol,
-        psd_ok=min_eig >= -psd_tol,
+        psd_ok=min_eig >= -PSD_TOL,
     )
 
 

@@ -11,7 +11,7 @@ package, and loosening them would hide real regressions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import pi, sqrt
 
 import numpy as np
@@ -49,14 +49,7 @@ class CriterionResult:
         return f"{status} {self.index:2d} {self.name}: {detail}"
 
     def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-            "seconds": self.seconds,
-            "budget_seconds": self.budget_seconds,
-        }
+        return asdict(self)
 
 
 def _fmt(v):
@@ -72,25 +65,28 @@ class SelftestContext:
     seed: int
     enforce_grid: bool = True
 
-    def rng(self, offset: int = 0) -> np.random.Generator:
+    def rng(self, offset: int) -> np.random.Generator:
         return np.random.default_rng(self.seed + offset)
 
 
-def _random_angles(rng, third: bool = False) -> EulerAngles:
-    return EulerAngles(
-        rng.uniform(0, 2 * pi),
-        rng.uniform(0, pi),
-        rng.uniform(0, 2 * pi) if third else 0.0,
-    )
+def _random_angles(rng) -> EulerAngles:
+    return EulerAngles(rng.uniform(0, 2 * pi), rng.uniform(0, pi))
+
+
+#: The criteria in index order, each appended by ``@_criterion`` where it is
+#: defined.
+CRITERIA = []
 
 
 def _criterion(index: int, title: str, budget_seconds: float | None = None):
-    """Declare a criterion's index, title and runtime budget. The criterion
-    returns ``(passed, details)``; :func:`_timed` makes the result."""
+    """Declare a criterion's index, title and runtime budget, and append it to
+    :data:`CRITERIA`. The criterion returns ``(passed, details)``;
+    :func:`_timed` makes the result."""
     def wrap(fn):
         fn.index = index
         fn.title = title
         fn.budget_seconds = budget_seconds
+        CRITERIA.append(fn)
         return fn
     return wrap
 
@@ -384,21 +380,6 @@ def criterion_no_signaling(ctx: SelftestContext) -> tuple[bool, dict]:
                     "max_third_angle_variation": float(worst_third)}
 
 
-CRITERIA = (
-    criterion_completeness,
-    criterion_reconstruction_two_qubit,
-    criterion_reconstruction_qudit,
-    criterion_werner_qudit_closed_forms,
-    criterion_kernel_intertwining,
-    criterion_closed_kernel,
-    criterion_correlation_equivalence,
-    criterion_werner_correlations,
-    criterion_bell_bounds,
-    criterion_steering_report,
-    criterion_no_signaling,
-)
-
-
 @dataclass
 class SelftestReport:
     results: list
@@ -409,11 +390,7 @@ class SelftestReport:
         return all(r.passed for r in self.results)
 
     def as_dict(self) -> dict:
-        return {
-            "results": [r.as_dict() for r in self.results],
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "all_passed": self.all_passed,
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 def run_selftest(n_azimuth: int = 8, n_polar: int = 8, seed: int = 2026,

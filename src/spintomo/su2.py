@@ -71,15 +71,16 @@ class EulerAngles:
         object.__setattr__(self, "third", float(self.third))
 
 
-def as_direction(k, tol: float = 1e-9) -> np.ndarray:
-    """Validate a unit 3-vector (measurement direction) and return it."""
+def as_direction(k) -> np.ndarray:
+    """Validate a measurement direction, a finite 3-vector with |k| within
+    1e-9 of 1, and return it."""
     v = np.asarray(k, dtype=float)
     if v.shape != (3,):
         raise ValueError("direction must be a 3-vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("direction components must be finite")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, |k| = {norm}")
     return v
 

@@ -7,7 +7,7 @@ pass/fail line and asserts both the verdict and the runtime budget.
 
 import pytest
 
-from spintomo.selftest import WALL_CLOCK_BUDGET_SECONDS
+from spintomo.selftest import CRITERIA, WALL_CLOCK_BUDGET_SECONDS
 
 
 def _result(report, index):
@@ -109,3 +109,8 @@ def test_criterion_12_wall_clock(selftest_report):
     result = _result(selftest_report, 12)
     _assert_passed(result)
     assert selftest_report.wall_clock_seconds < WALL_CLOCK_BUDGET_SECONDS
+
+
+def test_criteria_run_in_index_order():
+    # @_criterion appends each criterion where it is defined
+    assert [fn.index for fn in CRITERIA] == list(range(1, 12))

@@ -423,3 +423,74 @@ class TestSelftestCommand:
         _, out1, _ = run(capsys, "selftest", "--seed", "7")
         _, out2, _ = run(capsys, "selftest", "--seed", "7")
         assert out1 == out2
+
+
+class TestNegativeDirection:
+    def test_attached_minus_axis(self, capsys):
+        # T = diag(p, -p, p) for Werner states, so E(x, -x) = -p in every form
+        code, out, _ = run(capsys, "correlation", "--state", "werner:0.5",
+                           "--k1=x", "--k2=-x")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k2"] == [-1.0, 0.0, 0.0]
+        assert set(payload["forms"]) == {"direct", "tomo_2q_a", "tomo_2q_b", "tomo_qudit"}
+        for value in payload["forms"].values():
+            assert value == pytest.approx(-0.5, abs=1e-12)
+
+    def test_separate_minus_axis_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["correlation", "--state", "werner:0.5", "--k1", "x", "--k2", "-x"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --k2: expected one argument" in captured.err
+
+
+class TestReportKeys:
+    """The exact key sets of the JSON reports, so that a field added to or
+    dropped from a report class shows up here."""
+
+    def test_validate(self, capsys):
+        for spec, expected_code in (("werner:0.5", 0), ("werner:1.5", 1)):
+            code, out, _ = run(capsys, "validate", "--state", spec)
+            assert code == expected_code
+            assert set(json.loads(out)) == {
+                "hermiticity_defect", "trace_defect", "min_eigenvalue",
+                "hermitian_ok", "trace_ok", "psd_ok", "passed"}
+
+    def test_steering(self, capsys):
+        code, out, _ = run(capsys, "steering", "--state", "werner:0.4")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {
+            "p", "tensor", "lhs", "rhs_all_entries", "rhs_diagonal",
+            "inequality_holds", "chsh_max", "bell_violated",
+            "correlation_forms", "max_directions", "notes"}
+        assert set(payload["correlation_forms"]) == {
+            "direct", "tomo_2q_a", "tomo_2q_b", "tomo_qudit"}
+        assert set(payload["max_directions"]) == {"k1", "k2"}
+        assert isinstance(payload["notes"], list)
+
+    @pytest.mark.parametrize("rep, point, keys", [
+        ("qudit", ["--m", "1.5", "--alpha", "0.3", "--beta", "0.7", "--gamma", "1"],
+         {"m", "alpha", "beta"}),
+        ("two_qubit", ["--m1", "0.5", "--m2", "-0.5", "--theta1", "0.3", "--phi1", "0.2",
+                       "--theta2", "1.1", "--phi2", "2.0", "--psi1", "1"],
+         {"m1", "m2", "theta1", "phi1", "theta2", "phi2"}),
+    ])
+    def test_tomogram_point(self, capsys, rep, point, keys):
+        code, out, _ = run(capsys, "tomogram", "--state", "werner:0.5", "--rep", rep, *point)
+        assert code == 0
+        assert set(json.loads(out)) == keys | {"representation", "value"}
+
+    def test_selftest_out(self, capsys, tmp_path):
+        target = tmp_path / "selftest.json"
+        code, _, _ = run(capsys, "selftest", "--out", str(target))
+        assert code == 0
+        report = json.loads(target.read_text())
+        assert set(report) == {"results", "wall_clock_seconds", "all_passed"}
+        for entry in report["results"]:
+            assert set(entry) == {"index", "name", "passed", "details",
+                                  "seconds", "budget_seconds"}
+        assert [entry["index"] for entry in report["results"]] == list(range(1, 13))
+        assert report["results"][-1]["budget_seconds"] == 60.0
