@@ -5,8 +5,9 @@
 Commands: validate, tomogram, reconstruct, map, correlation, steering,
 selftest. States come either from a matrix JSON file or from the builtin
 grammar ``werner:<p>``. Exit codes: 0 success, 1 check failure, 2
-usage/parse error. Set SPINTOMO_LOG to error|info|debug for diagnostics on
-stderr.
+usage/parse error, 141 (128 + SIGPIPE, stderr empty) when the reader closes
+stdout early, as ``| head`` does. Set SPINTOMO_LOG to error|info|debug for
+diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import frames, kernel, selftest, steering
 from .matcore import (
     BASIS_QUDIT,
     BASIS_TWO_QUBIT,
+    HERMITICITY_TOL,
     DensityMatrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -113,15 +115,13 @@ def _parse_direction(spec: str) -> np.ndarray:
     return as_direction(v)
 
 
-def _make_grids(args, spheres_needed):
-    return {n: frames.make_grid(args.grid_azimuth, args.grid_polar, spheres=n)
-            for n in spheres_needed}
+def _grid(args, spheres):
+    return frames.make_grid(args.grid_azimuth, args.grid_polar, spheres=spheres)
 
 
 def _picture_grid(args, rep):
     # as many spheres as the picture's frame covers
-    spheres = frames._picture_spheres(REP_TO_BASIS[rep])
-    return _make_grids(args, (spheres,))[spheres]
+    return _grid(args, frames._picture_spheres(REP_TO_BASIS[rep]))
 
 
 def _emit(args, payload) -> None:
@@ -155,7 +155,7 @@ def cmd_validate(args) -> int:
     # builtin werner states skip the domain check here on purpose: the whole
     # point of `validate werner:1.5` is to watch the PSD check fail
     mat, _, _ = _parse_state(args.state, enforce_domain=False)
-    report = validate_density(mat, tol=1e-12 if args.tol is None else args.tol)
+    report = validate_density(mat, tol=args.tol)
     _emit(args, report.as_dict())
     return 0 if report.passed else 1
 
@@ -203,17 +203,16 @@ def cmd_reconstruct(args) -> int:
     grid = _picture_grid(args, rep)
     rec = frames.reconstruct_state(state, REP_TO_BASIS[rep], grid)
     residual = float(np.linalg.norm(rec - mat))
-    tol = 1e-8 if args.tol is None else args.tol
     payload = {
         "matrix": matrix_to_json_dict(rec, basis=REP_TO_BASIS[rep]),
         "residual": residual,
-        "tolerance": tol,
+        "tolerance": args.tol,
     }
     if rep == "qudit":
         report = frames.qudit_quantizer_authority(grid.n_azimuth, grid.n_polar)
         payload["quantizer_report"] = report.as_dict()
     _emit(args, payload)
-    return 0 if residual <= tol else 1
+    return 0 if residual <= args.tol else 1
 
 
 def cmd_map(args) -> int:
@@ -228,19 +227,16 @@ def cmd_map(args) -> int:
         mapped = kernel.map_state_two_qubit_to_qudit(state, grid, target)
     direct = frames.tomogram(mat, target)
     residual = abs(mapped - direct)
-    tol = 1e-8 if args.tol is None else args.tol
     _emit(args, {"direction": args.direction, "value": mapped,
-                 "direct": direct, "residual": residual, "tolerance": tol})
-    return 0 if residual <= tol else 1
+                 "direct": direct, "residual": residual, "tolerance": args.tol})
+    return 0 if residual <= args.tol else 1
 
 
 def cmd_correlation(args) -> int:
     mat, _, _ = _parse_state(args.state)
     state = _density(mat, None)
-    k1 = _parse_direction(args.k1) if args.k1 else np.array([0.0, 0.0, 1.0])
-    k2 = _parse_direction(args.k2) if args.k2 else np.array([0.0, 0.0, 1.0])
-    grids = _make_grids(args, (1, 2))
-    forms = steering.correlation_forms(state, k1, k2, grids[2], grids[1])
+    k1, k2 = _parse_direction(args.k1), _parse_direction(args.k2)
+    forms = steering.correlation_forms(state, k1, k2, _grid(args, 2), _grid(args, 1))
     _emit(args, {"k1": [float(x) for x in k1], "k2": [float(x) for x in k2],
                  "forms": forms, "max_pairwise_deviation": steering._form_spread(forms)})
     return 0
@@ -249,10 +245,8 @@ def cmd_correlation(args) -> int:
 def cmd_steering(args) -> int:
     mat, _, p = _parse_state(args.state)
     state = _density(mat, None)
-    k1 = _parse_direction(args.k1) if args.k1 else np.array([0.0, 0.0, 1.0])
-    k2 = _parse_direction(args.k2) if args.k2 else np.array([0.0, 0.0, 1.0])
-    grids = _make_grids(args, (1, 2))
-    report = steering.steering_check(state, k1, k2, grids[2], grids[1], p=p)
+    k1, k2 = _parse_direction(args.k1), _parse_direction(args.k2)
+    report = steering.steering_check(state, k1, k2, _grid(args, 2), _grid(args, 1), p=p)
     _emit(args, report.as_dict())
     return 0
 
@@ -297,9 +291,10 @@ def _seed(text: str) -> int:
 def _add_direction_flags(parser: argparse.ArgumentParser) -> None:
     # argparse takes a separate value that starts with '-' for a flag
     for flag, side in (("--k1", "first"), ("--k2", "second")):
-        parser.add_argument(flag, help=f"{side} side's direction (default z): x|y|z|-x|-y|-z "
-                                       f"or 'a,b,c'; a value starting with '-' needs '=', "
-                                       f"as in {flag}=-x")
+        parser.add_argument(flag, default="z",
+                            help=f"{side} side's direction (default z): x|y|z|-x|-y|-z "
+                                 f"or 'a,b,c'; a value starting with '-' needs '=', "
+                                 f"as in {flag}=-x")
 
 
 def _add_point_flags(parser: argparse.ArgumentParser) -> None:
@@ -333,13 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--grid-polar", type=int, default=frames.MIN_POLAR_NODES,
                       help="polar Gauss-Legendre nodes per sphere (>= 8)")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=None,
+    tol.add_argument("--tol", type=_tolerance, default=1e-8,
                      help="tolerance override for pass/fail exit codes (finite, >= 0)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write output to this path instead of stdout")
 
-    p = sub.add_parser("validate", parents=[state, tol, out],
+    p = sub.add_parser("validate", parents=[state, out],
                        help="check a state against the density-matrix axioms")
+    p.add_argument("--tol", type=_tolerance, default=HERMITICITY_TOL,
+                   help="tolerance of the Hermiticity and trace checks (finite, >= 0)")
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("tomogram", parents=[state, grid, out],
@@ -391,8 +388,13 @@ def main(argv=None) -> int:
              getattr(args, "grid_azimuth", "-"), getattr(args, "grid_polar", "-"))
     try:
         code = args.handler(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
         log.debug("command %s finished with exit code %d", args.command, code)
         return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's exit flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

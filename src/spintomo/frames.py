@@ -11,6 +11,9 @@ U^dag |m><m| U: the qudit frame is j = 3/2 on one sphere, the two-qubit
 frame a product of two j = 1/2 frames. The qubit factor at azimuth phi is
 the rotated projector at pi - phi, which is the paper's (1/2) I + m F with
 F = k . sigma along k = (-sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)).
+A grid table evaluates the whole d^j matrix per polar node; a single frame
+point reads only its row m of d^j, and both form U^dag |m><m| U from the
+row of U by the same rank-one product, so they agree bit for bit.
 
 The quantizer is the canonical dual D(x) = S^-1 U(x), S = int |U(x)><U(x)|
 being the frame superoperator. S is 8 pi^2 / (2L+1) on multipole rank L,
@@ -61,7 +64,7 @@ from math import cos, isqrt, pi, sin, sqrt
 import numpy as np
 
 from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, state_matrix, werner
-from .su2 import EulerAngles, spin_projections, twice, wigner_d_matrix
+from .su2 import EulerAngles, _wigner_d_cells, spin_projections, twice, wigner_d_matrix
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
 QUDIT_PROJECTIONS = (1.5, 0.5, -0.5, -1.5)
@@ -227,7 +230,7 @@ def _require_grid(grid: QuadratureGrid, representation: str) -> None:
 # --------------------------------------------------------------------------
 # the spin-j frame: rotated projectors and their multipole dual
 
-def _frame_projectors(j: float, azimuth, polar, projection=slice(None)) -> np.ndarray:
+def _frame_projectors(j: float, azimuth, polar) -> np.ndarray:
     """Dequantizers U^dag |m><m| U of the spin-j frame at every node pair.
 
     Shape (2j+1, len(azimuth) * len(polar), 2j+1, 2j+1): projections by
@@ -236,15 +239,24 @@ def _frame_projectors(j: float, azimuth, polar, projection=slice(None)) -> np.nd
     the third Euler angle cancels in the projector. The qubit factor
     measures its azimuth the other way round: the spin-1/2 frame at phi is
     the rotated projector at azimuth pi - phi, i.e. (1/2) I + m F(phi, theta).
-    An integer ``projection`` (the index of m) keeps that row of U before
-    the outer product, and drops the projection axis.
+    A single point (:func:`_point_projector`) reads only its row m of d^j
+    and forms the same rank-one product of the same row.
     """
-    if j == 0.5:
-        azimuth = pi - np.asarray(azimuth, dtype=float)
-    m = _projections(j)
     d = np.array([wigner_d_matrix(j, b) for b in polar])
-    rows = d[None] * np.exp(1j * np.multiply.outer(azimuth, m))[:, None, None, :]
-    rows = rows.reshape(-1, len(m), len(m)).swapaxes(0, 1)[projection]
+    rows = d[None] * _column_phases(j, np.asarray(azimuth, dtype=float))[:, None, None, :]
+    return _rank_one(rows.reshape(-1, d.shape[1], d.shape[1]).swapaxes(0, 1))
+
+
+def _column_phases(j: float, azimuth) -> np.ndarray:
+    """exp(i m' azimuth) over the columns m' of U, at a float azimuth or at
+    each of an array of them; the qubit's azimuth phi enters as pi - phi."""
+    if j == 0.5:
+        azimuth = pi - azimuth
+    return np.exp(1j * np.multiply.outer(azimuth, _projections(j)))
+
+
+def _rank_one(rows: np.ndarray) -> np.ndarray:
+    """U^dag |m><m| U = conj(r)^T r for each row r of U in the stack."""
     return rows.conj()[..., :, None] * rows[..., None, :]
 
 
@@ -257,7 +269,8 @@ def _projections(j: float) -> np.ndarray:
 
 
 def _point_projector(j: float, m: float, angles: EulerAngles) -> np.ndarray:
-    return _frame_projectors(j, (angles.azimuth,), (angles.polar,), round(j - m))[0]
+    row = _wigner_d_cells(round(2 * j), angles.polar, round(j - m))
+    return _rank_one(row * _column_phases(j, angles.azimuth))
 
 
 @lru_cache(maxsize=8)
@@ -344,6 +357,15 @@ def dequantizer_qudit(point: FramePointQudit) -> np.ndarray:
 def quantizer_qudit(point: FramePointQudit) -> np.ndarray:
     """Multipole dual of the qudit dequantizer at a frame point."""
     return _dual(dequantizer_qudit(point))
+
+
+def _point_picture(point) -> tuple:
+    """(basis, dequantizer, quantizer) of the picture a frame point's type selects."""
+    if isinstance(point, FramePoint2Q):
+        return BASIS_TWO_QUBIT, dequantizer_2q, quantizer_2q
+    if isinstance(point, FramePointQudit):
+        return BASIS_QUDIT, dequantizer_qudit, quantizer_qudit
+    raise TypeError("point must be FramePoint2Q or FramePointQudit")
 
 
 # --------------------------------------------------------------------------
@@ -705,9 +727,9 @@ def _check_basis(state, expected: str) -> np.ndarray:
     return rho
 
 
-def _real_trace(value: complex, tol: float) -> float:
+def _real_trace(value: complex, tol: float, what: str = "trace") -> float:
     if abs(value.imag) > tol:
-        raise ArithmeticError(f"trace has imaginary residue {value.imag:.3e}")
+        raise ArithmeticError(f"{what} has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
 
@@ -717,15 +739,8 @@ def tomogram(state, point) -> float:
     The point type selects the picture; a DensityMatrix tagged with the
     other basis is rejected.
     """
-    if isinstance(point, FramePoint2Q):
-        rho = _check_basis(state, BASIS_TWO_QUBIT)
-        op = dequantizer_2q(point)
-    elif isinstance(point, FramePointQudit):
-        rho = _check_basis(state, BASIS_QUDIT)
-        op = dequantizer_qudit(point)
-    else:
-        raise TypeError("point must be FramePoint2Q or FramePointQudit")
-    return _real_trace(_trace_product(rho, op), 1e-12)
+    basis, dequantizer, _ = _point_picture(point)
+    return _real_trace(_trace_product(_check_basis(state, basis), dequantizer(point)), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -846,11 +861,8 @@ def roundtrip_residual(state, representation: str, grid: QuadratureGrid,
 def symbol(op, point) -> complex:
     """Tomographic symbol of an operator: Tr(A * dequantizer(point))."""
     op = np.asarray(op, dtype=complex)
-    if isinstance(point, FramePoint2Q):
-        return complex(_trace_product(op, dequantizer_2q(point)))
-    if isinstance(point, FramePointQudit):
-        return complex(_trace_product(op, dequantizer_qudit(point)))
-    raise TypeError("point must be FramePoint2Q or FramePointQudit")
+    _, dequantizer, _ = _point_picture(point)
+    return complex(_trace_product(op, dequantizer(point)))
 
 
 def dual_symbol(op, point) -> complex:
@@ -863,11 +875,8 @@ def dual_symbol(op, point) -> complex:
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ValueError("dual symbols are defined for 4x4 operators here")
-    if isinstance(point, FramePoint2Q):
-        return complex(_trace_product(op, quantizer_2q(point)))
-    if isinstance(point, FramePointQudit):
-        return complex(_trace_product(op, quantizer_qudit(point)))
-    raise TypeError("point must be FramePoint2Q or FramePointQudit")
+    _, _, quantizer = _point_picture(point)
+    return complex(_trace_product(op, quantizer(point)))
 
 
 def _frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:

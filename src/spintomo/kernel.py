@@ -61,6 +61,7 @@ from .frames import (
     FramePoint2Q,
     FramePointQudit,
     QuadratureGrid,
+    _real_trace,
     _require_grid,
     _sign_reading_factor,
     _synthesize,
@@ -255,14 +256,8 @@ def closed_kernel_report(n_points: int = 100, seed: int = 515) -> ClosedKernelRe
 # --------------------------------------------------------------------------
 # tomogram mapping
 
-def _real_result(value: complex, tol: float = 1e-10) -> float:
-    if abs(value.imag) > tol:
-        raise ArithmeticError(f"mapped tomogram has imaginary residue {value.imag:.3e}")
-    return float(value.real)
-
-
 def _read_against(rec: np.ndarray, u_target: np.ndarray) -> float:
-    return _real_result(complex(_trace_product(rec, u_target)))
+    return _real_trace(_trace_product(rec, u_target), 1e-10, "mapped tomogram")
 
 
 def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -> float:

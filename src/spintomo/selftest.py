@@ -48,9 +48,6 @@ class CriterionResult:
         detail = " ".join(f"{k}={_fmt(v)}" for k, v in self.details.items())
         return f"{status} {self.index:2d} {self.name}: {detail}"
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _fmt(v):
     if isinstance(v, float):
@@ -401,19 +398,13 @@ def run_selftest(n_azimuth: int = 8, n_polar: int = 8, seed: int = 2026,
     (bypassing the public minimum) to demonstrate that the reconstruction
     criteria really depend on quadrature exactness.
     """
-    if coarse:
-        ctx = SelftestContext(
-            grid_single=frames.make_grid(2, 2, spheres=1, enforce_minimum=False),
-            grid_pair=frames.make_grid(2, 2, spheres=2, enforce_minimum=False),
-            seed=seed,
-            enforce_grid=False,
-        )
-    else:
-        ctx = SelftestContext(
-            grid_single=frames.make_grid(n_azimuth, n_polar, spheres=1),
-            grid_pair=frames.make_grid(n_azimuth, n_polar, spheres=2),
-            seed=seed,
-        )
+    nodes = (2, 2) if coarse else (n_azimuth, n_polar)
+    ctx = SelftestContext(
+        grid_single=frames.make_grid(*nodes, spheres=1, enforce_minimum=not coarse),
+        grid_pair=frames.make_grid(*nodes, spheres=2, enforce_minimum=not coarse),
+        seed=seed,
+        enforce_grid=not coarse,
+    )
     t0 = time.perf_counter()
     results = [_timed(fn, ctx) for fn in CRITERIA]
     wall = time.perf_counter() - t0

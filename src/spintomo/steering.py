@@ -14,10 +14,10 @@ S R S^T of the factor-regrouped state R, the frames' a1 R a2^T with Pauli
 rows for frame tables. The largest value of E
 over direction pairs is the top singular value of T; the CHSH maximum is
 the Horodecki closed form 2*sqrt(s1^2 + s2^2) over the two largest
-singular values. Both are exact and computed from one SVD each. The
-deterministic direction search :func:`max_correlation_grid` stays as an
-independent check of the first; the tests check the second against a
-brute-force search over the same directions.
+singular values. Both are exact; a steering report takes them from one
+SVD. The deterministic direction search :func:`max_correlation_grid`
+stays as an independent check of the first; the tests check the second
+against a brute-force search over the same directions.
 
 The steering inequality evaluated here reads
 
@@ -195,7 +195,11 @@ def max_correlation(t) -> tuple[float, np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=float)
     if t.shape != (3, 3):
         raise ValueError("correlation tensor must be 3x3")
-    u, s, _ = np.linalg.svd(t)
+    return _max_correlation(t, np.linalg.svd(t))
+
+
+def _max_correlation(t: np.ndarray, svd) -> tuple[float, np.ndarray, np.ndarray]:
+    u, s, _ = svd
     if s[0] <= 1e-300:
         k1 = X_AXIS.copy()
         return 0.0, k1, k1.copy()
@@ -288,7 +292,11 @@ def chsh_max(state_or_tensor) -> ChshResult:
         t = np.asarray(state_or_tensor, dtype=float)
     else:
         t = correlation_tensor(state_or_tensor)
-    u, s, vt = np.linalg.svd(t)
+    return _chsh_max(np.linalg.svd(t))
+
+
+def _chsh_max(svd) -> ChshResult:
+    u, s, vt = svd
     value = 2.0 * sqrt(s[0] ** 2 + s[1] ** 2)
     if value > 0:
         chi = np.arctan2(s[1], s[0])
@@ -357,8 +365,9 @@ def steering_check(state, k1=Z_AXIS, k2=Z_AXIS,
     grid_pair = grid_pair if grid_pair is not None else make_grid(spheres=2)
     grid_single = grid_single if grid_single is not None else make_grid(spheres=1)
     t = correlation_tensor(state)
-    lhs, d1, d2 = max_correlation(t)
-    chsh = chsh_max(t)
+    svd = np.linalg.svd(t)  # one SVD for both maxima
+    lhs, d1, d2 = _max_correlation(t, svd)
+    chsh = _chsh_max(svd)
     forms = correlation_forms(state, k1, k2, grid_pair, grid_single)
     notes = [NOTE_SUM_READINGS]
     if p is not None:

@@ -14,11 +14,13 @@ extended to the remaining index pairs through the symmetries
     d_{m',m} = (-1)^(m-m') d_{m,m'} = d_{-m,-m'}.
 
 :func:`wigner_d_matrix` evaluates each directly evaluable pair once. A plan
-cached per spin carries each such pair's prefactor and Jacobi parameters
-(n, a, b), and for every other cell the direct pair it equals with its sign
-+-1. cos(beta/2), sin(beta/2) and cos(beta) are computed once per beta; each
-pair then takes the same operations, in the same order, as :func:`wigner_d`,
-so the matrix is bit-identical to it entry by entry.
+cached per spin and row carries, for each cell, the direct pair it equals
+and its sign +-1, and each such pair's prefactor and Jacobi parameters
+(n, a, b). cos(beta/2), sin(beta/2) and cos(beta) are computed once per
+beta; each pair then takes the same operations, in the same order, as
+:func:`wigner_d`, so the matrix is bit-identical to it entry by entry. A
+single frame point reads only its row m of d^j: the same evaluator over the
+plan of that one row gives the matrix's row bit for bit.
 
 The resulting convention is self-consistent (orthogonal, homomorphic in
 beta); relative to the most common textbook table it is the transpose.
@@ -185,31 +187,39 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full (2j+1)x(2j+1) small-d matrix, rows and columns by descending m."""
     j2 = twice(j)
     _check_spin_indices(j2, j2, j2)
-    terms, cells = _wigner_d_plan(j2)
+    return _wigner_d_cells(j2, beta, None).reshape(j2 + 1, j2 + 1)
+
+
+def _wigner_d_cells(j2: int, beta: float, row: int | None) -> np.ndarray:
+    """Row ``row`` (index of m' by descending m') of d^j(beta), or every row
+    flattened for ``None``: each direct pair the cells need evaluated once."""
+    terms, cells = _wigner_d_plan(j2, row)
     c, s, x = cos(beta / 2.0), sin(beta / 2.0), cos(beta)
     values = [pref * c ** b * s ** a * jacobi_poly(n, a, b, x) for pref, n, a, b in terms]
-    return np.array([sign * values[pos] for pos, sign in cells]).reshape(j2 + 1, j2 + 1)
+    return np.array([sign * values[pos] for pos, sign in cells])
 
 
 @lru_cache(maxsize=None)
-def _wigner_d_plan(j2: int):
-    # For each pair _wigner_d_twice evaluates directly (m' >= |m|), its
-    # Jacobi-form terms (prefactor, n, a, b) from the same _direct_terms;
-    # for each matrix cell row by row, the direct pair it equals through the
-    # symmetries _wigner_d_twice recurses through, with the sign +-1.
-    # wigner_d_matrix applies the operations of _wigner_d_twice to these
+def _wigner_d_plan(j2: int, row: int | None):
+    # For each cell of the row (of every row for None), the pair
+    # _wigner_d_twice evaluates directly (m' >= |m|) through the symmetries
+    # it recurses through, with the sign +-1; for each such pair, its
+    # Jacobi-form terms (prefactor, n, a, b) from the same _direct_terms.
+    # _wigner_d_cells applies the operations of _wigner_d_twice to these
     # terms in the same order, so it is bit-identical to wigner_d.
     def source(mp2, m2, sign):
         if mp2 >= abs(m2):
-            return direct.index((mp2, m2)), sign
+            return (mp2, m2), sign
         if -m2 >= abs(mp2):
             return source(-m2, -mp2, sign)
         return source(m2, mp2, -sign if ((m2 - mp2) // 2) % 2 else sign)
 
     ms = range(j2, -j2 - 1, -2)
-    direct = [(mp2, m2) for mp2 in ms for m2 in ms if mp2 >= abs(m2)]
+    rows = ms if row is None else (ms[row],)
+    sources = [source(mp2, m2, 1.0) for mp2 in rows for m2 in ms]
+    direct = sorted({pair for pair, _ in sources}, reverse=True)
     terms = tuple(_direct_terms(j2, mp2, m2) for mp2, m2 in direct)
-    return terms, tuple(source(mp2, m2, 1.0) for mp2 in ms for m2 in ms)
+    return terms, tuple((direct.index(pair), sign) for pair, sign in sources)
 
 
 def wigner_D(j, angles: EulerAngles) -> np.ndarray:
@@ -218,10 +228,8 @@ def wigner_D(j, angles: EulerAngles) -> np.ndarray:
     Unitary for any angles; supported for j in {1/2, 3/2} (and the other
     spins below the cap, which share the same construction).
     """
-    j2 = twice(j)
-    _check_spin_indices(j2, j2, j2)
-    d = wigner_d_matrix(j, angles.polar)
-    m = np.arange(j2, -j2 - 1, -2) / 2.0
+    d = wigner_d_matrix(j, angles.polar)  # rejects unsupported spins
+    m = spin_projections(j)
     row_phase = np.exp(1j * m * angles.third)
     col_phase = np.exp(1j * m * angles.azimuth)
     return row_phase[:, None] * d * col_phase[None, :]

@@ -388,6 +388,31 @@ class TestLogging:
         monkeypatch.delenv("SPINTOMO_LOG")
 
 
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_exits_141_silently(self):
+        # `| head -n 1` on a table far larger than a pipe buffer: the writer
+        # meets the closed pipe and ends as a SIGPIPE would, with no message
+        src = str(Path(spintomo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spintomo.cli", "tomogram", "--state", "werner:0.5",
+             "--rep", "two_qubit", "--full-grid", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert code == 141
+        assert first == b"representation,m1,m2,theta1,phi1,theta2,phi2,value\n"
+        assert err == b""
+
+
 class TestSelftestCommand:
     def test_default_grids_pass(self, capsys):
         code, out, err = run(capsys, "selftest")

@@ -292,6 +292,43 @@ class TestPointProjector:
                     frames._point_projector(j, m, EulerAngles(a, b)), table[k, 0])
 
 
+class TestPointOperatorsFromOneRow:
+    """The public point operators at off-grid angles, built from one row of
+    d^j, equal the single-node table of the grid construction bit for bit;
+    azimuths outside [0, 2 pi) and polars clamped to 0 and pi included."""
+
+    @staticmethod
+    def angles():
+        rng = np.random.default_rng(29)
+        azimuths = (*rng.uniform(-4 * pi, 6 * pi, 12), -0.5, 2 * pi, 7.0)
+        polars = (*rng.uniform(0, pi, 12), -0.3, pi + 0.2, 0.0)  # clamped into [0, pi]
+        return [EulerAngles(a, b) for a, b in zip(azimuths, polars)]
+
+    @staticmethod
+    def table(j, angles):
+        return frames._frame_projectors(j, (angles.azimuth,), (angles.polar,))[:, 0]
+
+    def test_qudit(self):
+        for n in self.angles():
+            table = self.table(1.5, n)
+            for k, m in enumerate(QUDIT_PROJECTIONS):
+                point = FramePointQudit(m, n)
+                assert dequantizer_qudit(point).tobytes() == table[k].tobytes()
+                assert quantizer_qudit(point).tobytes() == frames._dual(table[k]).tobytes()
+
+    def test_two_qubit(self):
+        angles = self.angles()
+        for n1, n2 in zip(angles, angles[::-1]):
+            t1, t2 = self.table(0.5, n1), self.table(0.5, n2)
+            for k1, m1 in enumerate(TWO_QUBIT_PROJECTIONS):
+                for k2, m2 in enumerate(TWO_QUBIT_PROJECTIONS):
+                    point = FramePoint2Q(m1, m2, n1, n2)
+                    want = frames._kron(t1[k1], t2[k2])
+                    assert dequantizer_2q(point).tobytes() == want.tobytes()
+                    want = frames._kron(frames._dual(t1[k1]), frames._dual(t2[k2]))
+                    assert quantizer_2q(point).tobytes() == want.tobytes()
+
+
 class TestMultipoleDual:
     @pytest.mark.parametrize("nodes", (8, 12, 16))
     @pytest.mark.parametrize("tables_of", (frames._two_qubit_tables, frames._qudit_tables),

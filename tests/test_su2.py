@@ -5,6 +5,7 @@ import pytest
 
 from spintomo.su2 import (
     EulerAngles,
+    _wigner_d_cells,
     as_direction,
     jacobi_poly,
     qubit_rotation,
@@ -143,6 +144,15 @@ class TestWignerSmallD:
             for beta in betas:
                 loop = np.array([[wigner_d(j, mp, m, beta) for m in ms] for mp in ms])
                 assert wigner_d_matrix(j, beta).tobytes() == loop.tobytes()
+
+    def test_row_equals_matrix_row(self):
+        # a single point reads one row of d^j; it must be the matrix's row bit for bit
+        betas = (0.0, pi, *np.random.default_rng(11).uniform(0, pi, 20))
+        for j2 in range(1, 5):
+            for beta in betas:
+                d = wigner_d_matrix(j2 / 2, beta)
+                for row in range(j2 + 1):
+                    assert _wigner_d_cells(j2, beta, row).tobytes() == d[row].tobytes()
 
     def test_polar_additivity(self):
         # the family must compose like rotations about a fixed axis
