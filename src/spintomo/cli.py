@@ -47,6 +47,10 @@ _POINT_FLAGS = {"qudit": ("m", "alpha", "beta"),
 #: (source picture, target picture) of each ``map --direction``
 _MAP_PICTURES = {"qudit_to_2q": ("qudit", "two_qubit"), "2q_to_qudit": ("two_qubit", "qudit")}
 
+#: Characters of JSON text :func:`_emit` writes at a time: one large write
+#: can end short at a closed pipe without an error; the next one raises.
+_JSON_SLICE = 4096
+
 _AXIS_ALIASES = {
     "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0),
     "-x": (-1.0, 0.0, 0.0), "-y": (0.0, -1.0, 0.0), "-z": (0.0, 0.0, -1.0),
@@ -121,12 +125,13 @@ def _grid(args, spheres):
 
 def _picture_grid(args, rep):
     # as many spheres as the picture's frame covers
-    return _grid(args, frames._picture_spheres(REP_TO_BASIS[rep]))
+    return _grid(args, frames._SPHERES[REP_TO_BASIS[rep]])
 
 
 def _emit(args, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write(args, lambda stream: stream.write(text))
+    _write(args, lambda stream: stream.writelines(
+        text[i:i + _JSON_SLICE] for i in range(0, len(text), _JSON_SLICE)))
 
 
 def _write(args, write) -> None:

@@ -12,8 +12,10 @@ frame a product of two j = 1/2 frames. The qubit factor at azimuth phi is
 the rotated projector at pi - phi, which is the paper's (1/2) I + m F with
 F = k . sigma along k = (-sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)).
 A grid table evaluates the whole d^j matrix per polar node; a single frame
-point reads only its row m of d^j, and both form U^dag |m><m| U from the
-row of U by the same rank-one product, so they agree bit for bit.
+point reads only its row m of d^j, times the same column phases, so its
+operator U^dag |m><m| U agrees with the table bit for bit. A point value
+needs no operator: Tr(A U) = v A v^dag, v the point's row of U (for two
+qubits the Kronecker product of the factor rows).
 
 The quantizer is the canonical dual D(x) = S^-1 U(x), S = int |U(x)><U(x)|
 being the frame superoperator. S is 8 pi^2 / (2L+1) on multipole rank L,
@@ -56,6 +58,7 @@ scheme's exactness degree, so "numerical" integration is exact to roundoff.
 
 from __future__ import annotations
 
+import cmath
 import io
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -63,7 +66,7 @@ from math import cos, isqrt, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, state_matrix, werner
+from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, _kron, state_matrix, werner
 from .su2 import EulerAngles, _wigner_d_cells, spin_projections, twice, wigner_d_matrix
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
@@ -222,7 +225,9 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
 def _require_grid(grid: QuadratureGrid, representation: str) -> None:
     if grid.n_azimuth < MIN_AZIMUTH_NODES or grid.n_polar < MIN_POLAR_NODES:
         raise ValueError("grid below minimum node counts")
-    spheres = _picture_spheres(representation)
+    if representation not in _SPHERES:
+        raise ValueError(f"unknown representation {representation!r}")
+    spheres = _SPHERES[representation]
     if grid.spheres != spheres:
         raise ValueError(f"grid covers {grid.spheres} sphere(s), {spheres} required")
 
@@ -239,20 +244,18 @@ def _frame_projectors(j: float, azimuth, polar) -> np.ndarray:
     the third Euler angle cancels in the projector. The qubit factor
     measures its azimuth the other way round: the spin-1/2 frame at phi is
     the rotated projector at azimuth pi - phi, i.e. (1/2) I + m F(phi, theta).
-    A single point (:func:`_point_projector`) reads only its row m of d^j
-    and forms the same rank-one product of the same row.
     """
     d = np.array([wigner_d_matrix(j, b) for b in polar])
-    rows = d[None] * _column_phases(j, np.asarray(azimuth, dtype=float))[:, None, None, :]
+    rows = d[None] * np.array([_phases(j, a) for a in azimuth])[:, None, None, :]
     return _rank_one(rows.reshape(-1, d.shape[1], d.shape[1]).swapaxes(0, 1))
 
 
-def _column_phases(j: float, azimuth) -> np.ndarray:
-    """exp(i m' azimuth) over the columns m' of U, at a float azimuth or at
-    each of an array of them; the qubit's azimuth phi enters as pi - phi."""
+def _phases(j: float, azimuth: float) -> list:
+    """exp(i m' azimuth) over the columns m' of U, by descending m'; the
+    qubit's azimuth phi enters as pi - phi."""
     if j == 0.5:
         azimuth = pi - azimuth
-    return np.exp(1j * np.multiply.outer(azimuth, _projections(j)))
+    return [cmath.exp(complex(0.0, azimuth * m)) for m in _projections(j).tolist()]
 
 
 def _rank_one(rows: np.ndarray) -> np.ndarray:
@@ -270,7 +273,14 @@ def _projections(j: float) -> np.ndarray:
 
 def _point_projector(j: float, m: float, angles: EulerAngles) -> np.ndarray:
     row = _wigner_d_cells(round(2 * j), angles.polar, round(j - m))
-    return _rank_one(row * _column_phases(j, angles.azimuth))
+    # numpy's product of the row and the phases, as in the tables: bit-identical to them
+    return _rank_one(row * np.array(_phases(j, angles.azimuth)))
+
+
+def _point_row(j: float, m: float, angles: EulerAngles) -> list:
+    """Row m of U at one rotation, row m of d^j times the phases, as scalars."""
+    cells = _wigner_d_cells(round(2 * j), angles.polar, round(j - m)).tolist()
+    return [d * e for d, e in zip(cells, _phases(j, angles.azimuth))]
 
 
 @lru_cache(maxsize=8)
@@ -310,15 +320,6 @@ def qubit_axis_operator(phi: float, theta: float) -> np.ndarray:
     return np.array([[ct, -e * st], [-st / e, -ct]])
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a b) as the sum of a * b^T, without forming the product: equal to
-    ``np.trace(a @ b)`` up to summation order. Shapes that do not multiply
-    to a square matrix raise ValueError."""
-    if a.shape != b.shape[::-1]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return (a * b.T).sum()
-
-
 def _regroup(mat: np.ndarray, d1: int, d2: int, inverse: bool = False) -> np.ndarray:
     """Regroup an operator on C^d1 (x) C^d2 by factor: A[(a b), (c d)] to
     R[(a c), (b d)], a d1^2 x d2^2 matrix; ``inverse`` takes R back to A.
@@ -327,12 +328,6 @@ def _regroup(mat: np.ndarray, d1: int, d2: int, inverse: bool = False) -> np.nda
     if inverse:
         return mat.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
     return mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square factors as their regrouped outer
-    product: the same single product per entry as ``np.kron``, far cheaper."""
-    return _regroup(np.outer(a, b), len(a), len(b), inverse=True)
 
 
 def dequantizer_2q(point: FramePoint2Q) -> np.ndarray:
@@ -360,12 +355,29 @@ def quantizer_qudit(point: FramePointQudit) -> np.ndarray:
 
 
 def _point_picture(point) -> tuple:
-    """(basis, dequantizer, quantizer) of the picture a frame point's type selects."""
+    """(basis, quantizer) of the picture a frame point's type selects."""
     if isinstance(point, FramePoint2Q):
-        return BASIS_TWO_QUBIT, dequantizer_2q, quantizer_2q
+        return BASIS_TWO_QUBIT, quantizer_2q
     if isinstance(point, FramePointQudit):
-        return BASIS_QUDIT, dequantizer_qudit, quantizer_qudit
+        return BASIS_QUDIT, quantizer_qudit
     raise TypeError("point must be FramePoint2Q or FramePointQudit")
+
+
+def _point_symbol(op: np.ndarray, point) -> complex:
+    """Tr(op U(point)) = v op v^dag, v the point's row of U (for two qubits
+    the Kronecker product of the factor rows), without forming U. An op of
+    another shape than U raises ValueError."""
+    if isinstance(point, FramePoint2Q):
+        second = _point_row(0.5, point.m2, point.n2)
+        v = [a * b for a in _point_row(0.5, point.m1, point.n1) for b in second]
+    elif isinstance(point, FramePointQudit):
+        v = _point_row(1.5, point.m, point.n)
+    else:
+        raise TypeError("point must be FramePoint2Q or FramePointQudit")
+    if op.shape != (len(v), len(v)):
+        raise ValueError(f"cannot read a {op.shape} operator at a {len(v)}-level frame point")
+    v = np.array(v)
+    return np.vdot(v, v @ op)  # v op v^dag, vdot conjugating v
 
 
 # --------------------------------------------------------------------------
@@ -529,12 +541,10 @@ _PICTURES = {
 }
 
 
-def _picture_spheres(representation: str) -> int:
-    """Rotation spheres a picture's grid covers: one per factor frame other
-    than the one-point frame."""
-    if representation not in _PICTURES:
-        raise ValueError(f"unknown representation {representation!r}")
-    return sum(tables is not _OnePointTables for tables in _PICTURES[representation])
+#: Rotation spheres each picture's grid covers: one per factor frame other
+#: than the one-point frame.
+_SPHERES = {representation: sum(tables is not _OnePointTables for tables in factors)
+            for representation, factors in _PICTURES.items()}
 
 
 class _PictureFrame:
@@ -739,8 +749,8 @@ def tomogram(state, point) -> float:
     The point type selects the picture; a DensityMatrix tagged with the
     other basis is rejected.
     """
-    basis, dequantizer, _ = _point_picture(point)
-    return _real_trace(_trace_product(_check_basis(state, basis), dequantizer(point)), 1e-12)
+    basis, _ = _point_picture(point)
+    return _real_trace(_point_symbol(_check_basis(state, basis), point), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -860,9 +870,7 @@ def roundtrip_residual(state, representation: str, grid: QuadratureGrid,
 
 def symbol(op, point) -> complex:
     """Tomographic symbol of an operator: Tr(A * dequantizer(point))."""
-    op = np.asarray(op, dtype=complex)
-    _, dequantizer, _ = _point_picture(point)
-    return complex(_trace_product(op, dequantizer(point)))
+    return complex(_point_symbol(np.asarray(op, dtype=complex), point))
 
 
 def dual_symbol(op, point) -> complex:
@@ -875,8 +883,8 @@ def dual_symbol(op, point) -> complex:
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ValueError("dual symbols are defined for 4x4 operators here")
-    _, _, quantizer = _point_picture(point)
-    return complex(_trace_product(op, quantizer(point)))
+    _, quantizer = _point_picture(point)
+    return complex((op * quantizer(point).T).sum())
 
 
 def _frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:

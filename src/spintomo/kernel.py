@@ -20,8 +20,11 @@ in the tomogram and factors through operator space,
 
     sum_x w(x) value(x) K(x, y) = Tr[ (sum_x w(x) value(x) D(x)) U(y) ],
 
-so each map reads one 4x4 operator against the target's dequantizer. This
-holds for any tomogram values, physical or not. The evaluator maps take
+so each map reads one 4x4 operator A at the target point y as
+Tr[A U(y)] = v A v^dag, with v the target's row of U (see
+:mod:`spintomo.frames`); the target's dequantizer is never formed. The
+trace kernels read the source point's quantizer the same way. This holds
+for any tomogram values, physical or not. The evaluator maps take
 the source tomogram as an array of node values, in the layout of
 :func:`spintomo.frames._analyze` ((4, n) for the qudit, (2, n, 2, n) for
 two qubits), and synthesize them into that operator. The state maps never
@@ -61,13 +64,11 @@ from .frames import (
     FramePoint2Q,
     FramePointQudit,
     QuadratureGrid,
+    _point_symbol,
     _real_trace,
     _require_grid,
     _sign_reading_factor,
     _synthesize,
-    _trace_product,
-    dequantizer_2q,
-    dequantizer_qudit,
     quantizer_2q,
     quantizer_qudit,
     reconstruct_state,
@@ -95,17 +96,13 @@ class KernelPoint:
 
 def kernel_qudit_to_pair(point: KernelPoint) -> complex:
     """Trace-defined kernel converting a qudit tomogram to a two-qubit one."""
-    d = quantizer_qudit(point.qudit_point())
-    u = dequantizer_2q(point.pair_point())
-    return complex(_trace_product(d, u))
+    return complex(_point_symbol(quantizer_qudit(point.qudit_point()), point.pair_point()))
 
 
 def kernel_pair_to_qudit(point: KernelPoint) -> complex:
     """Trace-defined kernel for the inverse direction (two-qubit quantizer
     against the qudit dequantizer); independent of all third Euler angles."""
-    d = quantizer_2q(point.pair_point())
-    u = dequantizer_qudit(point.qudit_point())
-    return complex(_trace_product(d, u))
+    return complex(_point_symbol(quantizer_2q(point.pair_point()), point.qudit_point()))
 
 
 def dual_kernels(point: KernelPoint) -> tuple[complex, complex]:
@@ -256,8 +253,8 @@ def closed_kernel_report(n_points: int = 100, seed: int = 515) -> ClosedKernelRe
 # --------------------------------------------------------------------------
 # tomogram mapping
 
-def _read_against(rec: np.ndarray, u_target: np.ndarray) -> float:
-    return _real_trace(_trace_product(rec, u_target), 1e-10, "mapped tomogram")
+def _read_against(rec: np.ndarray, target) -> float:
+    return _real_trace(_point_symbol(rec, target), 1e-10, "mapped tomogram")
 
 
 def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -> float:
@@ -269,8 +266,7 @@ def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -
     other shape raise ValueError.
     """
     _require_grid(grid, BASIS_QUDIT)
-    return _read_against(_synthesize(np.asarray(values), BASIS_QUDIT, grid),
-                         dequantizer_2q(target))
+    return _read_against(_synthesize(np.asarray(values), BASIS_QUDIT, grid), target)
 
 
 def map_two_qubit_to_qudit(values, grid: QuadratureGrid, target: FramePointQudit) -> float:
@@ -278,8 +274,7 @@ def map_two_qubit_to_qudit(values, grid: QuadratureGrid, target: FramePointQudit
     (m1, node1, m2, node2), into a qudit tomogram value at ``target``.
     Values of any other shape raise ValueError."""
     _require_grid(grid, BASIS_TWO_QUBIT)
-    return _read_against(_synthesize(np.asarray(values), BASIS_TWO_QUBIT, grid),
-                         dequantizer_qudit(target))
+    return _read_against(_synthesize(np.asarray(values), BASIS_TWO_QUBIT, grid), target)
 
 
 def _in_picture(state, representation: str):
@@ -296,7 +291,7 @@ def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint
     """:func:`map_qudit_to_two_qubit` of a density matrix's own tomogram."""
     rec = reconstruct_state(_in_picture(state, BASIS_QUDIT), BASIS_QUDIT, grid,
                             enforce_grid=enforce_grid)
-    return _read_against(rec, dequantizer_2q(target))
+    return _read_against(rec, target)
 
 
 def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid, target: FramePointQudit,
@@ -304,4 +299,4 @@ def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid, target: FramePoint
     """:func:`map_two_qubit_to_qudit` of a density matrix's own tomogram."""
     rec = reconstruct_state(_in_picture(state, BASIS_TWO_QUBIT), BASIS_TWO_QUBIT, grid,
                             enforce_grid=enforce_grid)
-    return _read_against(rec, dequantizer_qudit(target))
+    return _read_against(rec, target)

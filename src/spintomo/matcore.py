@@ -54,9 +54,14 @@ def kron(a, b) -> np.ndarray:
 
     Tr(a (x) b) = Tr(a) Tr(b) and (a (x) b)^dag = a^dag (x) b^dag hold.
     """
-    a = as_complex_matrix(a, dims=(2,))
-    b = as_complex_matrix(b, dims=(2,))
-    return np.kron(a, b)
+    return _kron(as_complex_matrix(a, dims=(2,)), as_complex_matrix(b, dims=(2,)))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two square factors as their regrouped outer
+    product: the same single product per entry as ``np.kron``, far cheaper."""
+    da, db = len(a), len(b)
+    return np.outer(a, b).reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
 def pauli_dot(k) -> np.ndarray:

@@ -36,7 +36,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .matcore import PAULI, IDENTITY_2, pauli_dot, werner
+from .matcore import PAULI, IDENTITY_2, _kron, pauli_dot, werner
 from .su2 import EulerAngles, as_direction
 from .frames import (
     QUDIT_PROJECTIONS,
@@ -45,7 +45,6 @@ from .frames import (
     FramePointQudit,
     QuadratureGrid,
     _four_by_four,
-    _kron,
     _regroup,
     frame_pairing_qudit,
     frame_pairing_two_qubit,

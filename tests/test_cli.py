@@ -389,18 +389,19 @@ class TestLogging:
 
 
 class TestClosedStdout:
-    def test_reader_closing_the_pipe_exits_141_silently(self):
-        # `| head -n 1` on a table far larger than a pipe buffer: the writer
-        # meets the closed pipe and ends as a SIGPIPE would, with no message
+    @staticmethod
+    def read_and_close(read, *flags):
+        """Write the two-qubit table, far larger than a pipe buffer, let
+        ``read`` take from stdout, close it: (bytes read, exit code, stderr)."""
         src = str(Path(spintomo.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "spintomo.cli", "tomogram", "--state", "werner:0.5",
-             "--rep", "two_qubit", "--full-grid", "--format", "csv"],
+             "--rep", "two_qubit", "--full-grid", *flags],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         try:
-            first = proc.stdout.readline()
+            first = read(proc.stdout)
             proc.stdout.close()
             code = proc.wait(timeout=60)
             err = proc.stderr.read()
@@ -408,8 +409,22 @@ class TestClosedStdout:
             proc.kill()
             proc.wait()
             proc.stderr.close()
+        return first, code, err
+
+    def test_reader_closing_the_pipe_exits_141_silently(self):
+        # `| head -n 1`: the writer meets the closed pipe and ends as a
+        # SIGPIPE would, with no message
+        first, code, err = self.read_and_close(lambda out: out.readline(), "--format", "csv")
         assert code == 141
         assert first == b"representation,m1,m2,theta1,phi1,theta2,phi2,value\n"
+        assert err == b""
+
+    @pytest.mark.parametrize("flags", ((), ("--format", "csv")), ids=("json", "csv"))
+    def test_reader_closing_after_ten_bytes_exits_141_silently(self, flags):
+        # `| head -c 10`, in either output format
+        first, code, err = self.read_and_close(lambda out: out.read(10), *flags)
+        assert len(first) == 10
+        assert code == 141
         assert err == b""
 
 

@@ -4,7 +4,7 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 import pytest
 
-from spintomo import frames
+from spintomo import frames, matcore
 from spintomo.frames import (
     FULL_SPHERE_MEASURE,
     FramePoint2Q,
@@ -323,9 +323,9 @@ class TestPointOperatorsFromOneRow:
             for k1, m1 in enumerate(TWO_QUBIT_PROJECTIONS):
                 for k2, m2 in enumerate(TWO_QUBIT_PROJECTIONS):
                     point = FramePoint2Q(m1, m2, n1, n2)
-                    want = frames._kron(t1[k1], t2[k2])
+                    want = matcore._kron(t1[k1], t2[k2])
                     assert dequantizer_2q(point).tobytes() == want.tobytes()
-                    want = frames._kron(frames._dual(t1[k1]), frames._dual(t2[k2]))
+                    want = matcore._kron(frames._dual(t1[k1]), frames._dual(t2[k2]))
                     assert quantizer_2q(point).tobytes() == want.tobytes()
 
 

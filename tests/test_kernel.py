@@ -3,7 +3,7 @@ from math import cos, pi, sin
 import numpy as np
 import pytest
 
-from spintomo import kernel
+from spintomo import frames, kernel
 from spintomo.kernel import (
     KernelPoint,
     closed_kernel_report,
@@ -25,8 +25,13 @@ from spintomo.frames import (
     FramePointQudit,
     QUDIT_PROJECTIONS,
     TWO_QUBIT_PROJECTIONS,
+    dequantizer_2q,
+    dequantizer_qudit,
     make_grid,
     quantizer_2q,
+    quantizer_qudit,
+    reconstruct_state,
+    symbol,
     tomogram,
 )
 from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, random_density, werner
@@ -334,3 +339,98 @@ class TestClosedFormKernel:
                     got["max_abs_deviation_measure_normalized"],
                     got["mean_abs_deviation_measure_normalized"]) \
                 == pytest.approx(values, rel=1e-12, abs=0)
+
+
+# --------------------------------------------------------------------------
+# point reads
+
+class TestPointReads:
+    """Every point read, Tr(A U(x)), equals the trace against the point's
+    dequantizer at off-grid points (azimuths outside [0, 2 pi), polars
+    clamped to 0 and pi) without forming a per-point operator: tomogram,
+    symbol, the four maps and the two trace kernels."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(97)
+        azimuths = (*rng.uniform(-4 * pi, 6 * pi, 9), -0.5, 2 * pi, 7.0)
+        polars = (*rng.uniform(0, pi, 9), -0.3, pi + 0.2, 0.0)  # clamped into [0, pi]
+        angles = [EulerAngles(a, b) for a, b in zip(azimuths, polars)]
+        return [KernelPoint(QUDIT_PROJECTIONS[k % 4], TWO_QUBIT_PROJECTIONS[k % 2],
+                            TWO_QUBIT_PROJECTIONS[k // 2 % 2], n, angles[-1 - k], angles[k - 5])
+                for k, n in enumerate(angles)]
+
+    @staticmethod
+    def reads(grid_single, grid_pair):
+        # (name, read, reference) of every point read at every point
+        rng = np.random.default_rng(98)
+        rho = random_density(4, 98)
+        qudit_values = rng.uniform(0, 0.5, (4, grid_single.n_angle_nodes))
+        n = grid_pair.n_sphere_nodes
+        pair_values = rng.uniform(0, 0.5, (2, n, 2, n))
+        from_qudit = reconstruct_state(rho, BASIS_QUDIT, grid_single)
+        from_pair = reconstruct_state(rho, BASIS_TWO_QUBIT, grid_pair)
+        synth_qudit = frames._synthesize(qudit_values, BASIS_QUDIT, grid_single)
+        synth_pair = frames._synthesize(pair_values, BASIS_TWO_QUBIT, grid_pair)
+        out = []
+        for kp in TestPointReads.points():
+            q, p = kp.qudit_point(), kp.pair_point()
+            uq, up = dequantizer_qudit(q), dequantizer_2q(p)
+            op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            out += [
+                ("symbol_qudit", lambda q=q, op=op: symbol(op, q), np.trace(op @ uq)),
+                ("symbol_pair", lambda p=p, op=op: symbol(op, p), np.trace(op @ up)),
+                ("tomogram_qudit", lambda q=q: tomogram(rho, q), np.trace(rho.mat @ uq).real),
+                ("tomogram_pair", lambda p=p: tomogram(rho, p), np.trace(rho.mat @ up).real),
+                ("map_state_qudit_to_two_qubit",
+                 lambda p=p: map_state_qudit_to_two_qubit(rho, grid_single, p),
+                 np.trace(from_qudit @ up).real),
+                ("map_state_two_qubit_to_qudit",
+                 lambda q=q: map_state_two_qubit_to_qudit(rho, grid_pair, q),
+                 np.trace(from_pair @ uq).real),
+                ("map_qudit_to_two_qubit",
+                 lambda p=p: map_qudit_to_two_qubit(qudit_values, grid_single, p),
+                 np.trace(synth_qudit @ up).real),
+                ("map_two_qubit_to_qudit",
+                 lambda q=q: map_two_qubit_to_qudit(pair_values, grid_pair, q),
+                 np.trace(synth_pair @ uq).real),
+                ("kernel_qudit_to_pair", lambda kp=kp: kernel_qudit_to_pair(kp),
+                 np.trace(quantizer_qudit(q) @ up)),
+                ("kernel_pair_to_qudit", lambda kp=kp: kernel_pair_to_qudit(kp),
+                 np.trace(quantizer_2q(p) @ uq)),
+            ]
+        return out
+
+    def test_equal_trace_against_dequantizer(self, grid_single, grid_pair):
+        for name, read, reference in self.reads(grid_single, grid_pair):
+            assert abs(read() - reference) <= 1e-15, name
+
+    def test_form_no_point_operator(self, grid_single, grid_pair, monkeypatch):
+        # with the rank-one and Kronecker products disabled, every read still
+        # returns its value; a trace kernel is handed its source's quantizer,
+        # the operator it reads, as a caller asks for it
+        reads = self.reads(grid_single, grid_pair)
+        quantizers = {}
+        for kp in self.points():
+            quantizers[kp.qudit_point()] = quantizer_qudit(kp.qudit_point())
+            quantizers[kp.pair_point()] = quantizer_2q(kp.pair_point())
+        expected = [read() for _, read, _ in reads]
+
+        def disabled(*args):
+            raise AssertionError("per-point operator formed")
+
+        monkeypatch.setattr(frames, "_rank_one", disabled)
+        monkeypatch.setattr(frames, "_kron", disabled)
+        monkeypatch.setattr(kernel, "quantizer_qudit", quantizers.__getitem__)
+        monkeypatch.setattr(kernel, "quantizer_2q", quantizers.__getitem__)
+        for (name, read, _), value in zip(reads, expected):
+            assert read() == value, name
+
+    @pytest.mark.parametrize("shape", ((2, 2), (3, 3), (4,), (4, 2), (4, 4, 4)))
+    def test_wrong_shape_operator_rejected(self, shape):
+        kp = self.points()[0]
+        for point in (kp.qudit_point(), kp.pair_point()):
+            with pytest.raises(ValueError):
+                symbol(np.ones(shape), point)
+            with pytest.raises(ValueError):
+                frames._point_symbol(np.ones(shape), point)
