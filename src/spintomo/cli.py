@@ -8,24 +8,29 @@ grammar ``werner:<p>``. Exit codes: 0 success, 1 check failure, 2
 usage/parse error, 141 (128 + SIGPIPE, stderr empty) when the reader closes
 stdout early, as ``| head`` does. Set SPINTOMO_LOG to error|info|debug for
 diagnostics on stderr.
+
+Each handler imports only the layers it calls: ``validate`` needs matcore
+alone, ``tomogram`` and ``reconstruct`` add frames, ``map`` kernel,
+``correlation`` and ``steering`` steering, and ``selftest`` selftest (each
+with the layers below it). ``logging`` loads only when SPINTOMO_LOG is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from math import isfinite
 
 import numpy as np
 
-from . import frames, kernel, selftest, steering
 from .matcore import (
     BASIS_QUDIT,
     BASIS_TWO_QUBIT,
     HERMITICITY_TOL,
+    MIN_AZIMUTH_NODES,
+    MIN_POLAR_NODES,
     DensityMatrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -33,9 +38,6 @@ from .matcore import (
     werner,
     werner_matrix,
 )
-from .su2 import EulerAngles, as_direction
-
-log = logging.getLogger("spintomo")
 
 REP_TO_BASIS = {"two_qubit": BASIS_TWO_QUBIT, "qudit": BASIS_QUDIT}
 
@@ -61,13 +63,16 @@ class CliError(Exception):
     """Usage or parse problem; maps to exit code 2."""
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("SPINTOMO_LOG", "error").lower()
+def _setup_logging():
+    """The package logger when SPINTOMO_LOG is set, else None (and no import)."""
+    level = os.environ.get("SPINTOMO_LOG")
+    if level is None:
+        return None
+    import logging
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        level = "error"
-    logging.basicConfig(level=levels[level], stream=sys.stderr,
+    logging.basicConfig(level=levels.get(level.lower(), logging.ERROR), stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
+    return logging.getLogger("spintomo")
 
 
 def _parse_state(spec: str, enforce_domain: bool = True):
@@ -116,16 +121,19 @@ def _parse_direction(spec: str) -> np.ndarray:
         v = np.array([float(x) for x in parts])
     except ValueError as exc:
         raise CliError(f"cannot parse direction {spec!r}") from exc
+    from .su2 import as_direction
     return as_direction(v)
 
 
 def _grid(args, spheres):
-    return frames.make_grid(args.grid_azimuth, args.grid_polar, spheres=spheres)
+    from .frames import make_grid
+    return make_grid(args.grid_azimuth, args.grid_polar, spheres=spheres)
 
 
 def _picture_grid(args, rep):
+    from .frames import _SPHERES
     # as many spheres as the picture's frame covers
-    return _grid(args, frames._SPHERES[REP_TO_BASIS[rep]])
+    return _grid(args, _SPHERES[REP_TO_BASIS[rep]])
 
 
 def _emit(args, payload) -> None:
@@ -149,7 +157,8 @@ def _require(args, names) -> None:
         raise CliError("missing required option(s): " + ", ".join("--" + n for n in missing))
 
 
-def _angles(azimuth, polar, third) -> EulerAngles:
+def _angles(azimuth, polar, third):
+    from .su2 import EulerAngles
     return EulerAngles(azimuth, polar, third if third is not None else 0.0)
 
 
@@ -166,10 +175,11 @@ def cmd_validate(args) -> int:
 
 
 def _tomogram_point(args, rep):
+    from .frames import FramePoint2Q, FramePointQudit
     _require(args, _POINT_FLAGS[rep])
     if rep == "qudit":
-        return frames.FramePointQudit(args.m, _angles(args.alpha, args.beta, args.gamma))
-    return frames.FramePoint2Q(
+        return FramePointQudit(args.m, _angles(args.alpha, args.beta, args.gamma))
+    return FramePoint2Q(
         args.m1, args.m2,
         _angles(args.phi1, args.theta1, args.psi1),
         _angles(args.phi2, args.theta2, args.psi2),
@@ -177,6 +187,7 @@ def _tomogram_point(args, rep):
 
 
 def cmd_tomogram(args) -> int:
+    from . import frames
     if args.format == "csv" and not args.full_grid:
         raise CliError("--format csv needs --full-grid")
     mat, basis, _ = _parse_state(args.state)
@@ -202,6 +213,7 @@ def cmd_tomogram(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import frames
     mat, basis, _ = _parse_state(args.state)
     state = _density(mat, basis)
     rep = args.rep
@@ -221,6 +233,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_map(args) -> int:
+    from . import frames, kernel
     mat, _, _ = _parse_state(args.state)
     state = _density(mat, None)
     source, target_rep = _MAP_PICTURES[args.direction]
@@ -238,6 +251,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_correlation(args) -> int:
+    from . import steering
     mat, _, _ = _parse_state(args.state)
     state = _density(mat, None)
     k1, k2 = _parse_direction(args.k1), _parse_direction(args.k2)
@@ -248,6 +262,7 @@ def cmd_correlation(args) -> int:
 
 
 def cmd_steering(args) -> int:
+    from . import steering
     mat, _, p = _parse_state(args.state)
     state = _density(mat, None)
     k1, k2 = _parse_direction(args.k1), _parse_direction(args.k2)
@@ -257,6 +272,7 @@ def cmd_steering(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
     report = selftest.run_selftest(
         n_azimuth=args.grid_azimuth, n_polar=args.grid_polar,
         seed=args.seed, coarse=args.coarse,
@@ -328,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     state = argparse.ArgumentParser(add_help=False)
     state.add_argument("--state", help="matrix JSON file or builtin 'werner:<p>'")
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-azimuth", type=int, default=frames.MIN_AZIMUTH_NODES,
+    grid.add_argument("--grid-azimuth", type=int, default=MIN_AZIMUTH_NODES,
                       help="azimuth nodes per sphere (>= 8)")
-    grid.add_argument("--grid-polar", type=int, default=frames.MIN_POLAR_NODES,
+    grid.add_argument("--grid-polar", type=int, default=MIN_POLAR_NODES,
                       help="polar Gauss-Legendre nodes per sphere (>= 8)")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=_tolerance, default=1e-8,
@@ -386,15 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    log = _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    log.info("command %s, grid (%s, %s)", args.command,
-             getattr(args, "grid_azimuth", "-"), getattr(args, "grid_polar", "-"))
+    if log:
+        log.info("command %s, grid (%s, %s)", args.command,
+                 getattr(args, "grid_azimuth", "-"), getattr(args, "grid_polar", "-"))
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
-        log.debug("command %s finished with exit code %d", args.command, code)
+        if log:
+            log.debug("command %s finished with exit code %d", args.command, code)
         return code
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's exit flush stays silent

@@ -66,14 +66,12 @@ from math import cos, isqrt, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, _kron, state_matrix, werner
+from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES,
+                      DensityMatrix, _kron, state_matrix, werner)
 from .su2 import EulerAngles, _wigner_d_cells, spin_projections, twice, wigner_d_matrix
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
 QUDIT_PROJECTIONS = (1.5, 0.5, -0.5, -1.5)
-
-MIN_AZIMUTH_NODES = 8
-MIN_POLAR_NODES = 8
 
 #: Largest number of nodes (azimuth x polar) on one rotation sphere: 32x32.
 #: It bounds the Gauss-Legendre solve and the frame tables.
@@ -355,25 +353,26 @@ def quantizer_qudit(point: FramePointQudit) -> np.ndarray:
 
 
 def _point_picture(point) -> tuple:
-    """(basis, quantizer) of the picture a frame point's type selects."""
+    """(basis, quantizer, factors) of the picture a frame point's type
+    selects; factors lists (j, m, rotation) of each factor frame."""
     if isinstance(point, FramePoint2Q):
-        return BASIS_TWO_QUBIT, quantizer_2q
+        return BASIS_TWO_QUBIT, quantizer_2q, ((0.5, point.m1, point.n1), (0.5, point.m2, point.n2))
     if isinstance(point, FramePointQudit):
-        return BASIS_QUDIT, quantizer_qudit
+        return BASIS_QUDIT, quantizer_qudit, ((1.5, point.m, point.n),)
     raise TypeError("point must be FramePoint2Q or FramePointQudit")
 
 
 def _point_symbol(op: np.ndarray, point) -> complex:
-    """Tr(op U(point)) = v op v^dag, v the point's row of U (for two qubits
-    the Kronecker product of the factor rows), without forming U. An op of
-    another shape than U raises ValueError."""
-    if isinstance(point, FramePoint2Q):
-        second = _point_row(0.5, point.m2, point.n2)
-        v = [a * b for a in _point_row(0.5, point.m1, point.n1) for b in second]
-    elif isinstance(point, FramePointQudit):
-        v = _point_row(1.5, point.m, point.n)
-    else:
-        raise TypeError("point must be FramePoint2Q or FramePointQudit")
+    """Tr(op U(point)), read by :func:`_factor_symbol`."""
+    return _factor_symbol(op, _point_picture(point)[2])
+
+
+def _factor_symbol(op: np.ndarray, factors) -> complex:
+    """Tr(op U) = v op v^dag, v the row of U at a point with these factor
+    frames (the Kronecker product of the factor rows), without forming U.
+    An op of another shape than U raises ValueError."""
+    rows = [_point_row(*factor) for factor in factors]
+    v = rows[0] if len(rows) == 1 else [a * b for a in rows[0] for b in rows[1]]
     if op.shape != (len(v), len(v)):
         raise ValueError(f"cannot read a {op.shape} operator at a {len(v)}-level frame point")
     v = np.array(v)
@@ -749,8 +748,8 @@ def tomogram(state, point) -> float:
     The point type selects the picture; a DensityMatrix tagged with the
     other basis is rejected.
     """
-    basis, _ = _point_picture(point)
-    return _real_trace(_point_symbol(_check_basis(state, basis), point), 1e-12)
+    basis, _, factors = _point_picture(point)
+    return _real_trace(_factor_symbol(_check_basis(state, basis), factors), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -883,7 +882,7 @@ def dual_symbol(op, point) -> complex:
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ValueError("dual symbols are defined for 4x4 operators here")
-    _, quantizer = _point_picture(point)
+    _, quantizer, _ = _point_picture(point)
     return complex((op * quantizer(point).T).sum())
 
 

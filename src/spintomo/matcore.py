@@ -26,6 +26,10 @@ KNOWN_BASES = (BASIS_TWO_QUBIT, BASIS_QUDIT)
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 
+#: Fewest quadrature nodes per sphere axis (the default grid), for frames and the CLI
+MIN_AZIMUTH_NODES = 8
+MIN_POLAR_NODES = 8
+
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,7 +103,11 @@ def validate_density(m, tol: float = HERMITICITY_TOL) -> ValidationReport:
     are taken from the Hermitian part so the PSD number stays meaningful
     even when the Hermiticity check itself fails.
     """
-    a = as_complex_matrix(m)
+    return _validation_report(as_complex_matrix(m), tol)
+
+
+def _validation_report(a: np.ndarray, tol: float = HERMITICITY_TOL) -> ValidationReport:
+    # the checks of validate_density on an already coerced array
     herm_defect = float(np.abs(a - a.conj().T).max())
     trace_defect = float(abs(a.trace() - 1.0))
     herm_part = 0.5 * (a + a.conj().T)
@@ -132,7 +140,7 @@ class DensityMatrix:
         object.__setattr__(self, "mat", a)
         if self.basis is not None and self.basis not in KNOWN_BASES:
             raise ValueError(f"unknown basis tag {self.basis!r}")
-        report = validate_density(a)
+        report = _validation_report(a)
         object.__setattr__(self, "validation", report)
         if not report.passed:
             raise ValueError(f"not a density matrix: {report.as_dict()}")

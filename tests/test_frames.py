@@ -329,6 +329,33 @@ class TestPointOperatorsFromOneRow:
                     assert quantizer_2q(point).tobytes() == want.tobytes()
 
 
+class TestPointDispatch:
+    """A point's picture, quantizer and factor frames come from one type
+    dispatch, shared by every point read."""
+
+    POINTS = (FramePoint2Q(0.5, -0.5, EulerAngles(0.3, 1.1), EulerAngles(2.0, 0.4)),
+              FramePointQudit(-1.5, EulerAngles(4.0, 2.5)))
+
+    READS = {"tomogram": lambda x: tomogram(werner(0.3), x),
+             "symbol": lambda x: symbol(np.diag([1.0, 2.0, 3.0, 4.0]), x),
+             "dual_symbol": lambda x: dual_symbol(np.diag([1.0, 2.0, 3.0, 4.0]), x)}
+
+    @pytest.mark.parametrize("read", READS)
+    @pytest.mark.parametrize("point", POINTS, ids=("two_qubit", "qudit"))
+    def test_each_read_dispatches_once(self, monkeypatch, read, point):
+        want = self.READS[read](point)
+        calls = []
+        picture = frames._point_picture
+        monkeypatch.setattr(frames, "_point_picture", lambda p: calls.append(p) or picture(p))
+        assert self.READS[read](point) == want
+        assert calls == [point]
+
+    @pytest.mark.parametrize("read", READS)
+    def test_non_point_is_a_type_error(self, read):
+        with pytest.raises(TypeError, match="point must be FramePoint2Q or FramePointQudit"):
+            self.READS[read](EulerAngles(0.3, 1.1))
+
+
 class TestMultipoleDual:
     @pytest.mark.parametrize("nodes", (8, 12, 16))
     @pytest.mark.parametrize("tables_of", (frames._two_qubit_tables, frames._qudit_tables),

@@ -151,6 +151,19 @@ class TestDensityMatrixType:
         with pytest.raises(ValueError):
             DensityMatrix(m)
 
+    def test_coerces_once(self, monkeypatch):
+        # the validation reads the coerced array; it does not coerce it again
+        calls = []
+        coerce = matcore.as_complex_matrix
+        monkeypatch.setattr(matcore, "as_complex_matrix",
+                            lambda m, *a, **k: calls.append(m) or coerce(m, *a, **k))
+        rows = (np.eye(4) / 4).tolist()
+        state = DensityMatrix(rows)
+        assert len(calls) == 1
+        # the public check still coerces its input, with the same report
+        assert validate_density(rows) == state.validation
+        assert len(calls) == 2
+
 
 class TestMatrixJson:
     def test_round_trip(self):
