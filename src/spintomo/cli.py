@@ -5,9 +5,10 @@
 Commands: validate, tomogram, reconstruct, map, correlation, steering,
 selftest. States come either from a matrix JSON file or from the builtin
 grammar ``werner:<p>``. Exit codes: 0 success, 1 check failure, 2
-usage/parse error, 141 (128 + SIGPIPE, stderr empty) when the reader closes
-stdout early, as ``| head`` does. Set SPINTOMO_LOG to error|info|debug for
-diagnostics on stderr.
+usage/parse error or a numerical check that refuses the input (one
+``error:`` line on stderr), 141 (128 + SIGPIPE, stderr empty) when the
+reader closes stdout early, as ``| head`` does. Set SPINTOMO_LOG to
+error|info|debug for diagnostics on stderr.
 
 Each handler imports only the layers it calls: ``validate`` needs matcore
 alone, ``tomogram`` and ``reconstruct`` add frames, ``map`` kernel,
@@ -284,9 +285,7 @@ def cmd_selftest(args) -> int:
     sys.stdout.write(f"selftest: {overall}\n")
     sys.stderr.write(f"selftest wall clock {report.wall_clock_seconds:.2f} s\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit(args, report.as_dict())
     return 0 if report.all_passed else 1
 
 
@@ -418,7 +417,7 @@ def main(argv=None) -> int:
         # point stdout at devnull so the interpreter's exit flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -45,9 +45,10 @@ tomogram is analysis alone; mapping given node values is synthesis alone.
 A round trip of an operator (reconstruction, the frame pairing, and so the
 state maps in :mod:`spintomo.kernel`) never forms the node values: by
 associativity it is vec(A) G with the picture's 16 x 16 operator-space
-Gram, the Kronecker product of the factor Grams a^T b. Built from the
-grid's own tables, the Gram is the identity on an exact grid and keeps
-every defect of a coarse one.
+Gram, the Kronecker product of the factor Grams a^T b; reconstruction
+applies it to the state's Hermitian part, whose symbols are the real
+tomogram. Built from the grid's own tables, the Gram is the identity on an
+exact grid and keeps every defect of a coarse one.
 
 Angular integrals use a product quadrature: uniform azimuth nodes, Gauss-
 Legendre nodes in cos(polar), and an analytic 2*pi factor for the third
@@ -67,7 +68,7 @@ from math import cos, isqrt, pi, sin, sqrt
 import numpy as np
 
 from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES,
-                      DensityMatrix, _kron, state_matrix, werner)
+                      DensityMatrix, _kron, random_density, state_matrix, werner)
 from .su2 import EulerAngles, _wigner_d_cells, spin_projections, twice, wigner_d_matrix
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
@@ -492,11 +493,10 @@ class _SphereTables:
     ``analysis`` (a) maps a row-major flattened operator A to Tr(A U) at
     every (projection, node), the ``axes`` of its rows; ``synthesis`` (b)
     maps node values back to the flattened weighted sum of quantizers.
-    Their operator-space Grams ``gram`` = a^T b and ``gram_conj`` =
-    conj(a)^T b (dim^2 x dim^2) are the whole round trip on this grid:
-    synthesis of the analysis of A is vec(A) a^T b, and of its conjugated
-    symbols vec(conj A) conj(a)^T b. On an exact grid ``gram`` is the
-    identity; on a coarse one it carries the grid's defects.
+    Their operator-space Gram ``gram`` = a^T b (dim^2 x dim^2) is the whole
+    round trip on this grid: synthesis of the analysis of A is vec(A) a^T b.
+    On an exact grid it is the identity; on a coarse one it carries the
+    grid's defects.
     """
 
     def __init__(self, j: float, n_azimuth: int, n_polar: int):
@@ -509,15 +509,14 @@ class _SphereTables:
         self.analysis = self.dequantizer.swapaxes(-1, -2).reshape(-1, dim * dim)
         self.synthesis = (self.quantizer * self.weights[:, None, None]).reshape(-1, dim * dim)
         self.gram = self.analysis.T @ self.synthesis
-        self.gram_conj = self.analysis.conj().T @ self.synthesis
 
 
 class _OnePointTables:
     """The frame of C^1 on any grid: U = D = 1 at one point of weight 1, so
-    analysis, synthesis and both Grams are [[1]] and there are no axes."""
+    analysis, synthesis and Gram are [[1]] and there are no axes."""
 
     axes = ()
-    analysis = synthesis = gram = gram_conj = np.ones((1, 1))
+    analysis = synthesis = gram = np.ones((1, 1))
 
     def __init__(self, n_azimuth: int, n_polar: int):
         pass  # the grid does not enter
@@ -548,8 +547,8 @@ _SPHERES = {representation: sum(tables is not _OnePointTables for tables in fact
 
 class _PictureFrame:
     """One picture on one grid: its factor tables, factor dimensions, the
-    shape of its node values and its operator-space Grams, the Kronecker
-    products of the factor Grams permuted into row-major operator order."""
+    shape of its node values and its operator-space Gram, the Kronecker
+    product of the factor Grams permuted into row-major operator order."""
 
     def __init__(self, first, second):
         self.factors = (first, second)
@@ -558,7 +557,6 @@ class _PictureFrame:
         dim = self.dims[0] * self.dims[1]
         order = np.argsort(_regroup(np.arange(dim * dim).reshape(dim, dim), *self.dims).ravel())
         self.gram = np.kron(first.gram, second.gram)[np.ix_(order, order)]
-        self.gram_conj = np.kron(first.gram_conj, second.gram_conj)[np.ix_(order, order)]
 
 
 @lru_cache(maxsize=16)
@@ -590,20 +588,11 @@ def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -
     return _regroup(b1.T @ (values.reshape(len(b1), len(b2)) @ b2), *frame.dims, inverse=True)
 
 
-def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid,
-             real_values: bool) -> np.ndarray:
-    """``_synthesize(_analyze(op))`` through the grid's Gram, with the
-    symbols' real part taken first when ``real_values``.
-
-    The same linear map by associativity, vec(op) G; Re(v) = (v + conj v) / 2
-    brings in the conjugate Gram.
-    """
+def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
+    """``_synthesize(_analyze(op))`` through the grid's Gram: the same linear
+    map by associativity, vec(op) G."""
     frame = _picture_frame(representation, grid.n_azimuth, grid.n_polar)
-    v = op.reshape(-1)
-    rec = v @ frame.gram
-    if real_values:
-        rec = 0.5 * (rec + v.conj() @ frame.gram_conj)
-    return rec.reshape(op.shape)
+    return (op.reshape(-1) @ frame.gram).reshape(op.shape)
 
 
 # --------------------------------------------------------------------------
@@ -680,8 +669,6 @@ def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
                                          grid.sphere_beta(), reading) / FULL_SPHERE_MEASURE
         for reading in SIGN_READINGS
     }
-    from .matcore import random_density  # local import to avoid cycle at module load
-
     # the sample states, then the Werner state, as rows of flattened matrices
     states = np.array([random_density(4, seed).mat for seed in _AUTHORITY_SAMPLE_SEEDS]
                       + [werner(0.5).mat]).reshape(-1, 16)
@@ -853,7 +840,9 @@ def reconstruct_state(state, representation: str, grid: QuadratureGrid,
     if enforce_grid:
         _require_grid(grid, representation)
     rho = _check_basis(state, representation)
-    return _closure(rho, representation, grid, real_values=True)
+    # the tomogram is Re Tr(rho U) = Tr(((rho + rho^dag) / 2) U) for Hermitian U;
+    # the table operators are Hermitian to roundoff, not bit for bit
+    return _closure(0.5 * (rho + rho.conj().T), representation, grid)
 
 
 def roundtrip_residual(state, representation: str, grid: QuadratureGrid,
@@ -889,7 +878,7 @@ def dual_symbol(op, point) -> complex:
 def _frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:
     # sum_x w symbol(A)(x) Tr(B D(x)) = Tr(B * synthesis of the symbols of A)
     _require_grid(grid, representation)
-    rec = _closure(np.asarray(symbol_op, dtype=complex), representation, grid, real_values=False)
+    rec = _closure(np.asarray(symbol_op, dtype=complex), representation, grid)
     return complex(np.trace(np.asarray(dual_op, dtype=complex) @ rec))
 
 

@@ -253,7 +253,10 @@ def closed_kernel_report(n_points: int = 100, seed: int = 515) -> ClosedKernelRe
 # --------------------------------------------------------------------------
 # tomogram mapping
 
-def _read_against(rec: np.ndarray, target) -> float:
+def _read_against(rec: np.ndarray, target, picture: type) -> float:
+    # a point of the other picture would read the source tomogram, not map it
+    if not isinstance(target, picture):
+        raise TypeError(f"target must be a {picture.__name__}, got {type(target).__name__}")
     return _real_trace(_point_symbol(rec, target), 1e-10, "mapped tomogram")
 
 
@@ -266,7 +269,8 @@ def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -
     other shape raise ValueError.
     """
     _require_grid(grid, BASIS_QUDIT)
-    return _read_against(_synthesize(np.asarray(values), BASIS_QUDIT, grid), target)
+    return _read_against(_synthesize(np.asarray(values), BASIS_QUDIT, grid), target,
+                         FramePoint2Q)
 
 
 def map_two_qubit_to_qudit(values, grid: QuadratureGrid, target: FramePointQudit) -> float:
@@ -274,7 +278,8 @@ def map_two_qubit_to_qudit(values, grid: QuadratureGrid, target: FramePointQudit
     (m1, node1, m2, node2), into a qudit tomogram value at ``target``.
     Values of any other shape raise ValueError."""
     _require_grid(grid, BASIS_TWO_QUBIT)
-    return _read_against(_synthesize(np.asarray(values), BASIS_TWO_QUBIT, grid), target)
+    return _read_against(_synthesize(np.asarray(values), BASIS_TWO_QUBIT, grid), target,
+                         FramePointQudit)
 
 
 def _in_picture(state, representation: str):
@@ -291,7 +296,7 @@ def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint
     """:func:`map_qudit_to_two_qubit` of a density matrix's own tomogram."""
     rec = reconstruct_state(_in_picture(state, BASIS_QUDIT), BASIS_QUDIT, grid,
                             enforce_grid=enforce_grid)
-    return _read_against(rec, target)
+    return _read_against(rec, target, FramePoint2Q)
 
 
 def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid, target: FramePointQudit,
@@ -299,4 +304,4 @@ def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid, target: FramePoint
     """:func:`map_two_qubit_to_qudit` of a density matrix's own tomogram."""
     rec = reconstruct_state(_in_picture(state, BASIS_TWO_QUBIT), BASIS_TWO_QUBIT, grid,
                             enforce_grid=enforce_grid)
-    return _read_against(rec, target)
+    return _read_against(rec, target, FramePointQudit)

@@ -17,12 +17,20 @@ from spintomo.matcore import (
     random_density,
     werner,
 )
+from spintomo.su2 import EulerAngles
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_env():
+    """The environment of a CLI subprocess, this package first on its path."""
+    src = str(Path(spintomo.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 class TestValidate:
@@ -393,13 +401,10 @@ class TestClosedStdout:
     def read_and_close(read, *flags):
         """Write the two-qubit table, far larger than a pipe buffer, let
         ``read`` take from stdout, close it: (bytes read, exit code, stderr)."""
-        src = str(Path(spintomo.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "spintomo.cli", "tomogram", "--state", "werner:0.5",
              "--rep", "two_qubit", "--full-grid", *flags],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
         try:
             first = read(proc.stdout)
             proc.stdout.close()
@@ -426,6 +431,33 @@ class TestClosedStdout:
         assert len(first) == 10
         assert code == 141
         assert err == b""
+
+
+class TestNumericalRefusal:
+    def test_table_below_roundoff_is_a_one_line_error(self, capsys, tmp_path):
+        # rho = (1 + eps)|psi><psi| - eps|phi><phi|, phi the top eigenvector of the
+        # m = 3/2 dequantizer at the first 8x8 node and psi orthogonal to it: its
+        # least eigenvalue -eps passes PSD_TOL, its tomogram there, -eps, does not
+        # pass the table's -1e-12 bound
+        grid = frames.make_grid(8, 8)
+        point = frames.FramePointQudit(1.5, EulerAngles(grid.azimuth[0], grid.polar[0]))
+        _, vectors = np.linalg.eigh(frames.dequantizer_qudit(point))
+        phi, psi = vectors[:, -1], vectors[:, 0]
+        eps = 5e-11
+        rho = (1 + eps) * np.outer(psi, psi.conj()) - eps * np.outer(phi, phi.conj())
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(matrix_to_json_dict(rho)))
+        code, out, _ = run(capsys, "validate", "--state", str(path))
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+        proc = subprocess.run(
+            [sys.executable, "-m", "spintomo.cli", "tomogram", "--state", str(path),
+             "--rep", "qudit", "--full-grid"],
+            capture_output=True, env=cli_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b"error: tomogram values leave [0, 1] beyond roundoff\n"
 
 
 class TestSelftestCommand:

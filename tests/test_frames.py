@@ -775,16 +775,16 @@ class TestGramClosure:
             rho = random_density(4, seed).mat
             composed = frames._synthesize(frames._analyze(rho, representation, grid).real,
                                           representation, grid)
-            got = frames._closure(rho, representation, grid, real_values=True)
+            got = frames._closure(0.5 * (rho + rho.conj().T), representation, grid)
             np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
         op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         composed = frames._synthesize(frames._analyze(op, representation, grid),
                                       representation, grid)
-        got = frames._closure(op, representation, grid, real_values=False)
+        got = frames._closure(op, representation, grid)
         np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
         composed = frames._synthesize(frames._analyze(op, representation, grid).real,
                                       representation, grid)
-        got = frames._closure(op, representation, grid, real_values=True)
+        got = frames._closure(0.5 * (op + op.conj().T), representation, grid)
         np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
 
     def test_two_qubit_round_trip_memory_is_bounded(self):

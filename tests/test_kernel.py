@@ -210,6 +210,21 @@ class TestIntertwiningOnRandomStates:
             with pytest.raises(ValueError, match=r"shape \(2, 64, 2, 64\)"):
                 map_two_qubit_to_qudit(wrong, grid_pair, target)
 
+    @pytest.mark.parametrize("name", ["map_qudit_to_two_qubit", "map_state_qudit_to_two_qubit",
+                                      "map_two_qubit_to_qudit", "map_state_two_qubit_to_qudit"])
+    def test_target_of_the_source_picture_rejected(self, grid_single, grid_pair, name):
+        # a target in the source picture would read the source tomogram, not map it
+        rho = random_density(4, 3)
+        if name.endswith("_to_two_qubit"):
+            basis, grid, expected = BASIS_QUDIT, grid_single, "FramePoint2Q"
+            wrong = FramePointQudit(1.5, EulerAngles(0.3, 1.1))
+        else:
+            basis, grid, expected = BASIS_TWO_QUBIT, grid_pair, "FramePointQudit"
+            wrong = FramePoint2Q(0.5, -0.5, EulerAngles(0.3, 1.1), EulerAngles(2.0, 0.4))
+        source = rho if name.startswith("map_state") else frames._analyze(rho.mat, basis, grid).real
+        with pytest.raises(TypeError, match=f"target must be a {expected}, got"):
+            getattr(kernel, name)(source, grid, wrong)
+
     def test_coarse_grid_rejected(self):
         grid = make_grid(2, 2, spheres=1, enforce_minimum=False)
         with pytest.raises(ValueError):
