@@ -77,7 +77,9 @@ def _setup_logging():
 
 
 def _parse_state(spec: str, enforce_domain: bool = True):
-    """Return (matrix, basis tag or None, werner parameter or None)."""
+    """Return (state, werner parameter or None). The state is a DensityMatrix
+    keeping a state file's basis tag; ``enforce_domain=False`` gives the bare
+    matrix, unchecked."""
     if spec is None:
         raise CliError("--state is required")
     if spec.startswith("werner:"):
@@ -87,9 +89,7 @@ def _parse_state(spec: str, enforce_domain: bool = True):
             raise CliError(f"cannot parse werner parameter in {spec!r}") from exc
         if not isfinite(p):
             raise CliError("werner parameter must be finite")
-        if enforce_domain:
-            return werner(p).mat, None, p
-        return werner_matrix(p), None, p
+        return (werner(p) if enforce_domain else werner_matrix(p)), p
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -101,12 +101,10 @@ def _parse_state(spec: str, enforce_domain: bool = True):
         mat, basis = matrix_from_json_dict(payload)
     except ValueError as exc:
         raise CliError(f"bad matrix JSON in {spec!r}: {exc}") from exc
-    return mat, basis, None
-
-
-def _density(mat, basis) -> DensityMatrix:
+    if not enforce_domain:
+        return mat, None
     try:
-        return DensityMatrix(mat, basis)
+        return DensityMatrix(mat, basis), None
     except ValueError as exc:
         raise CliError(f"input is not a valid density matrix: {exc}") from exc
 
@@ -169,7 +167,7 @@ def _angles(azimuth, polar, third):
 def cmd_validate(args) -> int:
     # builtin werner states skip the domain check here on purpose: the whole
     # point of `validate werner:1.5` is to watch the PSD check fail
-    mat, _, _ = _parse_state(args.state, enforce_domain=False)
+    mat, _ = _parse_state(args.state, enforce_domain=False)
     report = validate_density(mat, tol=args.tol)
     _emit(args, report.as_dict())
     return 0 if report.passed else 1
@@ -191,8 +189,7 @@ def cmd_tomogram(args) -> int:
     from . import frames
     if args.format == "csv" and not args.full_grid:
         raise CliError("--format csv needs --full-grid")
-    mat, basis, _ = _parse_state(args.state)
-    state = _density(mat, basis)
+    state, _ = _parse_state(args.state)
     rep = args.rep
     if args.full_grid:
         table = frames.tomogram_table(state, REP_TO_BASIS[rep], _picture_grid(args, rep))
@@ -215,12 +212,11 @@ def cmd_tomogram(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     from . import frames
-    mat, basis, _ = _parse_state(args.state)
-    state = _density(mat, basis)
+    state, _ = _parse_state(args.state)
     rep = args.rep
     grid = _picture_grid(args, rep)
     rec = frames.reconstruct_state(state, REP_TO_BASIS[rep], grid)
-    residual = float(np.linalg.norm(rec - mat))
+    residual = float(np.linalg.norm(rec - state.mat))
     payload = {
         "matrix": matrix_to_json_dict(rec, basis=REP_TO_BASIS[rep]),
         "residual": residual,
@@ -235,8 +231,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_map(args) -> int:
     from . import frames, kernel
-    mat, _, _ = _parse_state(args.state)
-    state = _density(mat, None)
+    state, _ = _parse_state(args.state)
     source, target_rep = _MAP_PICTURES[args.direction]
     grid = _picture_grid(args, source)  # the kernel integrates over the source frame
     target = _tomogram_point(args, target_rep)
@@ -244,7 +239,7 @@ def cmd_map(args) -> int:
         mapped = kernel.map_state_qudit_to_two_qubit(state, grid, target)
     else:
         mapped = kernel.map_state_two_qubit_to_qudit(state, grid, target)
-    direct = frames.tomogram(mat, target)
+    direct = frames.tomogram(state.mat, target)  # the bare matrix reads in either picture
     residual = abs(mapped - direct)
     _emit(args, {"direction": args.direction, "value": mapped,
                  "direct": direct, "residual": residual, "tolerance": args.tol})
@@ -253,8 +248,7 @@ def cmd_map(args) -> int:
 
 def cmd_correlation(args) -> int:
     from . import steering
-    mat, _, _ = _parse_state(args.state)
-    state = _density(mat, None)
+    state, _ = _parse_state(args.state)
     k1, k2 = _parse_direction(args.k1), _parse_direction(args.k2)
     forms = steering.correlation_forms(state, k1, k2, _grid(args, 2), _grid(args, 1))
     _emit(args, {"k1": [float(x) for x in k1], "k2": [float(x) for x in k2],
@@ -264,8 +258,7 @@ def cmd_correlation(args) -> int:
 
 def cmd_steering(args) -> int:
     from . import steering
-    mat, _, p = _parse_state(args.state)
-    state = _density(mat, None)
+    state, p = _parse_state(args.state)
     k1, k2 = _parse_direction(args.k1), _parse_direction(args.k2)
     report = steering.steering_check(state, k1, k2, _grid(args, 2), _grid(args, 1), p=p)
     _emit(args, report.as_dict())
@@ -394,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=2026,
                    help="base seed of the random states (integer >= 0)")
     p.add_argument("--coarse", action="store_true",
-                   help="degrade the grid to demonstrate reconstruction failure")
+                   help="run on a 2x2 grid to show the criteria that need an exact "
+                        "quadrature fail (no grid flags)")
     p.set_defaults(handler=cmd_selftest)
 
     return parser

@@ -201,10 +201,10 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
               enforce_minimum: bool = True) -> QuadratureGrid:
     """Build the angular quadrature grid.
 
-    ``enforce_minimum=False`` is a test hook for deliberately degraded
-    grids; normal callers keep the default and get a ValueError below the
-    declared minimum node counts. Either way the node counts must be whole
-    numbers and a sphere holds at most :data:`MAX_SPHERE_NODES` nodes.
+    Below the declared minimum node counts it raises ValueError, unless
+    ``enforce_minimum=False``: the one way to a deliberately degraded grid,
+    which every grid operation then accepts. Either way the node counts must
+    be whole numbers and a sphere holds at most :data:`MAX_SPHERE_NODES` nodes.
     """
     if spheres not in (1, 2):
         raise ValueError("spheres must be 1 or 2")
@@ -219,16 +219,6 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
         polar=np.arccos(x),
         polar_weight=wx,
     )
-
-
-def _require_grid(grid: QuadratureGrid, representation: str) -> None:
-    if grid.n_azimuth < MIN_AZIMUTH_NODES or grid.n_polar < MIN_POLAR_NODES:
-        raise ValueError("grid below minimum node counts")
-    if representation not in _SPHERES:
-        raise ValueError(f"unknown representation {representation!r}")
-    spheres = _SPHERES[representation]
-    if grid.spheres != spheres:
-        raise ValueError(f"grid covers {grid.spheres} sphere(s), {spheres} required")
 
 
 # --------------------------------------------------------------------------
@@ -561,9 +551,18 @@ class _PictureFrame:
 
 @lru_cache(maxsize=16)
 def _picture_frame(representation: str, n_azimuth: int, n_polar: int) -> _PictureFrame:
-    if representation not in _PICTURES:
-        raise ValueError(f"unknown representation {representation!r}")
     return _PictureFrame(*(tables(n_azimuth, n_polar) for tables in _PICTURES[representation]))
+
+
+def _frame(representation: str, grid: QuadratureGrid) -> _PictureFrame:
+    """The picture's cached frame on the grid, after the one check every grid
+    operation passes: a known picture on a grid of its sphere count."""
+    if representation not in _SPHERES:
+        raise ValueError(f"unknown representation {representation!r}")
+    spheres = _SPHERES[representation]
+    if grid.spheres != spheres:
+        raise ValueError(f"grid covers {grid.spheres} sphere(s), {spheres} required")
+    return _picture_frame(representation, grid.n_azimuth, grid.n_polar)
 
 
 def _analyze(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
@@ -572,7 +571,7 @@ def _analyze(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.nd
     Shape (4, n) in the qudit picture (projection, node) and (2, n, 2, n)
     in the two-qubit picture (m1, node1, m2, node2); complex.
     """
-    frame = _picture_frame(representation, grid.n_azimuth, grid.n_polar)
+    frame = _frame(representation, grid)
     first, second = frame.factors
     return (first.analysis @ _regroup(op, *frame.dims) @ second.analysis.T).reshape(frame.shape)
 
@@ -581,7 +580,7 @@ def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -
     """Weighted sum of node values (in the :func:`_analyze` layout) against
     the quantizers, b1^T V b2: the 4x4 operator whose symbols the values
     are, when the grid is exact. Values of any other shape raise ValueError."""
-    frame = _picture_frame(representation, grid.n_azimuth, grid.n_polar)
+    frame = _frame(representation, grid)
     if values.shape != frame.shape:
         raise ValueError(f"node values must have shape {frame.shape}, got {values.shape}")
     b1, b2 = (tables.synthesis for tables in frame.factors)
@@ -591,7 +590,7 @@ def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -
 def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
     """``_synthesize(_analyze(op))`` through the grid's Gram: the same linear
     map by associativity, vec(op) G."""
-    frame = _picture_frame(representation, grid.n_azimuth, grid.n_polar)
+    frame = _frame(representation, grid)
     return (op.reshape(-1) @ frame.gram).reshape(op.shape)
 
 
@@ -797,7 +796,7 @@ def tomogram_table(state, representation: str, grid: QuadratureGrid) -> Tomogram
 
     Raises ValueError when the table would exceed :data:`MAX_TABLE_ROWS`.
     """
-    _require_grid(grid, representation)
+    _frame(representation, grid)
     rows = 4 * grid.n_angle_nodes  # 4 projections, or 4 projection pairs, per node
     if rows > MAX_TABLE_ROWS:
         raise ValueError(f"table too large: at most {MAX_TABLE_ROWS} rows, got {rows}")
@@ -830,26 +829,22 @@ def tomogram_table(state, representation: str, grid: QuadratureGrid) -> Tomogram
 # --------------------------------------------------------------------------
 # reconstruction
 
-def reconstruct_state(state, representation: str, grid: QuadratureGrid,
-                      enforce_grid: bool = True) -> np.ndarray:
+def reconstruct_state(state, representation: str, grid: QuadratureGrid) -> np.ndarray:
     """Round-trip a state through its tomogram: synthesis of its analysis,
     equal up to summation order to the weighted sum of its tomogram values
-    against the frame's quantizers. ``enforce_grid=False`` is the hook used
-    to demonstrate failure on deliberately coarse grids.
+    against the frame's quantizers. On a grid below the minimum node counts
+    (``make_grid(..., enforce_minimum=False)``) it shows that grid's defects.
     """
-    if enforce_grid:
-        _require_grid(grid, representation)
     rho = _check_basis(state, representation)
     # the tomogram is Re Tr(rho U) = Tr(((rho + rho^dag) / 2) U) for Hermitian U;
     # the table operators are Hermitian to roundoff, not bit for bit
     return _closure(0.5 * (rho + rho.conj().T), representation, grid)
 
 
-def roundtrip_residual(state, representation: str, grid: QuadratureGrid,
-                       enforce_grid: bool = True) -> float:
+def roundtrip_residual(state, representation: str, grid: QuadratureGrid) -> float:
     """Frobenius norm of (reconstructed - original)."""
     rho = state_matrix(state)
-    rec = reconstruct_state(state, representation, grid, enforce_grid=enforce_grid)
+    rec = reconstruct_state(state, representation, grid)
     return float(np.linalg.norm(rec - rho))
 
 
@@ -877,7 +872,6 @@ def dual_symbol(op, point) -> complex:
 
 def _frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:
     # sum_x w symbol(A)(x) Tr(B D(x)) = Tr(B * synthesis of the symbols of A)
-    _require_grid(grid, representation)
     rec = _closure(np.asarray(symbol_op, dtype=complex), representation, grid)
     return complex(np.trace(np.asarray(dual_op, dtype=complex) @ rec))
 

@@ -66,7 +66,6 @@ from .frames import (
     QuadratureGrid,
     _point_symbol,
     _real_trace,
-    _require_grid,
     _sign_reading_factor,
     _synthesize,
     quantizer_2q,
@@ -268,7 +267,6 @@ def map_qudit_to_two_qubit(values, grid: QuadratureGrid, target: FramePoint2Q) -
     grid; the projection sum over m is always included. Values of any
     other shape raise ValueError.
     """
-    _require_grid(grid, BASIS_QUDIT)
     return _read_against(_synthesize(np.asarray(values), BASIS_QUDIT, grid), target,
                          FramePoint2Q)
 
@@ -277,7 +275,6 @@ def map_two_qubit_to_qudit(values, grid: QuadratureGrid, target: FramePointQudit
     """Convert two-qubit tomogram node values, shape (2, n, 2, n) over
     (m1, node1, m2, node2), into a qudit tomogram value at ``target``.
     Values of any other shape raise ValueError."""
-    _require_grid(grid, BASIS_TWO_QUBIT)
     return _read_against(_synthesize(np.asarray(values), BASIS_TWO_QUBIT, grid), target,
                          FramePointQudit)
 
@@ -291,17 +288,14 @@ def _in_picture(state, representation: str):
     return state
 
 
-def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint2Q,
-                                 enforce_grid: bool = True) -> float:
+def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint2Q) -> float:
     """:func:`map_qudit_to_two_qubit` of a density matrix's own tomogram."""
-    rec = reconstruct_state(_in_picture(state, BASIS_QUDIT), BASIS_QUDIT, grid,
-                            enforce_grid=enforce_grid)
+    rec = reconstruct_state(_in_picture(state, BASIS_QUDIT), BASIS_QUDIT, grid)
     return _read_against(rec, target, FramePoint2Q)
 
 
-def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid, target: FramePointQudit,
-                                 enforce_grid: bool = True) -> float:
+def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid,
+                                 target: FramePointQudit) -> float:
     """:func:`map_two_qubit_to_qudit` of a density matrix's own tomogram."""
-    rec = reconstruct_state(_in_picture(state, BASIS_TWO_QUBIT), BASIS_TWO_QUBIT, grid,
-                            enforce_grid=enforce_grid)
+    rec = reconstruct_state(_in_picture(state, BASIS_TWO_QUBIT), BASIS_TWO_QUBIT, grid)
     return _read_against(rec, target, FramePointQudit)

@@ -51,7 +51,7 @@ def node_values(tomogram_fn, representation, grid):
 def reconstruct(tomogram_fn, quantizer_fn, grid, representation):
     """Weighted sum of tomogram values against a quantizer family, one frame
     point at a time in a fixed order; returned unvalidated."""
-    frames._require_grid(grid, representation)
+    frames._frame(representation, grid)  # the check every grid operation passes
     points = sphere_points(grid)
     total = np.zeros((4, 4), dtype=complex)
     if representation == BASIS_QUDIT:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spintomo
-from spintomo import frames
+from spintomo import frames, matcore
 from spintomo.cli import main
 from spintomo.matcore import (
     BASIS_QUDIT,
@@ -16,6 +16,7 @@ from spintomo.matcore import (
     matrix_to_json_dict,
     random_density,
     werner,
+    werner_matrix,
 )
 from spintomo.su2 import EulerAngles
 
@@ -384,6 +385,56 @@ class TestCorrelationAndSteering:
         assert json.loads(target.read_text())["p"] == 0.2
 
 
+class TestStateFiles:
+    """Each command reads its state once, as a DensityMatrix that keeps a
+    state file's basis tag."""
+
+    @pytest.mark.parametrize("argv", [
+        ("tomogram", "--rep", "qudit", "--m", "1.5", "--alpha", "0", "--beta", "0"),
+        ("tomogram", "--rep", "two_qubit", "--full-grid"),
+        ("reconstruct", "--rep", "two_qubit"),
+        ("map", "--direction", "2q_to_qudit", "--m", "1.5", "--alpha", "0", "--beta", "0"),
+        ("correlation",),
+        ("steering",),
+    ])
+    def test_werner_state_validated_once(self, capsys, monkeypatch, argv):
+        checks = []
+        report = matcore._validation_report
+        monkeypatch.setattr(matcore, "_validation_report", lambda a: checks.append(1) or report(a))
+        code, _, _ = run(capsys, *argv, "--state", "werner:0.5")
+        assert code == 0
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("map", "--direction", "qudit_to_2q", "--m1", "0.5", "--m2", "-0.5",
+         "--theta1", "0.4", "--phi1", "1.2", "--theta2", "2.1", "--phi2", "0.7"),
+        ("map", "--direction", "2q_to_qudit", "--m", "0.5", "--alpha", "1.3", "--beta", "0.9"),
+        ("correlation", "--k1", "x", "--k2", "0.6,0,0.8"),
+        ("steering",),
+    ])
+    def test_basis_tag_leaves_output_unchanged(self, capsys, tmp_path, argv):
+        rho = random_density(4, 19).mat
+        outputs = []
+        for basis in (None, BASIS_TWO_QUBIT, BASIS_QUDIT):
+            path = tmp_path / f"{basis}.json"
+            path.write_text(json.dumps(matrix_to_json_dict(rho, basis=basis)))
+            outputs.append(run(capsys, *argv, "--state", str(path)))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_invalid_state_file(self, capsys, tmp_path):
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(matrix_to_json_dict(werner_matrix(1.5), basis=BASIS_QUDIT)))
+        code, out, err = run(capsys, "reconstruct", "--rep", "qudit", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input is not a valid density matrix: ")
+        code, out, _ = run(capsys, "validate", "--state", str(path))
+        assert code == 1
+        assert json.loads(out)["psd_ok"] is False
+
+
 class TestLogging:
     def test_log_env_var_controls_stderr_diagnostics(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINTOMO_LOG", "info")
@@ -469,10 +520,21 @@ class TestSelftestCommand:
         assert sum(1 for line in lines if line.startswith("PASS")) == 12
 
     def test_coarse_grid_fails_reconstruction(self, capsys):
+        # every criterion runs on the 2x2 grid; those that need an exact
+        # quadrature fail, each with its number
         code, out, _ = run(capsys, "selftest", "--coarse")
         assert code == 1
-        assert any(line.startswith("FAIL  2") or line.startswith("FAIL  3")
-                   for line in out.split("\n"))
+        failed = [int(line.split()[1]) for line in out.split("\n") if line.startswith("FAIL")]
+        assert failed == [2, 3, 5, 7]
+        assert "error=" not in out
+
+    @pytest.mark.parametrize("flags", [("--grid-azimuth", "32"), ("--grid-polar", "16")])
+    def test_coarse_takes_no_node_counts(self, capsys, flags):
+        code, out, err = run(capsys, "selftest", "--coarse", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: coarse runs on its own 2x2 grid")
+        assert err.count("\n") == 1
 
     def test_out_file_holds_the_report(self, capsys, tmp_path):
         target = tmp_path / "selftest.json"

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
-from spintomo import frames, matcore
+from spintomo import frames, kernel, matcore
 from spintomo.frames import (
     FULL_SPHERE_MEASURE,
     FramePoint2Q,
@@ -750,14 +751,88 @@ class TestReconstruction:
         fast = reconstruct_state(rho, BASIS_TWO_QUBIT, grid_pair)
         np.testing.assert_allclose(slow, fast, atol=1e-12)
 
-    def test_coarse_grid_rejected(self):
-        grid = make_grid(2, 2, spheres=1, enforce_minimum=False)
-        with pytest.raises(ValueError):
-            reconstruct_state(werner(0.5), BASIS_QUDIT, grid)
-
     def test_sphere_count_mismatch_rejected(self, grid_single):
         with pytest.raises(ValueError):
             reconstruct_state(werner(0.5), BASIS_TWO_QUBIT, grid_single)
+
+
+#: Every grid entry point, with the picture whose grid it takes.
+GRID_ENTRY_POINTS = [
+    ("tomogram_table", BASIS_QUDIT), ("tomogram_table", BASIS_TWO_QUBIT),
+    ("reconstruct_state", BASIS_QUDIT), ("reconstruct_state", BASIS_TWO_QUBIT),
+    ("roundtrip_residual", BASIS_QUDIT), ("roundtrip_residual", BASIS_TWO_QUBIT),
+    ("frame_pairing_qudit", BASIS_QUDIT), ("frame_pairing_two_qubit", BASIS_TWO_QUBIT),
+    ("map_qudit_to_two_qubit", BASIS_QUDIT), ("map_state_qudit_to_two_qubit", BASIS_QUDIT),
+    ("map_two_qubit_to_qudit", BASIS_TWO_QUBIT), ("map_state_two_qubit_to_qudit", BASIS_TWO_QUBIT),
+]
+
+#: The state and the (non-Hermitian) operator the entry points read.
+_GATE_STATE = random_density(4, 81)
+_GATE_OP = np.kron(SZ, np.array([[0.3, 1j], [2.0, -0.5]]))
+
+#: A frame point of the picture each map's source picture maps to.
+_MAP_TARGETS = {
+    BASIS_QUDIT: FramePoint2Q(0.5, -0.5, EulerAngles(0.4, 1.2), EulerAngles(2.1, 0.7)),
+    BASIS_TWO_QUBIT: FramePointQudit(0.5, EulerAngles(1.3, 0.9)),
+}
+
+
+def _call_entry_point(name, representation, grid, values):
+    """The entry point on the grid; the evaluator maps read the given node
+    values."""
+    rho = _GATE_STATE
+    if name.startswith("frame_pairing"):
+        return getattr(frames, name)(_GATE_OP, rho.mat, grid)
+    if name.startswith("map_state"):
+        return getattr(kernel, name)(rho, grid, _MAP_TARGETS[representation])
+    if name.startswith("map"):
+        return getattr(kernel, name)(values, grid, _MAP_TARGETS[representation])
+    if name == "tomogram_table":
+        return tomogram_table(rho, representation, grid).rows[:, -1]
+    return getattr(frames, name)(rho, representation, grid)
+
+
+def _composed(name, representation, grid):
+    """The same value composed from ``_analyze`` and ``_synthesize``."""
+    rho = _GATE_STATE.mat
+    values = frames._analyze(rho, representation, grid).real
+    rec = frames._synthesize(values, representation, grid)
+    if name == "tomogram_table":  # rows by projections, then nodes
+        return (values if values.ndim == 2 else values.transpose(0, 2, 1, 3)).ravel()
+    if name == "reconstruct_state":
+        return rec
+    if name == "roundtrip_residual":
+        return np.linalg.norm(rec - rho)
+    if name.startswith("frame_pairing"):
+        symbols = frames._analyze(_GATE_OP, representation, grid)
+        return np.trace(rho @ frames._synthesize(symbols, representation, grid))
+    return symbol(rec, _MAP_TARGETS[representation]).real
+
+
+class TestOneGridGate:
+    """Every grid operation checks the grid's sphere count against its
+    picture in one place, and accepts any grid ``make_grid`` returns."""
+
+    @pytest.mark.parametrize("name, representation", GRID_ENTRY_POINTS)
+    def test_picture_checked_and_coarse_grid_accepted(self, name, representation):
+        spheres = frames._SPHERES[representation]
+        values = frames._analyze(_GATE_STATE.mat, representation,
+                                 make_grid(8, 8, spheres=spheres)).real
+        with pytest.raises(ValueError,
+                           match=rf"^grid covers {3 - spheres} sphere\(s\), {spheres} required$"):
+            _call_entry_point(name, representation, make_grid(8, 8, spheres=3 - spheres), values)
+        coarse = make_grid(3, 2, spheres=spheres, enforce_minimum=False)
+        values = frames._analyze(_GATE_STATE.mat, representation, coarse).real
+        want = _composed(name, representation, coarse)
+        got = _call_entry_point(name, representation, coarse, values)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("representation, spheres", [(BASIS_QUDIT, 1), (BASIS_TWO_QUBIT, 2)])
+    def test_node_cap_holds_for_a_grid_made_by_hand(self, representation, spheres):
+        # the tables are built from the node counts, which is where the cap is read
+        grid = dataclasses.replace(make_grid(8, 8, spheres=spheres), n_azimuth=33, n_polar=32)
+        with pytest.raises(ValueError, match="at most 1024 nodes"):
+            reconstruct_state(_GATE_STATE, representation, grid)
 
 
 class TestGramClosure:

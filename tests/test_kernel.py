@@ -27,7 +27,6 @@ from spintomo.frames import (
     TWO_QUBIT_PROJECTIONS,
     dequantizer_2q,
     dequantizer_qudit,
-    make_grid,
     quantizer_2q,
     quantizer_qudit,
     reconstruct_state,
@@ -224,12 +223,6 @@ class TestIntertwiningOnRandomStates:
         source = rho if name.startswith("map_state") else frames._analyze(rho.mat, basis, grid).real
         with pytest.raises(TypeError, match=f"target must be a {expected}, got"):
             getattr(kernel, name)(source, grid, wrong)
-
-    def test_coarse_grid_rejected(self):
-        grid = make_grid(2, 2, spheres=1, enforce_minimum=False)
-        with pytest.raises(ValueError):
-            map_qudit_to_two_qubit(node_values(lambda m, n: 0.25, BASIS_QUDIT, grid), grid,
-                                   FramePoint2Q(0.5, 0.5, EulerAngles(0, 0), EulerAngles(0, 0)))
 
 
 class TestDualKernels:
