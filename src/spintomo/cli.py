@@ -325,6 +325,16 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--psi2", type=float, help="second qubit third angle (rad, no effect)")
 
 
+def _grid_flags(default_azimuth: int | None, default_polar: int | None) -> argparse.ArgumentParser:
+    """The node-count flags as a parent parser, with these defaults."""
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-azimuth", type=int, default=default_azimuth,
+                      help="azimuth nodes per sphere (>= 8)")
+    grid.add_argument("--grid-polar", type=int, default=default_polar,
+                      help="polar Gauss-Legendre nodes per sphere (>= 8)")
+    return grid
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spintomo",
@@ -335,11 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     # shared options, each registered only on the commands that read it
     state = argparse.ArgumentParser(add_help=False)
     state.add_argument("--state", help="matrix JSON file or builtin 'werner:<p>'")
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-azimuth", type=int, default=MIN_AZIMUTH_NODES,
-                      help="azimuth nodes per sphere (>= 8)")
-    grid.add_argument("--grid-polar", type=int, default=MIN_POLAR_NODES,
-                      help="polar Gauss-Legendre nodes per sphere (>= 8)")
+    grid = _grid_flags(MIN_AZIMUTH_NODES, MIN_POLAR_NODES)
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=_tolerance, default=1e-8,
                      help="tolerance override for pass/fail exit codes (finite, >= 0)")
@@ -383,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_direction_flags(p)
     p.set_defaults(handler=cmd_steering)
 
-    p = sub.add_parser("selftest", parents=[grid, out], help="run the full acceptance suite")
+    # no defaults: run_selftest tells node counts given from none given (8x8)
+    p = sub.add_parser("selftest", parents=[_grid_flags(None, None), out],
+                       help="run the full acceptance suite")
     p.add_argument("--seed", type=_seed, default=2026,
                    help="base seed of the random states (integer >= 0)")
     p.add_argument("--coarse", action="store_true",

@@ -69,7 +69,8 @@ import numpy as np
 
 from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES,
                       DensityMatrix, _kron, random_density, state_matrix, werner)
-from .su2 import EulerAngles, _wigner_d_cells, spin_projections, twice, wigner_d_matrix
+from .su2 import (EulerAngles, _wigner_d_cells, _wigner_d_values, spin_projections, twice,
+                  wigner_d_matrix)
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
 QUDIT_PROJECTIONS = (1.5, 0.5, -0.5, -1.5)
@@ -268,7 +269,7 @@ def _point_projector(j: float, m: float, angles: EulerAngles) -> np.ndarray:
 
 def _point_row(j: float, m: float, angles: EulerAngles) -> list:
     """Row m of U at one rotation, row m of d^j times the phases, as scalars."""
-    cells = _wigner_d_cells(round(2 * j), angles.polar, round(j - m)).tolist()
+    cells = _wigner_d_values(round(2 * j), angles.polar, round(j - m))
     return [d * e for d, e in zip(cells, _phases(j, angles.azimuth))]
 
 
@@ -554,14 +555,19 @@ def _picture_frame(representation: str, n_azimuth: int, n_polar: int) -> _Pictur
     return _PictureFrame(*(tables(n_azimuth, n_polar) for tables in _PICTURES[representation]))
 
 
-def _frame(representation: str, grid: QuadratureGrid) -> _PictureFrame:
-    """The picture's cached frame on the grid, after the one check every grid
-    operation passes: a known picture on a grid of its sphere count."""
+def _check_picture(representation: str, grid: QuadratureGrid) -> None:
+    """The one check every grid operation passes: a known picture on a grid
+    of its sphere count."""
     if representation not in _SPHERES:
         raise ValueError(f"unknown representation {representation!r}")
     spheres = _SPHERES[representation]
     if grid.spheres != spheres:
         raise ValueError(f"grid covers {grid.spheres} sphere(s), {spheres} required")
+
+
+def _frame(representation: str, grid: QuadratureGrid) -> _PictureFrame:
+    """The picture's cached frame on the grid, after :func:`_check_picture`."""
+    _check_picture(representation, grid)
     return _picture_frame(representation, grid.n_azimuth, grid.n_polar)
 
 
@@ -592,6 +598,13 @@ def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.nd
     map by associativity, vec(op) G."""
     frame = _frame(representation, grid)
     return (op.reshape(-1) @ frame.gram).reshape(op.shape)
+
+
+def _closure_adjoint(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
+    """The operator Y with Tr(op _closure(B)) = Tr(B Y) for every B: G vec(op^T),
+    reshaped and transposed."""
+    frame = _frame(representation, grid)
+    return (frame.gram @ op.T.reshape(-1)).reshape(op.shape).T
 
 
 # --------------------------------------------------------------------------
@@ -794,9 +807,10 @@ def _validate_table(values_by_projection: np.ndarray) -> None:
 def tomogram_table(state, representation: str, grid: QuadratureGrid) -> TomogramTable:
     """Tomogram of ``state`` over every (projection, grid node) pair.
 
-    Raises ValueError when the table would exceed :data:`MAX_TABLE_ROWS`.
+    Raises ValueError when the table would exceed :data:`MAX_TABLE_ROWS`,
+    before the picture's frame is built.
     """
-    _frame(representation, grid)
+    _check_picture(representation, grid)
     rows = 4 * grid.n_angle_nodes  # 4 projections, or 4 projection pairs, per node
     if rows > MAX_TABLE_ROWS:
         raise ValueError(f"table too large: at most {MAX_TABLE_ROWS} rows, got {rows}")

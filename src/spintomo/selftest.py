@@ -20,6 +20,8 @@ from . import frames, kernel, steering
 from .matcore import (
     BASIS_QUDIT,
     BASIS_TWO_QUBIT,
+    MIN_AZIMUTH_NODES,
+    MIN_POLAR_NODES,
     random_density,
     state_matrix,
     werner,
@@ -385,19 +387,20 @@ class SelftestReport:
         return {**asdict(self), "all_passed": self.all_passed}
 
 
-def run_selftest(n_azimuth: int = 8, n_polar: int = 8, seed: int = 2026,
+def run_selftest(n_azimuth: int | None = None, n_polar: int | None = None, seed: int = 2026,
                  coarse: bool = False) -> SelftestReport:
     """Run every criterion and append the wall-clock criterion.
 
-    ``coarse=True`` runs every criterion on a 2x2 grid, made below the
-    minimum node counts, to show which criteria depend on quadrature
-    exactness: 2, 3, 5 and 7 fail there, each with its number. It takes no
-    other node counts than the 8x8 default (ValueError).
+    Node counts not given are the 8x8 minimum. ``coarse=True`` runs every
+    criterion on a 2x2 grid, made below the minimum node counts, to show
+    which criteria depend on quadrature exactness: 2, 3, 5 and 7 fail
+    there, each with its number. It takes no node counts (ValueError).
     """
-    if coarse and (n_azimuth, n_polar) != (8, 8):
+    if coarse and (n_azimuth, n_polar) != (None, None):
         raise ValueError(f"coarse runs on its own 2x2 grid and takes no node counts, "
                          f"got ({n_azimuth}, {n_polar})")
-    nodes = (2, 2) if coarse else (n_azimuth, n_polar)
+    nodes = (2, 2) if coarse else (MIN_AZIMUTH_NODES if n_azimuth is None else n_azimuth,
+                                   MIN_POLAR_NODES if n_polar is None else n_polar)
     ctx = SelftestContext(
         grid_single=frames.make_grid(*nodes, spheres=1, enforce_minimum=not coarse),
         grid_pair=frames.make_grid(*nodes, spheres=2, enforce_minimum=not coarse),

@@ -1,23 +1,33 @@
 """Correlation functions, Bell/CHSH bounds and the steering inequality.
 
 The correlation function of a 4x4 state along unit directions k1, k2 is
-E(k1, k2) = Tr[(k1.sigma (x) k2.sigma) rho]. It is computed four ways:
-directly by that trace, through the two-qubit frame in both symbol/dual
-orders, and through the spin-3/2 frame; all four agree to quadrature
-accuracy, which is the computational content of treating the two pictures
-as equivalent. The four come from one product observable per call, built
-as regrouped outer products like the frames' Kronecker products.
+E(k1, k2) = Tr[(k1.sigma (x) k2.sigma) rho]. E is bilinear in the
+directions through the 3x3 correlation tensor T_ij = Tr(rho sigma_i (x)
+sigma_j): E = k1^T T k2. T is one contraction S R S^T of the
+factor-regrouped state R, the frames' a1 R a2^T with Pauli rows for frame
+tables.
 
-E is bilinear in the directions through the 3x3 correlation tensor
-T_ij = Tr(rho sigma_i (x) sigma_j): E = k1^T T k2. T is one contraction
-S R S^T of the factor-regrouped state R, the frames' a1 R a2^T with Pauli
-rows for frame tables. The largest value of E
-over direction pairs is the top singular value of T; the CHSH maximum is
-the Horodecki closed form 2*sqrt(s1^2 + s2^2) over the two largest
-singular values. Both are exact; a steering report takes them from one
-SVD. The deterministic direction search :func:`max_correlation_grid`
-stays as an independent check of the first; the tests check the second
-against a brute-force search over the same directions.
+E is computed four ways: directly, through the two-qubit frame in both
+symbol/dual orders, and through the spin-3/2 frame. Every form is
+k1^T T_f k2 for the tensor T_f = Tr(X_f sigma_i (x) sigma_j) of one
+operator X_f read in its picture, because a form is the pairing Tr(b X_f)
+of the product observable b = (k1.sigma) (x) (k2.sigma) with it: X_f is
+the state for the direct form, the state's grid closure when the state
+takes the symbol side of the frame pairing, and the adjoint closure Y
+(Tr(rho closure(b)) = Tr(b Y)) when the state takes the dual side. All
+four agree to quadrature accuracy, which is the computational content of
+treating the two pictures as equivalent; on an exact grid each T_f is T to
+roundoff. No form builds the product observable or runs the frame
+pairing, which stay public as the definitions the forms are tested
+against.
+
+The largest value of E over direction pairs is the top singular value of
+T; the CHSH maximum is the Horodecki closed form 2*sqrt(s1^2 + s2^2) over
+the two largest singular values. Both are exact; a steering report takes
+them from one SVD. The deterministic direction search
+:func:`max_correlation_grid` stays as an independent check of the first;
+the tests check the second against a brute-force search over the same
+directions.
 
 The steering inequality evaluated here reads
 
@@ -32,11 +42,12 @@ by itself single out a steerable subdomain.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import pi, sqrt
+from functools import lru_cache
+from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import PAULI, IDENTITY_2, _kron, pauli_dot, werner
+from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI, IDENTITY_2, _kron, pauli_dot, werner
 from .su2 import EulerAngles, as_direction
 from .frames import (
     QUDIT_PROJECTIONS,
@@ -44,10 +55,9 @@ from .frames import (
     FramePoint2Q,
     FramePointQudit,
     QuadratureGrid,
+    _closure,
+    _closure_adjoint,
     _four_by_four,
-    _regroup,
-    frame_pairing_qudit,
-    frame_pairing_two_qubit,
     make_grid,
     tomogram,
     werner_qudit_tomogram_closed,
@@ -118,38 +128,68 @@ def product_observable(k1, k2) -> ObservableTriple:
     )
 
 
-# each form from a 4x4 state and the product observable b, built once per call
+#: Each correlation form's operator X_f(rho, grid_pair, grid_single): the
+#: form is Tr(b X_f) for the product observable b, so its tensor is
+#: T_f = Tr(X_f sigma_i (x) sigma_j). The state's closure when the state
+#: takes the symbol side of the frame pairing, its adjoint closure when it
+#: takes the dual side.
+_FORM_OPERATORS = {
+    "direct": lambda rho, pair, single: rho,
+    "tomo_2q_a": lambda rho, pair, single: _closure_adjoint(rho, BASIS_TWO_QUBIT, pair),
+    "tomo_2q_b": lambda rho, pair, single: _closure(rho, BASIS_TWO_QUBIT, pair),
+    "tomo_qudit": lambda rho, pair, single: _closure_adjoint(rho, BASIS_QUDIT, single),
+}
+_FORMS = tuple(_FORM_OPERATORS)
 
-def _direct(rho: np.ndarray, b: np.ndarray) -> float:
-    value = np.trace(rho @ b)
-    if abs(value.imag) > 1e-12:
-        raise ArithmeticError(f"correlation has imaginary part {value.imag:.3e}")
-    return float(value.real)
-
-
-def _two_qubit(rho: np.ndarray, b: np.ndarray, grid: QuadratureGrid, variant: str) -> float:
-    if variant == VARIANT_SYMBOL_DUAL:
-        value = frame_pairing_two_qubit(b, rho, grid)
-    elif variant == VARIANT_DUAL_SYMBOL:
-        value = frame_pairing_two_qubit(rho, b, grid)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return float(value.real)
+_VARIANT_FORMS = {VARIANT_SYMBOL_DUAL: "tomo_2q_a", VARIANT_DUAL_SYMBOL: "tomo_2q_b"}
 
 
-def _qudit(rho: np.ndarray, b: np.ndarray, grid: QuadratureGrid) -> float:
-    return float(frame_pairing_qudit(b, rho, grid).real)
+def _form_tensors(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None = None,
+                  grid_single: QuadratureGrid | None = None) -> np.ndarray:
+    """The complex tensors T_f = Tr(X_f sigma_i (x) sigma_j) of the forms, a
+    (len(forms), 3, 3) stack: S R S^T on each factor-regrouped X_f."""
+    ops = np.array([_FORM_OPERATORS[form](rho, grid_pair, grid_single) for form in forms])
+    regrouped = ops.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    return _PAULI_ROWS @ regrouped @ _PAULI_ROWS.T
+
+
+def _form_values(tensors: np.ndarray, forms: tuple, k1: np.ndarray, k2: np.ndarray) -> dict:
+    """E_f = k1^T T_f k2 of each form, a float; the direct form's imaginary
+    part must vanish to 1e-12. Each value takes the same operations
+    whichever forms are read with it."""
+    values = ((tensors @ k2) * k1).sum(axis=-1).tolist()
+    for form, value in zip(forms, values):
+        if form == "direct" and abs(value.imag) > 1e-12:
+            raise ArithmeticError(f"correlation has imaginary part {value.imag:.3e}")
+    return {form: value.real for form, value in zip(forms, values)}
+
+
+def _forms(state, k1, k2, forms: tuple, grid_pair: QuadratureGrid | None = None,
+           grid_single: QuadratureGrid | None = None) -> dict:
+    """The named forms of E(k1, k2) for a state, by :func:`_form_values`."""
+    rho = _four_by_four(state)
+    k1, k2 = as_direction(k1), as_direction(k2)
+    return _form_values(_form_tensors(rho, forms, grid_pair, grid_single), forms, k1, k2)
+
+
+def _real_tensor(t: np.ndarray) -> np.ndarray:
+    if np.abs(t.imag).max() > 1e-12:
+        raise ArithmeticError("correlation tensor entry not real")
+    return t.real + 0.0  # a zero entry prints as 0.0, never -0.0
 
 
 def correlation_direct(state, k1, k2) -> float:
-    """E(k1, k2) as a plain operator trace."""
-    return _direct(_four_by_four(state), product_observable(k1, k2).product)
+    """E(k1, k2) = Tr[(k1.sigma (x) k2.sigma) rho], read as k1^T T k2."""
+    return _forms(state, k1, k2, ("direct",))["direct"]
 
 
 def correlation_tomographic_two_qubit(state, k1, k2, grid: QuadratureGrid,
                                       variant: str = VARIANT_SYMBOL_DUAL) -> float:
     """E(k1, k2) through the two-qubit frame pairing, either symbol order."""
-    return _two_qubit(_four_by_four(state), product_observable(k1, k2).product, grid, variant)
+    if variant not in _VARIANT_FORMS:
+        raise ValueError(f"unknown variant {variant!r}")
+    form = _VARIANT_FORMS[variant]
+    return _forms(state, k1, k2, (form,), grid_pair=grid)[form]
 
 
 def correlation_tomographic_qudit(state, k1, k2, grid: QuadratureGrid) -> float:
@@ -158,16 +198,13 @@ def correlation_tomographic_qudit(state, k1, k2, grid: QuadratureGrid) -> float:
     The state and the product observable are read in the spin-3/2 basis;
     the numerical value coincides with :func:`correlation_direct`.
     """
-    return _qudit(_four_by_four(state), product_observable(k1, k2).product, grid)
+    return _forms(state, k1, k2, ("tomo_qudit",), grid_single=grid)["tomo_qudit"]
 
 
 def correlation_tensor(state) -> np.ndarray:
     """T_ij = Tr(rho sigma_i (x) sigma_j), a real 3x3 matrix: S R S^T on the
     factor-regrouped state R, with rows S_i = vec(sigma_i^T)."""
-    t = _PAULI_ROWS @ _regroup(_four_by_four(state), 2, 2) @ _PAULI_ROWS.T
-    if np.abs(t.imag).max() > 1e-12:
-        raise ArithmeticError("correlation tensor entry not real")
-    return t.real + 0.0  # a zero entry prints as 0.0, never -0.0
+    return _real_tensor(_form_tensors(_four_by_four(state), ("direct",))[0])
 
 
 # --------------------------------------------------------------------------
@@ -199,18 +236,19 @@ def max_correlation(t) -> tuple[float, np.ndarray, np.ndarray]:
 
 def _max_correlation(t: np.ndarray, svd) -> tuple[float, np.ndarray, np.ndarray]:
     u, s, _ = svd
+    s = s.tolist()
     if s[0] <= 1e-300:
         k1 = X_AXIS.copy()
         return 0.0, k1, k1.copy()
-    degenerate = s >= s[0] * (1.0 - 1e-9)
-    if degenerate.sum() == 1:
+    degenerate = [x >= s[0] * (1.0 - 1e-9) for x in s]
+    if sum(degenerate) == 1:
         k1 = u[:, 0]
-        if tuple(-k1) > tuple(k1):
+        if (-k1).tolist() > k1.tolist():
             k1 = -k1
     else:
         k1 = _lexicographic_unit(u[:, degenerate])
     k2 = t.T @ k1
-    k2 /= np.linalg.norm(k2)
+    k2 /= sqrt(k2.dot(k2))  # np.linalg.norm's arithmetic
     return float(k1 @ t @ k2), k1, k2
 
 
@@ -296,18 +334,17 @@ def chsh_max(state_or_tensor) -> ChshResult:
 
 def _chsh_max(svd) -> ChshResult:
     u, s, vt = svd
-    value = 2.0 * sqrt(s[0] ** 2 + s[1] ** 2)
+    s1, s2, _ = s.tolist()
+    value = 2.0 * sqrt(s1 ** 2 + s2 ** 2)
     if value > 0:
-        chi = np.arctan2(s[1], s[0])
-        b = np.cos(chi) * vt[0] + np.sin(chi) * vt[1]
-        c = np.cos(chi) * vt[0] - np.sin(chi) * vt[1]
-        directions = (u[:, 0], b, c, u[:, 1])
+        chi = atan2(s2, s1)
+        c, d = cos(chi), sin(chi)
+        v1, v2, _ = vt.tolist()
+        directions = (u[:, 0].tolist(), [c * x + d * y for x, y in zip(v1, v2)],
+                      [c * x - d * y for x, y in zip(v1, v2)], u[:, 1].tolist())
     else:
-        directions = (X_AXIS, X_AXIS, X_AXIS, X_AXIS)
-    return ChshResult(
-        value=float(value),
-        directions={name: list(map(float, vec)) for name, vec in zip("abcd", directions)},
-    )
+        directions = (X_AXIS.tolist(),) * 4
+    return ChshResult(value=value, directions=dict(zip("abcd", map(list, directions))))
 
 
 # --------------------------------------------------------------------------
@@ -335,21 +372,24 @@ class SteeringReport:
 
 def correlation_forms(state, k1, k2, grid_pair: QuadratureGrid,
                       grid_single: QuadratureGrid) -> dict:
-    """All four correlation-function forms at one direction pair, from one
-    product observable."""
-    rho = _four_by_four(state)
-    b = product_observable(k1, k2).product
-    return {
-        "direct": _direct(rho, b),
-        "tomo_2q_a": _two_qubit(rho, b, grid_pair, VARIANT_SYMBOL_DUAL),
-        "tomo_2q_b": _two_qubit(rho, b, grid_pair, VARIANT_DUAL_SYMBOL),
-        "tomo_qudit": _qudit(rho, b, grid_single),
-    }
+    """All four correlation-function forms at one direction pair, each
+    k1^T T_f k2 of its tensor."""
+    return _forms(state, k1, k2, _FORMS, grid_pair, grid_single)
 
 
 def _form_spread(forms: dict) -> float:
     values = list(forms.values())
     return max(abs(x - y) for x in values for y in values)
+
+
+@lru_cache(maxsize=2)
+def _default_grid(spheres: int) -> QuadratureGrid:
+    """make_grid's default grid over ``spheres`` spheres, built once for every
+    report called without grids; its node arrays are read-only."""
+    grid = make_grid(spheres=spheres)
+    for nodes in (grid.azimuth, grid.polar, grid.polar_weight):
+        nodes.flags.writeable = False
+    return grid
 
 
 def steering_check(state, k1=Z_AXIS, k2=Z_AXIS,
@@ -361,27 +401,30 @@ def steering_check(state, k1=Z_AXIS, k2=Z_AXIS,
     ``k1``/``k2`` pick the direction pair at which the four correlation
     forms are reported (default: both along z).
     """
-    grid_pair = grid_pair if grid_pair is not None else make_grid(spheres=2)
-    grid_single = grid_single if grid_single is not None else make_grid(spheres=1)
-    t = correlation_tensor(state)
+    grid_pair = _default_grid(2) if grid_pair is None else grid_pair
+    grid_single = _default_grid(1) if grid_single is None else grid_single
+    tensors = _form_tensors(_four_by_four(state), _FORMS, grid_pair, grid_single)
+    t = _real_tensor(tensors[0])  # the direct form's tensor is T
+    k1, k2 = as_direction(k1), as_direction(k2)
+    forms = _form_values(tensors, _FORMS, k1, k2)
     svd = np.linalg.svd(t)  # one SVD for both maxima
     lhs, d1, d2 = _max_correlation(t, svd)
-    chsh = _chsh_max(svd)
-    forms = correlation_forms(state, k1, k2, grid_pair, grid_single)
+    chsh = _chsh_max(svd).value
+    rhs_all = 2.0 / 3.0 * float(t.sum())
     notes = [NOTE_SUM_READINGS]
     if p is not None:
         notes.append(NOTE_WERNER_DOMAIN)
     return SteeringReport(
         p=p,
         tensor=t,
-        lhs=float(lhs),
-        rhs_all_entries=float(2.0 / 3.0 * t.sum()),
-        rhs_diagonal=float(2.0 / 3.0 * np.trace(t)),
-        inequality_holds=bool(lhs >= 2.0 / 3.0 * t.sum()),
-        chsh_max=chsh.value,
-        bell_violated=bool(chsh.value > 2.0),
+        lhs=lhs,
+        rhs_all_entries=rhs_all,
+        rhs_diagonal=2.0 / 3.0 * float(t.trace()),
+        inequality_holds=lhs >= rhs_all,
+        chsh_max=chsh,
+        bell_violated=chsh > 2.0,
         correlation_forms=forms,
-        max_directions={"k1": [float(x) for x in d1], "k2": [float(x) for x in d2]},
+        max_directions={"k1": d1.tolist(), "k2": d2.tolist()},
         notes=tuple(notes),
     )
 
@@ -418,8 +461,8 @@ def werner_report(p: float, grid_pair: QuadratureGrid | None = None,
     both tomograms against their closed forms, and the kernel-mapping
     residual in both directions.
     """
-    grid_pair = grid_pair if grid_pair is not None else make_grid(spheres=2)
-    grid_single = grid_single if grid_single is not None else make_grid(spheres=1)
+    grid_pair = _default_grid(2) if grid_pair is None else grid_pair
+    grid_single = _default_grid(1) if grid_single is None else grid_single
     state = werner(p)
     report = steering_check(state, Z_AXIS, Z_AXIS, grid_pair, grid_single, p=p)
     rng = np.random.default_rng(97)  # the same spot-check points on every call

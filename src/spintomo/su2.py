@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, factorial, pi, sin, sqrt
+from math import cos, factorial, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -79,9 +79,10 @@ def as_direction(k) -> np.ndarray:
     v = np.asarray(k, dtype=float)
     if v.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    if not np.all(np.isfinite(v)):
+    x, y, z = v.tolist()  # the checks in scalar arithmetic
+    if not (isfinite(x) and isfinite(y) and isfinite(z)):
         raise ValueError("direction components must be finite")
-    norm = float(np.linalg.norm(v))
+    norm = sqrt(x * x + y * y + z * z)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, |k| = {norm}")
     return v
@@ -191,12 +192,18 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
 
 
 def _wigner_d_cells(j2: int, beta: float, row: int | None) -> np.ndarray:
+    """:func:`_wigner_d_values` as an array."""
+    return np.array(_wigner_d_values(j2, beta, row))
+
+
+def _wigner_d_values(j2: int, beta: float, row: int | None) -> list:
     """Row ``row`` (index of m' by descending m') of d^j(beta), or every row
-    flattened for ``None``: each direct pair the cells need evaluated once."""
+    flattened for ``None``, as floats: each direct pair the cells need
+    evaluated once."""
     terms, cells = _wigner_d_plan(j2, row)
     c, s, x = cos(beta / 2.0), sin(beta / 2.0), cos(beta)
     values = [pref * c ** b * s ** a * jacobi_poly(n, a, b, x) for pref, n, a, b in terms]
-    return np.array([sign * values[pos] for pos, sign in cells])
+    return [sign * values[pos] for pos, sign in cells]
 
 
 @lru_cache(maxsize=None)

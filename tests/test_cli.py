@@ -528,7 +528,8 @@ class TestSelftestCommand:
         assert failed == [2, 3, 5, 7]
         assert "error=" not in out
 
-    @pytest.mark.parametrize("flags", [("--grid-azimuth", "32"), ("--grid-polar", "16")])
+    @pytest.mark.parametrize("flags", [("--grid-azimuth", "32"), ("--grid-polar", "16"),
+                                       ("--grid-azimuth", "8"), ("--grid-polar", "8")])
     def test_coarse_takes_no_node_counts(self, capsys, flags):
         code, out, err = run(capsys, "selftest", "--coarse", *flags)
         assert code == 2

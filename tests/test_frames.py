@@ -587,6 +587,19 @@ class TestTomogramTable:
         table = tomogram_table(werner(0.5), BASIS_QUDIT, make_grid(32, 32))
         assert table.rows.shape == (4 * 1024, 4)
 
+    def test_row_cap_refuses_before_building_the_frame(self):
+        # node counts no other test uses, so the frame is not cached yet
+        grid = make_grid(31, 33, spheres=2)
+        misses = frames._picture_frame.cache_info().misses
+        with pytest.raises(ValueError, match="table too large"):
+            tomogram_table(werner(0.5), BASIS_TWO_QUBIT, grid)
+        assert frames._picture_frame.cache_info().misses == misses
+        # the picture checks still come first, in their order
+        with pytest.raises(ValueError, match="unknown representation"):
+            tomogram_table(werner(0.5), "bogus", grid)
+        with pytest.raises(ValueError, match=r"grid covers 2 sphere\(s\), 1 required"):
+            tomogram_table(werner(0.5), BASIS_QUDIT, grid)
+
     def test_csv_export_clamps_only_on_export(self):
         table = frames.TomogramTable(
             representation=BASIS_QUDIT,

@@ -27,6 +27,7 @@ from spintomo.steering import (
     steering_check,
     werner_report,
 )
+from spintomo.frames import frame_pairing_qudit, frame_pairing_two_qubit, make_grid
 from spintomo.matcore import IDENTITY_2, PAULI, PAULI_X, PAULI_Z, pauli_dot, random_density, werner
 
 from test_matcore import observable_matrix_reference
@@ -245,6 +246,75 @@ class TestCorrelationForms:
             correlation_forms(rho, Z_AXIS, Z_AXIS, grid_pair, grid_single)
         with pytest.raises(ValueError, match="tomographic frames act on 4x4 states"):
             steering_check(rho, Z_AXIS, Z_AXIS, grid_pair, grid_single)
+
+
+class TestFormTensors:
+    """Every form is k1^T T_f k2 of one tensor read in its picture."""
+
+    FORMS = ("direct", "tomo_2q_a", "tomo_2q_b", "tomo_qudit")
+
+    @pytest.mark.parametrize("nodes", [8, 16])
+    def test_forms_equal_their_frame_pairings(self, nodes):
+        pair, single = make_grid(nodes, nodes, spheres=2), make_grid(nodes, nodes, spheres=1)
+        rng = np.random.default_rng(73)
+        for seed in range(24):
+            rho = random_density(4, 7200 + seed).mat
+            k1, k2 = random_unit(rng), random_unit(rng)
+            b = product_observable(k1, k2).product
+            want = {
+                "direct": np.trace(rho @ b).real,
+                "tomo_2q_a": frame_pairing_two_qubit(b, rho, pair).real,
+                "tomo_2q_b": frame_pairing_two_qubit(rho, b, pair).real,
+                "tomo_qudit": frame_pairing_qudit(b, rho, single).real,
+            }
+            got = correlation_forms(rho, k1, k2, pair, single)
+            for form in self.FORMS:
+                assert abs(got[form] - want[form]) <= 1e-15, form
+
+    @pytest.mark.parametrize("nodes", [8, 16])
+    def test_picture_tensors_are_the_correlation_tensor_on_exact_grids(self, nodes):
+        pair, single = make_grid(nodes, nodes, spheres=2), make_grid(nodes, nodes, spheres=1)
+        for seed in range(10):
+            rho = random_density(4, 7300 + seed).mat
+            tensors = steering._form_tensors(rho, self.FORMS, pair, single)
+            for form, t in zip(self.FORMS, tensors):
+                np.testing.assert_allclose(t.real, correlation_tensor(rho), rtol=0, atol=1e-13,
+                                           err_msg=form)
+
+    def test_qudit_tensor_reads_the_frame(self):
+        # on the degraded 2x2 grid the spin-3/2 reading is off by far more than roundoff
+        pair = make_grid(2, 2, spheres=2, enforce_minimum=False)
+        single = make_grid(2, 2, spheres=1, enforce_minimum=False)
+        rho = random_density(4, 7400).mat
+        t = steering._form_tensors(rho, ("tomo_qudit",), pair, single)[0]
+        assert np.abs(t.real - correlation_tensor(rho)).max() > 0.1
+
+    def test_non_hermitian_direct_form_raises(self, grid_single, grid_pair):
+        # an anti-Hermitian part puts 0.1j into T_xz, so E(x, z) has imaginary part 0.1
+        rho = werner(0.5).mat + 0.1j * np.kron(PAULI_X, PAULI_Z) / 4
+        with pytest.raises(ArithmeticError, match="correlation has imaginary part 1.000e-01"):
+            correlation_direct(rho, X_AXIS, Z_AXIS)
+        with pytest.raises(ArithmeticError, match="correlation has imaginary part"):
+            correlation_forms(rho, X_AXIS, Z_AXIS, grid_pair, grid_single)
+        # along z, z the imaginary part does not enter
+        assert correlation_direct(rho, Z_AXIS, Z_AXIS) == pytest.approx(0.5, abs=1e-14)
+
+    def test_default_grids_built_once(self, monkeypatch):
+        seen = []
+        closure = steering._closure_adjoint
+        monkeypatch.setattr(steering, "_closure_adjoint",
+                            lambda op, rep, grid: seen.append(grid) or closure(op, rep, grid))
+        for _ in range(2):
+            steering_check(werner(0.5).mat)
+        # tomo_2q_a reads the pair grid, tomo_qudit the single one, on each call
+        assert len(seen) == 4
+        pair, single = seen[:2]
+        assert seen[2] is pair and seen[3] is single
+        assert (pair.spheres, single.spheres) == (2, 1)
+        for grid in (pair, single):
+            assert (grid.n_azimuth, grid.n_polar) == (8, 8)
+            for nodes in (grid.azimuth, grid.polar, grid.polar_weight):
+                assert not nodes.flags.writeable
 
 
 class TestCorrelationTensor:
