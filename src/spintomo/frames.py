@@ -15,7 +15,9 @@ A grid table evaluates the whole d^j matrix per polar node; a single frame
 point reads only its row m of d^j, times the same column phases, so its
 operator U^dag |m><m| U agrees with the table bit for bit. A point value
 needs no operator: Tr(A U) = v A v^dag, v the point's row of U (for two
-qubits the Kronecker product of the factor rows).
+qubits the Kronecker product of the factor rows). A point builds v on its
+first read and keeps it, read-only, so every later read of the same point
+is one vector-matrix product.
 
 The quantizer is the canonical dual D(x) = S^-1 U(x), S = int |U(x)><U(x)|
 being the frame superoperator. S is 8 pi^2 / (2L+1) on multipole rank L,
@@ -62,7 +64,7 @@ from __future__ import annotations
 import cmath
 import io
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import cos, isqrt, pi, sin, sqrt
 
 import numpy as np
@@ -113,8 +115,24 @@ def _check_projection(m, allowed, label):
     return m2 / 2.0
 
 
+class _FramePoint:
+    """Base of the frame point types. A point's row v of U is the cached
+    property ``_row``: built on the point's first read, kept read-only and
+    not a field, so equality, hash, repr, copies and pickles see the fields
+    only."""
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "_row"}
+
+
+def _read_only(values: list) -> np.ndarray:
+    v = np.array(values)
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
-class FramePoint2Q:
+class FramePoint2Q(_FramePoint):
     """Frame point of the two-qubit picture: projections and one rotation
     per qubit. The third Euler angle of each rotation is carried but does
     not enter the frame operators."""
@@ -128,9 +146,15 @@ class FramePoint2Q:
         object.__setattr__(self, "m1", _check_projection(self.m1, TWO_QUBIT_PROJECTIONS, "m1"))
         object.__setattr__(self, "m2", _check_projection(self.m2, TWO_QUBIT_PROJECTIONS, "m2"))
 
+    @cached_property
+    def _row(self) -> np.ndarray:
+        """The Kronecker product of the two factor rows."""
+        r1, r2 = _point_row(0.5, self.m1, self.n1), _point_row(0.5, self.m2, self.n2)
+        return _read_only([a * b for a in r1 for b in r2])
+
 
 @dataclass(frozen=True)
-class FramePointQudit:
+class FramePointQudit(_FramePoint):
     """Frame point of the spin-3/2 picture: one projection, one rotation."""
 
     m: float
@@ -138,6 +162,10 @@ class FramePointQudit:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_projection(self.m, QUDIT_PROJECTIONS, "m"))
+
+    @cached_property
+    def _row(self) -> np.ndarray:
+        return _read_only(_point_row(1.5, self.m, self.n))
 
 
 # --------------------------------------------------------------------------
@@ -345,29 +373,21 @@ def quantizer_qudit(point: FramePointQudit) -> np.ndarray:
 
 
 def _point_picture(point) -> tuple:
-    """(basis, quantizer, factors) of the picture a frame point's type
-    selects; factors lists (j, m, rotation) of each factor frame."""
+    """(basis, quantizer) of the picture a frame point's type selects."""
     if isinstance(point, FramePoint2Q):
-        return BASIS_TWO_QUBIT, quantizer_2q, ((0.5, point.m1, point.n1), (0.5, point.m2, point.n2))
+        return BASIS_TWO_QUBIT, quantizer_2q
     if isinstance(point, FramePointQudit):
-        return BASIS_QUDIT, quantizer_qudit, ((1.5, point.m, point.n),)
+        return BASIS_QUDIT, quantizer_qudit
     raise TypeError("point must be FramePoint2Q or FramePointQudit")
 
 
 def _point_symbol(op: np.ndarray, point) -> complex:
-    """Tr(op U(point)), read by :func:`_factor_symbol`."""
-    return _factor_symbol(op, _point_picture(point)[2])
-
-
-def _factor_symbol(op: np.ndarray, factors) -> complex:
-    """Tr(op U) = v op v^dag, v the row of U at a point with these factor
-    frames (the Kronecker product of the factor rows), without forming U.
-    An op of another shape than U raises ValueError."""
-    rows = [_point_row(*factor) for factor in factors]
-    v = rows[0] if len(rows) == 1 else [a * b for a in rows[0] for b in rows[1]]
+    """Tr(op U(point)) = v op v^dag, v the point's row of U, without forming
+    U. Callers check the point's type; an op of another shape than U raises
+    ValueError."""
+    v = point._row
     if op.shape != (len(v), len(v)):
         raise ValueError(f"cannot read a {op.shape} operator at a {len(v)}-level frame point")
-    v = np.array(v)
     return np.vdot(v, v @ op)  # v op v^dag, vdot conjugating v
 
 
@@ -747,8 +767,8 @@ def tomogram(state, point) -> float:
     The point type selects the picture; a DensityMatrix tagged with the
     other basis is rejected.
     """
-    basis, _, factors = _point_picture(point)
-    return _real_trace(_factor_symbol(_check_basis(state, basis), factors), 1e-12)
+    basis, _ = _point_picture(point)
+    return _real_trace(_point_symbol(_check_basis(state, basis), point), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -761,12 +781,16 @@ class TomogramTable:
     tiny negative roundoff to zero, the in-memory values stay untouched.
 
     :meth:`to_csv` writes the table in blocks of :data:`CSV_BLOCK_ROWS`
-    rows, formatting a block column by column: a projection or angle
-    column holds few distinct values, so each distinct bit pattern is
-    formatted once (keeping -0.0 apart from 0.0). The output is exactly
-    that of formatting every cell with ``repr(float(x))``, the value as
-    ``max(v, 0.0)`` when ``v >= -1e-12`` (so -0.0 and NaN pass through),
-    and the memory it needs is bounded by the block, not the table.
+    rows. A projection or angle column holds few distinct values, so each
+    distinct bit pattern of a key column is formatted once, with its
+    trailing comma (keeping -0.0 apart from 0.0), and gathered into the
+    block's rows by index. A block is one object array of cells per row:
+    the representation with its comma, the gathered key cells, the value's
+    ``repr`` and a newline; it is written as one join of its cells. The
+    output is exactly that of formatting every cell with
+    ``repr(float(x))``, the value as ``max(v, 0.0)`` when ``v >= -1e-12``
+    (so -0.0 and NaN pass through), and the memory it needs is bounded by
+    the block, not the table.
     """
 
     representation: str
@@ -779,15 +803,19 @@ class TomogramTable:
         rows = np.asarray(self.rows, dtype=np.float64)
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[start:start + CSV_BLOCK_ROWS]
-            cols = [[self.representation] * len(block)]
-            for column in block[:, :-1].T:
+            # representation, keys, value, newline
+            cells = np.empty((len(block), block.shape[1] + 2), dtype=object)
+            cells[:, 0] = self.representation + ","
+            for k, column in enumerate(block[:, :-1].T, 1):
                 bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-                cells = list(map(repr, bits.view(np.float64).tolist()))
-                cols.append(list(map(cells.__getitem__, inverse.tolist())))
+                text = np.array([repr(x) + "," for x in bits.view(np.float64).tolist()],
+                                dtype=object)
+                cells[:, k] = text[inverse]
             value = block[:, -1].copy()
             value[(value >= -1e-12) & (value < 0.0)] = 0.0
-            cols.append(list(map(repr, value.tolist())))
-            stream.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            cells[:, -2] = list(map(repr, value.tolist()))
+            cells[:, -1] = "\n"
+            stream.write("".join(cells.ravel().tolist()))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -867,6 +895,7 @@ def roundtrip_residual(state, representation: str, grid: QuadratureGrid) -> floa
 
 def symbol(op, point) -> complex:
     """Tomographic symbol of an operator: Tr(A * dequantizer(point))."""
+    _point_picture(point)  # a non-point raises TypeError
     return complex(_point_symbol(np.asarray(op, dtype=complex), point))
 
 
@@ -880,7 +909,7 @@ def dual_symbol(op, point) -> complex:
     op = np.asarray(op, dtype=complex)
     if op.shape != (4, 4):
         raise ValueError("dual symbols are defined for 4x4 operators here")
-    _, quantizer, _ = _point_picture(point)
+    _, quantizer = _point_picture(point)
     return complex((op * quantizer(point).T).sum())
 
 

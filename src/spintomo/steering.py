@@ -492,7 +492,7 @@ def werner_report(p: float, grid_pair: QuadratureGrid | None = None,
 
     return WernerReport(
         p=float(p),
-        correlation_zz=correlation_direct(state, Z_AXIS, Z_AXIS),
+        correlation_zz=report.correlation_forms["direct"],
         steering=report,
         correlation_form_spread=_form_spread(report.correlation_forms),
         tomogram_spot_checks={

@@ -1,11 +1,13 @@
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
-from spintomo import frames, kernel, matcore
+from spintomo import frames, kernel, matcore, su2
 from spintomo.frames import (
     FULL_SPHERE_MEASURE,
     FramePoint2Q,
@@ -357,6 +359,124 @@ class TestPointDispatch:
             self.READS[read](EulerAngles(0.3, 1.1))
 
 
+def _scalar_row(j, m, angles):
+    # row m of U as the scalar composition: row m of d^j times the phases
+    cells = su2._wigner_d_values(round(2 * j), angles.polar, round(j - m))
+    return [d * e for d, e in zip(cells, frames._phases(j, angles.azimuth))]
+
+
+def _reference_read(op, point):
+    # v op v^dag with v the point's row of U, built from scalars on each call
+    if isinstance(point, FramePointQudit):
+        v = _scalar_row(1.5, point.m, point.n)
+    else:
+        r1, r2 = _scalar_row(0.5, point.m1, point.n1), _scalar_row(0.5, point.m2, point.n2)
+        v = [a * b for a in r1 for b in r2]
+    v = np.array(v)
+    return np.vdot(v, v @ op)
+
+
+class TestPointRowMemo:
+    """A point builds its row of U on its first read and keeps it: every
+    read equals the scalar composition bit for bit, the row is built once
+    and only when read, and it is not part of the point's value."""
+
+    @staticmethod
+    def points(count, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for k in range(count):
+            n1, n2, n3 = (EulerAngles(rng.uniform(-4 * pi, 6 * pi), rng.uniform(-0.3, pi + 0.3))
+                          for _ in range(3))
+            out.append(FramePointQudit(QUDIT_PROJECTIONS[k % 4], n1))
+            out.append(FramePoint2Q(TWO_QUBIT_PROJECTIONS[k % 2],
+                                    TWO_QUBIT_PROJECTIONS[k // 2 % 2], n2, n3))
+        return out
+
+    @staticmethod
+    def reads(point, grid_single, grid_pair):
+        # (name, read, operator it reads) of every read of this point
+        rng = np.random.default_rng(7)
+        rho = random_density(4, 71)
+        op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        if isinstance(point, FramePointQudit):
+            values = rng.uniform(0, 0.5, (2, grid_pair.n_sphere_nodes) * 2)
+            return [
+                ("map_state", lambda: kernel.map_state_two_qubit_to_qudit(rho, grid_pair, point),
+                 reconstruct_state(rho, BASIS_TWO_QUBIT, grid_pair)),
+                ("map", lambda: kernel.map_two_qubit_to_qudit(values, grid_pair, point),
+                 frames._synthesize(values, BASIS_TWO_QUBIT, grid_pair)),
+                ("tomogram", lambda: tomogram(rho, point), rho.mat),
+                ("symbol", lambda: symbol(op, point), op),
+            ]
+        values = rng.uniform(0, 0.5, (4, grid_single.n_sphere_nodes))
+        return [
+            ("map_state", lambda: kernel.map_state_qudit_to_two_qubit(rho, grid_single, point),
+             reconstruct_state(rho, BASIS_QUDIT, grid_single)),
+            ("map", lambda: kernel.map_qudit_to_two_qubit(values, grid_single, point),
+             frames._synthesize(values, BASIS_QUDIT, grid_single)),
+            ("tomogram", lambda: tomogram(rho, point), rho.mat),
+            ("symbol", lambda: symbol(op, point), op),
+        ]
+
+    def test_reads_equal_scalar_composition(self, grid_single, grid_pair):
+        points = self.points(100, 515)
+        assert len(points) >= 200
+        for point in points:
+            for name, read, op in self.reads(point, grid_single, grid_pair):
+                want = _reference_read(op, point)
+                want = complex(want) if name == "symbol" else float(want.real)
+                for _ in range(2):  # the first read builds the row, the second reuses it
+                    got = read()
+                    assert type(got) is type(want) and got == want, (name, point)
+
+    def test_second_read_builds_no_row(self, grid_single, grid_pair, monkeypatch):
+        calls = []
+        point_row = frames._point_row
+        monkeypatch.setattr(frames, "_point_row", lambda *a: calls.append(a) or point_row(*a))
+        for point in self.points(2, 3):
+            factors = 1 if isinstance(point, FramePointQudit) else 2
+            for _pass in range(2):  # the second pass builds no row
+                for _, read, _ in self.reads(point, grid_single, grid_pair):
+                    read()
+                assert len(calls) == factors
+            calls.clear()
+
+    def test_unread_point_builds_no_row(self, monkeypatch):
+        def disabled(*args):
+            raise AssertionError("row built")
+
+        monkeypatch.setattr(frames, "_point_row", disabled)
+        op = np.diag([1.0, 2.0, 3.0, 4.0])
+        for point in self.points(2, 4):
+            # the operator reads form the projector and do not build the row
+            dual_symbol(op, point)
+            if isinstance(point, FramePointQudit):
+                dequantizer_qudit(point), quantizer_qudit(point)
+            else:
+                dequantizer_2q(point), quantizer_2q(point)
+            assert "_row" not in vars(point)
+
+    def test_row_is_not_part_of_the_value(self):
+        for point in self.points(2, 5):
+            fresh = dataclasses.replace(point)
+            symbol(np.eye(4), point)
+            row = vars(point)["_row"]
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+            assert "_row" not in vars(fresh)
+            assert point == fresh and hash(point) == hash(fresh)
+            assert repr(point) == repr(fresh)
+            assert dataclasses.asdict(point) == dataclasses.asdict(fresh)
+            assert dataclasses.astuple(point) == dataclasses.astuple(fresh)
+            for twin in (copy.copy(point), pickle.loads(pickle.dumps(point))):
+                assert vars(twin) == vars(fresh)
+                assert twin == point and hash(twin) == hash(point)
+                assert symbol(np.eye(4), twin) == symbol(np.eye(4), point)
+                assert not vars(twin)["_row"].flags.writeable
+
+
 class TestMultipoleDual:
     @pytest.mark.parametrize("nodes", (8, 12, 16))
     @pytest.mark.parametrize("tables_of", (frames._two_qubit_tables, frames._qudit_tables),
@@ -647,6 +767,22 @@ class TestTomogramTable:
             rng.uniform(-2e-12, 1.0, n_rows),
         ]).reshape(n_rows, 4)
         table = frames.TomogramTable(BASIS_QUDIT, ("m", "alpha", "beta", "value"), rows)
+        csv = table.to_csv_string()
+        assert csv == _loop_csv(table)
+        assert csv.count("\n") == 1 + n_rows
+
+    @pytest.mark.parametrize("n_rows", [1023, 1024, 1025, 2049])
+    def test_csv_special_floats_match_cell_loop(self, n_rows):
+        # a table shaped like the two-qubit one, its keys and values drawn
+        # from signed zeros, NaN, infinities and subnormals among ordinary floats
+        rng = np.random.default_rng(1000 + n_rows)
+        special = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+                   2.2250738585072014e-308 / 3, -1e-310]
+        keys = np.array(special + [0.5, -0.5, pi / 3, 2.5])
+        values = np.array(special + [-5e-13, -1e-11, 0.25, 1.0])
+        rows = np.column_stack([rng.choice(keys, (n_rows, 6)), rng.choice(values, n_rows)])
+        table = frames.TomogramTable(BASIS_TWO_QUBIT, ("m1", "m2", "theta1", "phi1", "theta2",
+                                                       "phi2", "value"), rows)
         csv = table.to_csv_string()
         assert csv == _loop_csv(table)
         assert csv.count("\n") == 1 + n_rows

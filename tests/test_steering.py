@@ -516,6 +516,22 @@ class TestWernerReport:
         assert report.steering.lhs == pytest.approx(0.0, abs=1e-14)
         assert report.steering.chsh_max == pytest.approx(0.0, abs=1e-12)
 
+    def test_correlation_zz_read_from_the_steering_check(self, grid_single, grid_pair,
+                                                           monkeypatch):
+        # E(z, z) is the direct form of the report's own steering check, the
+        # number a second correlation_direct call would give, bit for bit
+        sweep = np.linspace(-1 / 3, 1.0, 9)
+        want = [correlation_direct(werner(p), Z_AXIS, Z_AXIS) for p in sweep]
+        calls = []
+        direct = steering.correlation_direct
+        monkeypatch.setattr(steering, "correlation_direct",
+                            lambda *a: calls.append(a) or direct(*a))
+        for p, zz in zip(sweep, want):
+            report = werner_report(p, grid_pair, grid_single, n_spot_points=2)
+            assert type(report.correlation_zz) is float and report.correlation_zz == zz
+            assert report.correlation_zz == report.steering.correlation_forms["direct"]
+        assert calls == []
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             werner_report(1.5)
