@@ -115,14 +115,14 @@ def _check_projection(m, allowed, label):
     return m2 / 2.0
 
 
-class _FramePoint:
-    """Base of the frame point types. A point's row v of U is the cached
-    property ``_row``: built on the point's first read, kept read-only and
-    not a field, so equality, hash, repr, copies and pickles see the fields
-    only."""
+class _FieldState:
+    """Base of frozen dataclasses whose cached properties (a frame point's
+    read-only row v of U, ``_row``; a kernel point's two frame points) are
+    built on the first read and are not fields: equality, hash, repr, copies
+    and pickles see the fields only."""
 
     def __getstate__(self):
-        return {name: value for name, value in vars(self).items() if name != "_row"}
+        return {name: vars(self)[name] for name in self.__dataclass_fields__}
 
 
 def _read_only(values: list) -> np.ndarray:
@@ -132,7 +132,7 @@ def _read_only(values: list) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FramePoint2Q(_FramePoint):
+class FramePoint2Q(_FieldState):
     """Frame point of the two-qubit picture: projections and one rotation
     per qubit. The third Euler angle of each rotation is carried but does
     not enter the frame operators."""
@@ -154,7 +154,7 @@ class FramePoint2Q(_FramePoint):
 
 
 @dataclass(frozen=True)
-class FramePointQudit(_FramePoint):
+class FramePointQudit(_FieldState):
     """Frame point of the spin-3/2 picture: one projection, one rotation."""
 
     m: float
@@ -781,16 +781,18 @@ class TomogramTable:
     tiny negative roundoff to zero, the in-memory values stay untouched.
 
     :meth:`to_csv` writes the table in blocks of :data:`CSV_BLOCK_ROWS`
-    rows. A projection or angle column holds few distinct values, so each
-    distinct bit pattern of a key column is formatted once, with its
-    trailing comma (keeping -0.0 apart from 0.0), and gathered into the
-    block's rows by index. A block is one object array of cells per row:
-    the representation with its comma, the gathered key cells, the value's
-    ``repr`` and a newline; it is written as one join of its cells. The
-    output is exactly that of formatting every cell with
-    ``repr(float(x))``, the value as ``max(v, 0.0)`` when ``v >= -1e-12``
-    (so -0.0 and NaN pass through), and the memory it needs is bounded by
-    the block, not the table.
+    rows through one flat list of cells, ``len(columns) + 2`` per row: the
+    representation with its comma, the key cells, the value's ``repr`` and
+    a newline. The list is built once (again only for a shorter last block)
+    and carried from block to block; each block is written as one join of
+    it. A projection or angle column holds few distinct values and mostly
+    repeats the previous block's, so a key column is re-formatted only when
+    its bits differ from the previous block's: each distinct bit pattern is
+    then formatted once, with its trailing comma (keeping -0.0 apart from
+    0.0), and gathered into the column's cells by index. The output is
+    exactly that of formatting every cell with ``repr(float(x))``, the value
+    as ``max(v, 0.0)`` when ``v >= -1e-12`` (so -0.0 and NaN pass through),
+    and the memory it needs is bounded by the block, not the table.
     """
 
     representation: str
@@ -801,21 +803,24 @@ class TomogramTable:
         header = ("representation",) + self.columns
         stream.write(",".join(header) + "\n")
         rows = np.asarray(self.rows, dtype=np.float64)
+        width = len(self.columns) + 2  # representation, keys, value, newline
+        cells, previous = [], None
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[start:start + CSV_BLOCK_ROWS]
-            # representation, keys, value, newline
-            cells = np.empty((len(block), block.shape[1] + 2), dtype=object)
-            cells[:, 0] = self.representation + ","
-            for k, column in enumerate(block[:, :-1].T, 1):
-                bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-                text = np.array([repr(x) + "," for x in bits.view(np.float64).tolist()],
-                                dtype=object)
-                cells[:, k] = text[inverse]
+            bits = block[:, :-1].view(np.int64)
+            if len(cells) != width * len(block):  # first block, or a shorter last one
+                cells = ([self.representation + ","] + [""] * (width - 2) + ["\n"]) * len(block)
+            for k, column in enumerate(bits.T):
+                if previous is None or not np.array_equal(column, previous[:, k]):
+                    keys, inverse = np.unique(column, return_inverse=True)
+                    text = np.array([repr(x) + "," for x in keys.view(np.float64).tolist()],
+                                    dtype=object)
+                    cells[k + 1::width] = text[inverse].tolist()
+            previous = bits
             value = block[:, -1].copy()
             value[(value >= -1e-12) & (value < 0.0)] = 0.0
-            cells[:, -2] = list(map(repr, value.tolist()))
-            cells[:, -1] = "\n"
-            stream.write("".join(cells.ravel().tolist()))
+            cells[width - 2::width] = map(repr, value.tolist())
+            stream.write("".join(cells))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -835,6 +840,9 @@ def _validate_table(values_by_projection: np.ndarray) -> None:
 def tomogram_table(state, representation: str, grid: QuadratureGrid) -> TomogramTable:
     """Tomogram of ``state`` over every (projection, grid node) pair.
 
+    The row array is allocated once, shaped as the values (projections
+    before nodes) with a trailing column axis, and each key column is filled
+    by broadcasting the projections and the grid's sphere nodes into it.
     Raises ValueError when the table would exceed :data:`MAX_TABLE_ROWS`,
     before the picture's frame is built.
     """
@@ -848,24 +856,19 @@ def tomogram_table(state, representation: str, grid: QuadratureGrid) -> Tomogram
     values = values.transpose(*range(0, values.ndim, 2), *range(1, values.ndim, 2))
     _validate_table(values.reshape(4, -1))
     alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
-    n = len(alpha)
     if representation == BASIS_QUDIT:
-        k = len(QUDIT_PROJECTIONS)
         columns = ("m", "alpha", "beta")
-        keys = (np.repeat(QUDIT_PROJECTIONS, n), np.tile(alpha, k), np.tile(beta, k))
+        keys = (np.array(QUDIT_PROJECTIONS)[:, None], alpha, beta)
     else:
-        k = len(TWO_QUBIT_PROJECTIONS)
+        m = np.array(TWO_QUBIT_PROJECTIONS)
         columns = ("m1", "m2", "theta1", "phi1", "theta2", "phi2")
-        keys = (
-            np.repeat(TWO_QUBIT_PROJECTIONS, k * n * n),
-            np.tile(np.repeat(TWO_QUBIT_PROJECTIONS, n * n), k),
-            np.tile(np.repeat(beta, n), k * k),
-            np.tile(np.repeat(alpha, n), k * k),
-            np.tile(beta, k * k * n),
-            np.tile(alpha, k * k * n),
-        )
+        keys = (m[:, None, None, None], m[:, None, None], beta[:, None], alpha[:, None],
+                beta, alpha)
+    table = np.empty(values.shape + (len(keys) + 1,))
+    for k, column in enumerate(keys + (values,)):
+        table[..., k] = column
     return TomogramTable(representation=representation, columns=columns + ("value",),
-                         rows=np.column_stack(keys + (values.ravel(),)))
+                         rows=table.reshape(-1, table.shape[-1]))
 
 
 # --------------------------------------------------------------------------

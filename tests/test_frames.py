@@ -800,6 +800,81 @@ class TestTomogramTable:
         assert stream.lines == 1 + frames.MAX_TABLE_ROWS
         assert peak < 2**20
 
+    @staticmethod
+    def _repeating_table(n_rows):
+        # a qudit-shaped table whose every block repeats the first block's keys
+        block = frames.CSV_BLOCK_ROWS
+        rng = np.random.default_rng(n_rows)
+        head = np.column_stack([
+            rng.choice(QUDIT_PROJECTIONS, block),
+            rng.choice([0.0, pi / 3, 2.5], block),
+            rng.uniform(0, pi, block),
+            rng.uniform(-2e-12, 1.0, block),
+        ])
+        return frames.TomogramTable(BASIS_QUDIT, ("m", "alpha", "beta", "value"),
+                                    np.resize(head, (n_rows, 4)))
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("cell", [0, 517, 1023])
+    def test_csv_key_column_changed_in_one_cell(self, column, cell):
+        block = frames.CSV_BLOCK_ROWS
+        keys = self._repeating_table(block).rows[:, column]
+        # a value new to the column, and one it holds in another cell
+        for new_value in (1.25, keys[keys != keys[cell]][0]):
+            table = self._repeating_table(3 * block)
+            # only the second block's cell changes: the third block equals the first
+            table.rows[block + cell, column] = new_value
+            assert table.to_csv_string() == _loop_csv(table)
+
+    def test_csv_key_column_changed_in_zero_sign_only(self):
+        block = frames.CSV_BLOCK_ROWS
+        table = self._repeating_table(3 * block)
+        table.rows[:, 1] = 0.0
+        table.rows[block + 5, 1] = -0.0
+        csv = table.to_csv_string()
+        assert csv == _loop_csv(table)
+        assert csv.count(",-0.0,") == 1
+
+    def test_csv_key_column_changed_in_nan_payload_only(self):
+        block = frames.CSV_BLOCK_ROWS
+        payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                            dtype=np.uint64).view(np.float64)
+        for payload in payloads[1:]:
+            table = self._repeating_table(3 * block)
+            table.rows[:, 2] = payloads[0]
+            table.rows[block + 9, 2] = payload
+            assert table.to_csv_string() == _loop_csv(table)
+
+    @pytest.mark.parametrize("n_rows", [1025, 2049])
+    def test_csv_partial_last_block_repeating_keys(self, n_rows):
+        table = self._repeating_table(n_rows)
+        block = frames.CSV_BLOCK_ROWS
+        tail = n_rows - n_rows // block * block
+        assert table.rows[-tail:].tobytes() == table.rows[:tail].tobytes()
+        csv = table.to_csv_string()
+        assert csv == _loop_csv(table)
+        assert csv.count("\n") == 1 + n_rows
+
+    def test_csv_one_row_and_header_only(self):
+        columns = ("m", "alpha", "beta", "value")
+        one = frames.TomogramTable(BASIS_QUDIT, columns, np.array([[-0.5, 2.5, -0.0, 0.25]]))
+        assert one.to_csv_string() == _loop_csv(one)
+        assert one.to_csv_string().split("\n")[1] == "qudit_3_2,-0.5,2.5,-0.0,0.25"
+        empty = frames.TomogramTable(BASIS_QUDIT, columns, np.empty((0, 4)))
+        assert empty.to_csv_string() == _loop_csv(empty) == "representation,m,alpha,beta,value\n"
+
+    def test_csv_formats_a_key_column_only_when_it_changes(self, monkeypatch):
+        # 16 blocks of 1024 rows: the first formats all 6 key columns; after
+        # it phi1 changes at each of the 15 block boundaries, m2 at 3, m1 at 1
+        table = tomogram_table(werner(0.5), BASIS_TWO_QUBIT, make_grid(8, 8, spheres=2))
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        csv = table.to_csv_string()
+        monkeypatch.undo()
+        assert len(calls) == 6 + 15 + 3 + 1
+        assert csv == _loop_csv(table)
+
     @pytest.mark.parametrize("n_azimuth, n_polar", [(8, 8), (8, 12), (12, 8)])
     def test_rows_match_loop_order(self, n_azimuth, n_polar):
         rho = random_density(4, 34)
@@ -820,6 +895,39 @@ class TestTomogramTable:
                          for t in range(len(alpha))])
         rows = tomogram_table(rho, BASIS_TWO_QUBIT, grid).rows
         assert rows.dtype == loop.dtype and rows.tobytes() == loop.tobytes()
+
+    @staticmethod
+    def _stacked_rows(rho, representation, grid):
+        # the row array formed column by column with np.repeat, np.tile and np.column_stack
+        values = frames._analyze(rho.mat, representation, grid).real
+        values = values.transpose(*range(0, values.ndim, 2), *range(1, values.ndim, 2))
+        alpha, beta = grid.sphere_alpha(), grid.sphere_beta()
+        n = len(alpha)
+        if representation == BASIS_QUDIT:
+            keys = (np.repeat(QUDIT_PROJECTIONS, n), np.tile(alpha, 4), np.tile(beta, 4))
+        else:
+            keys = (
+                np.repeat(TWO_QUBIT_PROJECTIONS, 2 * n * n),
+                np.tile(np.repeat(TWO_QUBIT_PROJECTIONS, n * n), 2),
+                np.tile(np.repeat(beta, n), 4),
+                np.tile(np.repeat(alpha, n), 4),
+                np.tile(beta, 4 * n),
+                np.tile(alpha, 4 * n),
+            )
+        return np.column_stack(keys + (values.ravel(),))
+
+    @pytest.mark.parametrize("n_azimuth, n_polar, representation", [
+        (8, 8, BASIS_QUDIT), (8, 12, BASIS_QUDIT), (12, 8, BASIS_QUDIT),
+        (8, 8, BASIS_TWO_QUBIT), (8, 12, BASIS_TWO_QUBIT), (12, 8, BASIS_TWO_QUBIT),
+        (16, 16, BASIS_TWO_QUBIT),
+    ])
+    def test_rows_match_stacked_columns(self, n_azimuth, n_polar, representation):
+        rho = random_density(4, 35)
+        grid = make_grid(n_azimuth, n_polar, spheres=1 if representation == BASIS_QUDIT else 2)
+        rows = tomogram_table(rho, representation, grid).rows
+        stacked = self._stacked_rows(rho, representation, grid)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert rows.shape == stacked.shape and rows.tobytes() == stacked.tobytes()
 
     def test_values_match_pointwise_tomogram(self, grid_single):
         rho = random_density(4, 33)
