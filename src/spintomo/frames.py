@@ -115,14 +115,14 @@ def _check_projection(m, allowed, label):
     return m2 / 2.0
 
 
-class _FieldState:
-    """Base of frozen dataclasses whose cached properties (a frame point's
-    read-only row v of U, ``_row``; a kernel point's two frame points) are
-    built on the first read and are not fields: equality, hash, repr, copies
-    and pickles see the fields only."""
+class _FramePoint:
+    """Base of the frame point types. A point's row v of U is the cached
+    property ``_row``: built on the point's first read, kept read-only and
+    not a field, so equality, hash, repr, copies and pickles see the fields
+    only."""
 
     def __getstate__(self):
-        return {name: vars(self)[name] for name in self.__dataclass_fields__}
+        return {name: value for name, value in vars(self).items() if name != "_row"}
 
 
 def _read_only(values: list) -> np.ndarray:
@@ -132,7 +132,7 @@ def _read_only(values: list) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FramePoint2Q(_FieldState):
+class FramePoint2Q(_FramePoint):
     """Frame point of the two-qubit picture: projections and one rotation
     per qubit. The third Euler angle of each rotation is carried but does
     not enter the frame operators."""
@@ -154,7 +154,7 @@ class FramePoint2Q(_FieldState):
 
 
 @dataclass(frozen=True)
-class FramePointQudit(_FieldState):
+class FramePointQudit(_FramePoint):
     """Frame point of the spin-3/2 picture: one projection, one rotation."""
 
     m: float
@@ -781,9 +781,9 @@ class TomogramTable:
     tiny negative roundoff to zero, the in-memory values stay untouched.
 
     :meth:`to_csv` writes the table in blocks of :data:`CSV_BLOCK_ROWS`
-    rows through one flat list of cells, ``len(columns) + 2`` per row: the
-    representation with its comma, the key cells, the value's ``repr`` and
-    a newline. The list is built once (again only for a shorter last block)
+    rows through one flat list of cells, two more per row than the row has
+    columns: the representation with its comma, the key cells, the value's
+    ``repr`` and a newline. The list is built once (again only for a shorter last block)
     and carried from block to block; each block is written as one join of
     it. A projection or angle column holds few distinct values and mostly
     repeats the previous block's, so a key column is re-formatted only when
@@ -803,10 +803,10 @@ class TomogramTable:
         header = ("representation",) + self.columns
         stream.write(",".join(header) + "\n")
         rows = np.asarray(self.rows, dtype=np.float64)
-        width = len(self.columns) + 2  # representation, keys, value, newline
         cells, previous = [], None
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[start:start + CSV_BLOCK_ROWS]
+            width = block.shape[1] + 2  # representation, keys, value, newline
             bits = block[:, :-1].view(np.int64)
             if len(cells) != width * len(block):  # first block, or a shorter last one
                 cells = ([self.representation + ","] + [""] * (width - 2) + ["\n"]) * len(block)

@@ -48,7 +48,6 @@ the trace kernel taken point by point.
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass
-from functools import cached_property
 from math import pi, sqrt
 from types import SimpleNamespace
 
@@ -65,7 +64,6 @@ from .frames import (
     FramePoint2Q,
     FramePointQudit,
     QuadratureGrid,
-    _FieldState,
     _point_symbol,
     _real_trace,
     _sign_reading_factor,
@@ -77,10 +75,9 @@ from .frames import (
 
 
 @dataclass(frozen=True)
-class KernelPoint(_FieldState):
+class KernelPoint:
     """Full argument list of the conversion kernels: one qudit frame point
-    and one two-qubit frame point, built on first read and kept (see
-    :class:`spintomo.frames._FieldState`), so a held point reuses their rows."""
+    and one two-qubit frame point."""
 
     m: float
     m1: float
@@ -89,24 +86,22 @@ class KernelPoint(_FieldState):
     qubit1: EulerAngles
     qubit2: EulerAngles
 
-    @cached_property
     def qudit_point(self) -> FramePointQudit:
         return FramePointQudit(self.m, self.qudit)
 
-    @cached_property
     def pair_point(self) -> FramePoint2Q:
         return FramePoint2Q(self.m1, self.m2, self.qubit1, self.qubit2)
 
 
 def kernel_qudit_to_pair(point: KernelPoint) -> complex:
     """Trace-defined kernel converting a qudit tomogram to a two-qubit one."""
-    return complex(_point_symbol(quantizer_qudit(point.qudit_point), point.pair_point))
+    return complex(_point_symbol(quantizer_qudit(point.qudit_point()), point.pair_point()))
 
 
 def kernel_pair_to_qudit(point: KernelPoint) -> complex:
     """Trace-defined kernel for the inverse direction (two-qubit quantizer
     against the qudit dequantizer); independent of all third Euler angles."""
-    return complex(_point_symbol(quantizer_2q(point.pair_point), point.qudit_point))
+    return complex(_point_symbol(quantizer_2q(point.pair_point()), point.qudit_point()))
 
 
 def dual_kernels(point: KernelPoint) -> tuple[complex, complex]:

@@ -863,6 +863,13 @@ class TestTomogramTable:
         empty = frames.TomogramTable(BASIS_QUDIT, columns, np.empty((0, 4)))
         assert empty.to_csv_string() == _loop_csv(empty) == "representation,m,alpha,beta,value\n"
 
+    @pytest.mark.parametrize("columns", [("m", "alpha", "value"), ("m", "alpha", "beta", "gamma", "value")])
+    def test_csv_writes_every_row_cell_whatever_the_names(self, columns):
+        # the row width, not the column names, sets the cells of a row
+        rows = np.arange(4 * 1500, dtype=np.float64).reshape(-1, 4) % 7
+        table = frames.TomogramTable(BASIS_QUDIT, columns, rows)
+        assert table.to_csv_string() == _loop_csv(table)
+
     def test_csv_formats_a_key_column_only_when_it_changes(self, monkeypatch):
         # 16 blocks of 1024 rows: the first formats all 6 key columns; after
         # it phi1 changes at each of the 15 block boundaries, m2 at 3, m1 at 1

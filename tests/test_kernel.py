@@ -1,6 +1,3 @@
-import copy
-import dataclasses
-import pickle
 from math import cos, pi, sin
 
 import numpy as np
@@ -281,59 +278,6 @@ class TestDualKernels:
             assert abs(got.imag) < 1e-8
 
 
-class TestHeldKernelPoint:
-    """A KernelPoint builds its two frame points on their first read and
-    keeps them, outside its value."""
-
-    @staticmethod
-    def points(n=6):
-        rng = np.random.default_rng(53)
-        return [rand_kernel_point(rng) for _ in range(n)]
-
-    def test_kernels_equal_fresh_frame_points(self):
-        # the kernels as read from frame points built at each call
-        for point in self.points():
-            qudit = FramePointQudit(point.m, point.qudit)
-            pair = FramePoint2Q(point.m1, point.m2, point.qubit1, point.qubit2)
-            want = (complex(frames._point_symbol(quantizer_2q(pair), qudit)),
-                    complex(frames._point_symbol(quantizer_qudit(qudit), pair)))
-            for _ in range(2):  # the first call builds the points, the second reuses them
-                got = dual_kernels(point)
-                assert got == want
-                assert [x.real for x in got] == [x.real for x in want]
-                assert [x.imag for x in got] == [x.imag for x in want]
-
-    def test_second_call_builds_no_row(self, monkeypatch):
-        calls = []
-        point_row = frames._point_row
-        monkeypatch.setattr(frames, "_point_row", lambda *a: calls.append(a) or point_row(*a))
-        for point in self.points(3):
-            dual_kernels(point)
-            assert len(calls) == 3  # one qudit row, two qubit factor rows
-            dual_kernels(point)
-            kernel_qudit_to_pair(point), kernel_pair_to_qudit(point)
-            assert len(calls) == 3
-            calls.clear()
-
-    def test_frame_points_are_not_part_of_the_value(self):
-        for point in self.points(3):
-            fresh = dataclasses.replace(point)
-            state = pickle.dumps(fresh)
-            dual_kernels(point)
-            assert {"qudit_point", "pair_point"} <= set(vars(point))
-            assert point.qudit_point == FramePointQudit(point.m, point.qudit)
-            assert point.pair_point == FramePoint2Q(point.m1, point.m2, point.qubit1,
-                                                    point.qubit2)
-            assert point == fresh and hash(point) == hash(fresh)
-            assert repr(point) == repr(fresh)
-            assert dataclasses.asdict(point) == dataclasses.asdict(fresh)
-            assert pickle.dumps(point) == state
-            for twin in (copy.copy(point), pickle.loads(pickle.dumps(point))):
-                assert vars(twin) == vars(fresh)
-                assert twin == point and hash(twin) == hash(point)
-                assert dual_kernels(twin) == dual_kernels(point)
-
-
 class TestClosedFormKernel:
     def test_constant_term(self):
         rng = np.random.default_rng(53)
@@ -438,7 +382,7 @@ class TestPointReads:
         synth_pair = frames._synthesize(pair_values, BASIS_TWO_QUBIT, grid_pair)
         out = []
         for kp in TestPointReads.points():
-            q, p = kp.qudit_point, kp.pair_point
+            q, p = kp.qudit_point(), kp.pair_point()
             uq, up = dequantizer_qudit(q), dequantizer_2q(p)
             op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             out += [
@@ -476,8 +420,8 @@ class TestPointReads:
         reads = self.reads(grid_single, grid_pair)
         quantizers = {}
         for kp in self.points():
-            quantizers[kp.qudit_point] = quantizer_qudit(kp.qudit_point)
-            quantizers[kp.pair_point] = quantizer_2q(kp.pair_point)
+            quantizers[kp.qudit_point()] = quantizer_qudit(kp.qudit_point())
+            quantizers[kp.pair_point()] = quantizer_2q(kp.pair_point())
         expected = [read() for _, read, _ in reads]
 
         def disabled(*args):
@@ -493,7 +437,7 @@ class TestPointReads:
     @pytest.mark.parametrize("shape", ((2, 2), (3, 3), (4,), (4, 2), (4, 4, 4)))
     def test_wrong_shape_operator_rejected(self, shape):
         kp = self.points()[0]
-        for point in (kp.qudit_point, kp.pair_point):
+        for point in (kp.qudit_point(), kp.pair_point()):
             with pytest.raises(ValueError):
                 symbol(np.ones(shape), point)
             with pytest.raises(ValueError):
