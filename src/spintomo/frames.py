@@ -125,7 +125,7 @@ class _FramePoint:
         return {name: value for name, value in vars(self).items() if name != "_row"}
 
 
-def _read_only(values: list) -> np.ndarray:
+def _read_only(values) -> np.ndarray:
     v = np.array(values)
     v.flags.writeable = False
     return v
@@ -388,7 +388,7 @@ def _point_symbol(op: np.ndarray, point) -> complex:
     v = point._row
     if op.shape != (len(v), len(v)):
         raise ValueError(f"cannot read a {op.shape} operator at a {len(v)}-level frame point")
-    return np.vdot(v, v @ op)  # v op v^dag, vdot conjugating v
+    return np.vdot(v, np.dot(v, op))  # v op v^dag, vdot conjugating v
 
 
 # --------------------------------------------------------------------------
@@ -569,6 +569,10 @@ class _PictureFrame:
         order = np.argsort(_regroup(np.arange(dim * dim).reshape(dim, dim), *self.dims).ravel())
         self.gram = np.kron(first.gram, second.gram)[np.ix_(order, order)]
 
+    def closure(self, op: np.ndarray) -> np.ndarray:
+        """vec(op) G: the round trip of op through this picture's grid."""
+        return np.dot(op.reshape(-1), self.gram).reshape(op.shape)
+
 
 @lru_cache(maxsize=16)
 def _picture_frame(representation: str, n_azimuth: int, n_polar: int) -> _PictureFrame:
@@ -616,15 +620,14 @@ def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -
 def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
     """``_synthesize(_analyze(op))`` through the grid's Gram: the same linear
     map by associativity, vec(op) G."""
-    frame = _frame(representation, grid)
-    return (op.reshape(-1) @ frame.gram).reshape(op.shape)
+    return _frame(representation, grid).closure(op)
 
 
 def _closure_adjoint(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
     """The operator Y with Tr(op _closure(B)) = Tr(B Y) for every B: G vec(op^T),
     reshaped and transposed."""
     frame = _frame(representation, grid)
-    return (frame.gram @ op.T.reshape(-1)).reshape(op.shape).T
+    return np.dot(frame.gram, op.T.reshape(-1)).reshape(op.shape).T
 
 
 # --------------------------------------------------------------------------
@@ -879,11 +882,30 @@ def reconstruct_state(state, representation: str, grid: QuadratureGrid) -> np.nd
     equal up to summation order to the weighted sum of its tomogram values
     against the frame's quantizers. On a grid below the minimum node counts
     (``make_grid(..., enforce_minimum=False)``) it shows that grid's defects.
+
+    Returns a fresh array. Repeat reconstructions of the same matrix on the
+    same picture and grid are read from a small memo keyed by the matrix's
+    content, so a state mapped to many targets is reconstructed once.
     """
+    return _reconstruction(state, representation, grid).copy()
+
+
+def _reconstruction(state, representation: str, grid: QuadratureGrid) -> np.ndarray:
+    """The read-only reconstruction :func:`reconstruct_state` copies."""
     rho = _check_basis(state, representation)
+    _check_picture(representation, grid)
+    return _reconstruction_memo(rho.tobytes(), representation, grid.n_azimuth, grid.n_polar)
+
+
+# Keyed by content, not identity (a DensityMatrix's matrix can alias a caller's
+# array); four entries hold the reuse within one analysis of one state, no more.
+@lru_cache(maxsize=4)
+def _reconstruction_memo(key: bytes, representation: str, n_azimuth: int, n_polar: int):
+    rho = np.frombuffer(key, dtype=complex).reshape(4, 4)
     # the tomogram is Re Tr(rho U) = Tr(((rho + rho^dag) / 2) U) for Hermitian U;
     # the table operators are Hermitian to roundoff, not bit for bit
-    return _closure(0.5 * (rho + rho.conj().T), representation, grid)
+    frame = _picture_frame(representation, n_azimuth, n_polar)
+    return _read_only(frame.closure(0.5 * (rho + rho.conj().T)))
 
 
 def roundtrip_residual(state, representation: str, grid: QuadratureGrid) -> float:

@@ -31,9 +31,13 @@ two qubits), and synthesize them into that operator. The state maps never
 evaluate the state's tomogram on the grid: the operator is
 :func:`spintomo.frames.reconstruct_state`, which applies the grid's
 operator-space Gram to the state (same value, one 16 x 16 product instead
-of a pass over every node). They read the state's matrix once: a
-DensityMatrix, already checked when it was made, is not checked again,
-and a basis tag does not stop a state from mapping in either direction.
+of a pass over every node). It returns a fresh array; repeat
+reconstructions of the same matrix on the same picture and grid are read
+from a small memo keyed by the matrix's content, and the state maps read
+that memo directly, so a state mapped to many targets is reconstructed
+once. The state maps read the state's matrix once: a DensityMatrix,
+already checked when it was made, is not checked again, and a basis tag
+does not stop a state from mapping in either direction.
 
 The trace definition is authoritative. An explicit closed-form expression
 for the qudit-to-pair kernel is also implemented; it fails the cross-check
@@ -66,11 +70,11 @@ from .frames import (
     QuadratureGrid,
     _point_symbol,
     _real_trace,
+    _reconstruction,
     _sign_reading_factor,
     _synthesize,
     quantizer_2q,
     quantizer_qudit,
-    reconstruct_state,
 )
 
 
@@ -290,12 +294,12 @@ def _in_picture(state, representation: str):
 
 def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint2Q) -> float:
     """:func:`map_qudit_to_two_qubit` of a density matrix's own tomogram."""
-    rec = reconstruct_state(_in_picture(state, BASIS_QUDIT), BASIS_QUDIT, grid)
+    rec = _reconstruction(_in_picture(state, BASIS_QUDIT), BASIS_QUDIT, grid)
     return _read_against(rec, target, FramePoint2Q)
 
 
 def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid,
                                  target: FramePointQudit) -> float:
     """:func:`map_two_qubit_to_qudit` of a density matrix's own tomogram."""
-    rec = reconstruct_state(_in_picture(state, BASIS_TWO_QUBIT), BASIS_TWO_QUBIT, grid)
+    rec = _reconstruction(_in_picture(state, BASIS_TWO_QUBIT), BASIS_TWO_QUBIT, grid)
     return _read_against(rec, target, FramePointQudit)

@@ -48,7 +48,7 @@ def as_complex_matrix(m, dims=(2, 4)) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] not in dims:
         raise ValueError(f"unsupported dimension {a.shape[0]}, expected one of {dims}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -108,9 +108,10 @@ def validate_density(m, tol: float = HERMITICITY_TOL) -> ValidationReport:
 
 def _validation_report(a: np.ndarray, tol: float = HERMITICITY_TOL) -> ValidationReport:
     # the checks of validate_density on an already coerced array
-    herm_defect = float(np.abs(a - a.conj().T).max())
+    adjoint = a.conj().T
+    herm_defect = float(np.abs(a - adjoint).max())
     trace_defect = float(abs(a.trace() - 1.0))
-    herm_part = 0.5 * (a + a.conj().T)
+    herm_part = 0.5 * (a + adjoint)
     min_eig = float(np.linalg.eigvalsh(herm_part).min())
     return ValidationReport(
         hermiticity_defect=herm_defect,

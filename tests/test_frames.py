@@ -1144,6 +1144,98 @@ class TestGramClosure:
         assert peak_pairing < 2**20
 
 
+def _bits(x) -> bytes:
+    """The bytes of an array or scalar, so that -0.0 and 0.0 differ."""
+    return np.asarray(x).tobytes()
+
+
+def _closure_reference(op, representation, grid):
+    """vec(op) G with the ``@`` product, rebuilt from the picture's Gram."""
+    return (op.reshape(-1) @ frames._frame(representation, grid).gram).reshape(op.shape)
+
+
+PICTURES = [(BASIS_QUDIT, 1), (BASIS_TWO_QUBIT, 2)]
+
+
+class TestReconstructionMemo:
+    """``reconstruct_state`` reads a small memo keyed by the matrix's content
+    on the picture and grid; every value is the uncached closure's."""
+
+    @pytest.mark.parametrize("representation, spheres", PICTURES)
+    @pytest.mark.parametrize("nodes", [8, 16, 32])
+    def test_equals_the_uncached_closure_bit_for_bit(self, representation, spheres, nodes):
+        grid = make_grid(nodes, nodes, spheres=spheres)
+        for seed in range(16):
+            rho = random_density(4, 5000 + seed).mat
+            want = _closure_reference(0.5 * (rho + rho.conj().T), representation, grid)
+            for _ in range(2):  # a miss, then a hit
+                got = reconstruct_state(rho, representation, grid)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert _bits(got) == _bits(want)
+
+    def test_returns_a_fresh_writable_array(self, grid_pair):
+        rho = random_density(4, 5100)
+        first = reconstruct_state(rho, BASIS_TWO_QUBIT, grid_pair)
+        want = first.copy()
+        assert first.flags.writeable
+        first[:] = 7.0
+        second = reconstruct_state(rho, BASIS_TWO_QUBIT, grid_pair)
+        assert second is not first and second.flags.writeable
+        assert _bits(second) == _bits(want)
+        held = frames._reconstruction(rho, BASIS_TWO_QUBIT, grid_pair)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 0.0
+        assert _bits(held) == _bits(want)
+
+    @pytest.mark.parametrize("wrap", [DensityMatrix, np.asarray], ids=["DensityMatrix", "array"])
+    def test_a_matrix_changed_in_place_is_reconstructed_again(self, grid_single, wrap):
+        mat = random_density(4, 5200).mat.copy()
+        state = wrap(mat)
+        assert matcore.state_matrix(state) is mat  # the state aliases the caller's array
+        before = reconstruct_state(state, BASIS_QUDIT, grid_single)
+        new = random_density(4, 5201).mat
+        mat[:] = new
+        got = reconstruct_state(state, BASIS_QUDIT, grid_single)
+        assert _bits(got) == _bits(_closure_reference(0.5 * (new + new.conj().T),
+                                                      BASIS_QUDIT, grid_single))
+        assert _bits(got) != _bits(before)
+
+    def test_memo_stays_small(self, grid_single):
+        memo = frames._reconstruction_memo
+        memo.cache_clear()
+        for seed in range(300):
+            reconstruct_state(random_density(4, 6000 + seed), BASIS_QUDIT, grid_single)
+            assert memo.cache_info().currsize <= memo.cache_info().maxsize == 4
+        assert memo.cache_info().misses == 300
+
+
+class TestDotMatchesMatmul:
+    """The point read and both closures take their vector-matrix products
+    with ``np.dot``. They must give the bits of the ``@`` products, so a
+    numpy where the two differ fails here instead of moving a number."""
+
+    @pytest.mark.parametrize("representation, spheres", PICTURES)
+    @pytest.mark.parametrize("nodes", [8, 16, 32])
+    def test_closures_and_point_reads(self, representation, spheres, nodes):
+        grid = make_grid(nodes, nodes, spheres=spheres)
+        gram = frames._frame(representation, grid).gram
+        rng = np.random.default_rng(100 * nodes + spheres)
+        for _ in range(50):
+            op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            closed = frames._closure(op, representation, grid)
+            assert _bits(closed) == _bits((op.reshape(-1) @ gram).reshape(4, 4))
+            adjoint = frames._closure_adjoint(op, representation, grid)
+            assert _bits(adjoint) == _bits((gram @ op.T.reshape(-1)).reshape(4, 4).T)
+            points = (FramePointQudit(QUDIT_PROJECTIONS[rng.integers(4)], rand_angles(rng)),
+                      FramePoint2Q(TWO_QUBIT_PROJECTIONS[rng.integers(2)],
+                                   TWO_QUBIT_PROJECTIONS[rng.integers(2)],
+                                   rand_angles(rng), rand_angles(rng)))
+            for point in points:
+                v = point._row
+                for read in (op, closed, adjoint):
+                    assert _bits(frames._point_symbol(read, point)) == _bits(np.vdot(v, v @ read))
+
+
 # --------------------------------------------------------------------------
 # symbols and the trace pairing
 

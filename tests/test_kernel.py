@@ -3,7 +3,7 @@ from math import cos, pi, sin
 import numpy as np
 import pytest
 
-from spintomo import frames, kernel
+from spintomo import frames, kernel, steering
 from spintomo.kernel import (
     KernelPoint,
     closed_kernel_report,
@@ -33,7 +33,8 @@ from spintomo.frames import (
     symbol,
     tomogram,
 )
-from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, random_density, werner
+from spintomo.matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, random_density,
+                              werner)
 from spintomo.su2 import EulerAngles
 
 from frame_reference import node_values, tomogram_evaluator
@@ -442,3 +443,96 @@ class TestPointReads:
                 symbol(np.ones(shape), point)
             with pytest.raises(ValueError):
                 frames._point_symbol(np.ones(shape), point)
+
+
+# --------------------------------------------------------------------------
+# the state maps read the reconstruction memo
+
+def _mapped_reference(mat, representation, grid, target) -> float:
+    """A state map rebuilt from the picture's Gram with the ``@`` products:
+    the uncached reconstruction read at the target."""
+    op = 0.5 * (mat + mat.conj().T)
+    rec = (op.reshape(-1) @ frames._frame(representation, grid).gram).reshape(4, 4)
+    v = target._row
+    return float(np.vdot(v, v @ rec).real)
+
+
+def _rand_qudit_target(rng):
+    return FramePointQudit(QUDIT_PROJECTIONS[rng.integers(4)], rand_angles(rng))
+
+
+class TestStateMapMemo:
+    """Both state maps read the memoized reconstruction; a state mapped to
+    many targets is reconstructed once, and every value is the uncached
+    one."""
+
+    @staticmethod
+    def maps(grid_single, grid_pair, rng):
+        # (map, source picture, grid, target) for each direction
+        return ((map_state_qudit_to_two_qubit, BASIS_QUDIT, grid_single,
+                 rand_two_qubit_target(rng)),
+                (map_state_two_qubit_to_qudit, BASIS_TWO_QUBIT, grid_pair,
+                 _rand_qudit_target(rng)))
+
+    @pytest.mark.parametrize("nodes", [8, 16, 32])
+    def test_equal_the_uncached_maps_bit_for_bit(self, nodes):
+        single, pair = frames.make_grid(nodes, nodes), frames.make_grid(nodes, nodes, spheres=2)
+        rng = np.random.default_rng(nodes)
+        for seed in range(8):
+            rho = random_density(4, 7000 + seed)
+            for read, representation, grid, target in self.maps(single, pair, rng):
+                want = np.float64(_mapped_reference(rho.mat, representation, grid, target))
+                for _ in range(2):  # a miss, then a hit
+                    assert np.float64(read(rho, grid, target)).tobytes() == want.tobytes()
+
+    def test_a_state_tagged_with_the_other_basis_still_maps(self, grid_single, grid_pair):
+        mat = random_density(4, 7100).mat
+        rng = np.random.default_rng(7100)
+        for basis in (BASIS_QUDIT, BASIS_TWO_QUBIT):
+            tagged = DensityMatrix(mat, basis=basis)
+            for read, representation, grid, target in self.maps(grid_single, grid_pair, rng):
+                frames._reconstruction_memo.cache_clear()
+                assert read(tagged, grid, target) == _mapped_reference(mat, representation, grid,
+                                                                       target)
+
+    def test_a_matrix_changed_in_place_maps_again(self, grid_single, grid_pair):
+        mat = random_density(4, 7200).mat.copy()
+        state = DensityMatrix(mat)
+        assert state.mat is mat
+        rng = np.random.default_rng(7200)
+        for read, representation, grid, target in self.maps(grid_single, grid_pair, rng):
+            mat[:] = random_density(4, 7200).mat
+            read(state, grid, target)
+            mat[:] = random_density(4, 7201).mat
+            assert read(state, grid, target) == _mapped_reference(mat, representation, grid, target)
+
+    def test_one_analysis_reconstructs_each_picture_once(self):
+        # one state as a library caller analyses it at 16x16: both
+        # reconstructions, four maps each way and the steering report
+        pair, single = frames.make_grid(16, 16, spheres=2), frames.make_grid(16, 16)
+        rng = np.random.default_rng(7300)
+        state = DensityMatrix(random_density(4, 7300).mat)
+        memo = frames._reconstruction_memo
+        memo.cache_clear()
+        reconstruct_state(state, BASIS_TWO_QUBIT, pair)
+        reconstruct_state(state, BASIS_QUDIT, single)
+        for _ in range(4):
+            map_state_qudit_to_two_qubit(state, single, rand_two_qubit_target(rng))
+        for _ in range(4):
+            map_state_two_qubit_to_qudit(state, pair, _rand_qudit_target(rng))
+        steering.steering_check(state, np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.6, 0.8]),
+                                pair, single)
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (2, 8)
+
+    def test_a_state_mapped_to_every_node_is_reconstructed_once(self):
+        pair, small = frames.make_grid(8, 8, spheres=2), frames.make_grid(8, 8)
+        targets = [FramePointQudit(m, EulerAngles(a, b)) for m in QUDIT_PROJECTIONS
+                   for a, b in zip(small.sphere_alpha(), small.sphere_beta())]
+        state = random_density(4, 7400)
+        memo = frames._reconstruction_memo
+        memo.cache_clear()
+        for target in targets:
+            map_state_two_qubit_to_qudit(state, pair, target)
+        info = memo.cache_info()
+        assert (len(targets), info.misses, info.hits) == (256, 1, 255)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spintomo import matcore
+from spintomo.frames import FramePointQudit, dequantizer_qudit, make_grid
 from spintomo.matcore import (
     DensityMatrix,
     kron,
@@ -13,6 +16,7 @@ from spintomo.matcore import (
     werner,
     werner_matrix,
 )
+from spintomo.su2 import EulerAngles
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -116,6 +120,61 @@ class TestValidateDensity:
     def test_reports_never_raise(self):
         report = validate_density(np.ones((4, 4)))
         assert not report.passed
+
+
+def validation_reference(a, tol=matcore.HERMITICITY_TOL):
+    """The report's fields with the adjoint taken once per use."""
+    herm_defect = float(np.abs(a - a.conj().T).max())
+    trace_defect = float(abs(a.trace() - 1.0))
+    min_eig = float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min())
+    return (herm_defect, trace_defect, min_eig,
+            herm_defect <= tol, trace_defect <= tol, min_eig >= -matcore.PSD_TOL)
+
+
+def edge_state():
+    """Inside the PSD tolerance, with a tomogram value of -5e-11 at the first
+    node of the 8x8 qudit grid (the CLI's numerical-refusal state)."""
+    grid = make_grid(8, 8)
+    point = FramePointQudit(1.5, EulerAngles(grid.azimuth[0], grid.polar[0]))
+    _, vectors = np.linalg.eigh(dequantizer_qudit(point))
+    phi, psi = vectors[:, -1], vectors[:, 0]
+    eps = 5e-11
+    return (1 + eps) * np.outer(psi, psi.conj()) - eps * np.outer(phi, phi.conj())
+
+
+class TestValidationFields:
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(44)
+        yield from (random_density(dim, seed).mat for dim in (2, 4) for seed in range(20))
+        yield from (werner_matrix(p) for p in (-1 / 3, 0.0, 0.5, 1.0, 1.2, -0.5))
+        yield edge_state()
+        yield from (np.eye(4), np.ones((4, 4)), np.diag([1.0, -0.5, 0.25, 0.25]))
+        for _ in range(10):  # neither Hermitian nor of unit trace
+            yield rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+    def test_every_field_equals_the_reference_bit_for_bit(self):
+        for a in self.matrices():
+            report = validate_density(a)
+            got = tuple(getattr(report, f.name) for f in dataclasses.fields(report))
+            want = validation_reference(matcore.as_complex_matrix(a))
+            assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+
+    @pytest.mark.parametrize("entries", [
+        [complex(np.nan, 0.0)], [complex(0.0, np.nan)], [complex(np.inf, 0.0)],
+        [complex(-np.inf, 0.0)], [complex(0.0, np.inf)], [complex(0.0, -np.inf)],
+        [complex(np.nan, np.inf)], [complex(np.nan, 0.0), complex(0.0, -np.inf)],
+    ], ids=["nan", "nan_imag", "inf", "-inf", "inf_imag", "-inf_imag", "nan_inf", "two_cells"])
+    def test_nonfinite_entries_rejected(self, entries):
+        m = np.eye(4, dtype=complex) / 4
+        for k, x in enumerate(entries):
+            m[1, 2 + k] = x
+        for check in (matcore.as_complex_matrix, validate_density, DensityMatrix):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                check(m)
+        if all(x.imag == 0 for x in entries):  # the same cells in a real array
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                matcore.as_complex_matrix(m.real)
 
 
 class TestRandomDensity:
