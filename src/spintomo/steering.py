@@ -3,9 +3,7 @@
 The correlation function of a 4x4 state along unit directions k1, k2 is
 E(k1, k2) = Tr[(k1.sigma (x) k2.sigma) rho]. E is bilinear in the
 directions through the 3x3 correlation tensor T_ij = Tr(rho sigma_i (x)
-sigma_j): E = k1^T T k2. T is one contraction S R S^T of the
-factor-regrouped state R, the frames' a1 R a2^T with Pauli rows for frame
-tables.
+sigma_j): E = k1^T T k2.
 
 E is computed four ways: directly, through the two-qubit frame in both
 symbol/dual orders, and through the spin-3/2 frame. Every form is
@@ -15,19 +13,21 @@ of the product observable b = (k1.sigma) (x) (k2.sigma) with it: X_f is
 the state for the direct form, the state's grid closure when the state
 takes the symbol side of the frame pairing, and the adjoint closure Y
 (Tr(rho closure(b)) = Tr(b Y)) when the state takes the dual side. All
-four agree to quadrature accuracy, which is the computational content of
-treating the two pictures as equivalent; on an exact grid each T_f is T to
+four agree to quadrature accuracy; on an exact grid each T_f is T to
 roundoff. No form builds the product observable or runs the frame
 pairing, which stay public as the definitions the forms are tested
 against.
 
-The largest value of E over direction pairs is the top singular value of
-T; the CHSH maximum is the Horodecki closed form 2*sqrt(s1^2 + s2^2) over
-the two largest singular values. Both are exact; a steering report takes
-them from one SVD. The deterministic direction search
+Each form's nine cells are one product vec(X_f) P with a constant 16x9
+matrix P of Pauli products, read into Python numbers once. All that
+follows is scalar arithmetic on at most 36 numbers: the imaginary-part
+checks, E_f, the sums of T, the maximizing directions and CHSH, so a value
+takes the same operations whichever function or report reads it. The
+largest E over direction pairs is the top singular value of T, and the
+CHSH maximum is the Horodecki closed form 2*sqrt(s1^2 + s2^2) over the two
+largest singular values; a steering report takes both from one SVD.
 :func:`max_correlation_grid` stays as an independent check of the first;
-the tests check the second against a brute-force search over the same
-directions.
+the tests check the second against a brute-force search.
 
 The steering inequality evaluated here reads
 
@@ -41,36 +41,28 @@ by itself single out a steerable subdomain.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI, IDENTITY_2, _kron, pauli_dot, werner
+from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI, IDENTITY_2, DensityMatrix, _kron,
+                      pauli_dot, werner)
 from .su2 import EulerAngles, as_direction
-from .frames import (
-    QUDIT_PROJECTIONS,
-    TWO_QUBIT_PROJECTIONS,
-    FramePoint2Q,
-    FramePointQudit,
-    QuadratureGrid,
-    _closure,
-    _closure_adjoint,
-    _four_by_four,
-    make_grid,
-    tomogram,
-    werner_qudit_tomogram_closed,
-    werner_two_qubit_tomogram_closed,
-)
+from .frames import (QUDIT_PROJECTIONS, TWO_QUBIT_PROJECTIONS, FramePoint2Q, FramePointQudit,
+                     QuadratureGrid, _closure, _closure_adjoint, _four_by_four, make_grid,
+                     tomogram, werner_qudit_tomogram_closed, werner_two_qubit_tomogram_closed)
 from .kernel import map_state_qudit_to_two_qubit, map_state_two_qubit_to_qudit
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
-# Tr(A sigma) = vec(A) . vec(sigma^T)
-_PAULI_ROWS = np.array([sigma.T.ravel() for sigma in PAULI])
+# P, column 3i + j vec((sigma_i (x) sigma_j)^T): Tr(A B) = vec(A) . vec(B^T), so
+# vec(X) P holds the cells Tr(X sigma_i (x) sigma_j) of X's tensor row by row
+_PAULI_PAIRS = np.array([_kron(s, t).T.ravel() for s in PAULI for t in PAULI]).T
 
 VARIANT_SYMBOL_DUAL = "symbol_dual"    # symbol of the observable, dual symbol of the state
 VARIANT_DUAL_SYMBOL = "dual_symbol"    # symbol of the state, dual symbol of the observable
@@ -118,14 +110,9 @@ def product_observable(k1, k2) -> ObservableTriple:
     Squares to the identity for unit directions, so its eigenvalues are
     +-1 (each twice) and |E| <= 1 for any state.
     """
-    k1 = as_direction(k1)
-    k2 = as_direction(k2)
-    a, b = pauli_dot(k1), pauli_dot(k2)
-    return ObservableTriple(
-        first=_kron(a, IDENTITY_2),
-        second=_kron(IDENTITY_2, b),
-        product=_kron(a, b),
-    )
+    a, b = pauli_dot(as_direction(k1)), pauli_dot(as_direction(k2))
+    return ObservableTriple(first=_kron(a, IDENTITY_2), second=_kron(IDENTITY_2, b),
+                            product=_kron(a, b))
 
 
 #: Each correlation form's operator X_f(rho, grid_pair, grid_single): the
@@ -144,38 +131,67 @@ _FORMS = tuple(_FORM_OPERATORS)
 _VARIANT_FORMS = {VARIANT_SYMBOL_DUAL: "tomo_2q_a", VARIANT_DUAL_SYMBOL: "tomo_2q_b"}
 
 
+def _form_cells(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None = None,
+                grid_single: QuadratureGrid | None = None) -> list:
+    """The nine complex cells of each form's tensor T_f = Tr(X_f sigma_i (x)
+    sigma_j), row by row: one product vec(X_f) P per form."""
+    return [np.dot(_FORM_OPERATORS[form](rho, grid_pair, grid_single).ravel(),
+                   _PAULI_PAIRS).tolist() for form in forms]
+
+
 def _form_tensors(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None = None,
                   grid_single: QuadratureGrid | None = None) -> np.ndarray:
-    """The complex tensors T_f = Tr(X_f sigma_i (x) sigma_j) of the forms, a
-    (len(forms), 3, 3) stack: S R S^T on each factor-regrouped X_f."""
-    ops = np.array([_FORM_OPERATORS[form](rho, grid_pair, grid_single) for form in forms])
-    regrouped = ops.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-    return _PAULI_ROWS @ regrouped @ _PAULI_ROWS.T
+    """The complex tensors of the forms as a (len(forms), 3, 3) stack."""
+    return np.array(_form_cells(rho, forms, grid_pair, grid_single)).reshape(-1, 3, 3)
 
 
-def _form_values(tensors: np.ndarray, forms: tuple, k1: np.ndarray, k2: np.ndarray) -> dict:
-    """E_f = k1^T T_f k2 of each form, a float; the direct form's imaginary
-    part must vanish to 1e-12. Each value takes the same operations
-    whichever forms are read with it."""
-    values = ((tensors @ k2) * k1).sum(axis=-1).tolist()
-    for form, value in zip(forms, values):
+def _form_values(cells: list, forms: tuple, k1: list, k2: list) -> dict:
+    """E_f = k1^T T_f k2 of each form from its nine cells, a float; the
+    direct form's imaginary part must vanish to 1e-12."""
+    (x, y, z), (a, b, c) = k1, k2
+    values = {}
+    for form, t in zip(forms, cells):
+        value = (x * (t[0] * a + t[1] * b + t[2] * c) + y * (t[3] * a + t[4] * b + t[5] * c)
+                 + z * (t[6] * a + t[7] * b + t[8] * c))
         if form == "direct" and abs(value.imag) > 1e-12:
             raise ArithmeticError(f"correlation has imaginary part {value.imag:.3e}")
-    return {form: value.real for form, value in zip(forms, values)}
+        values[form] = value.real
+    return values
 
 
 def _forms(state, k1, k2, forms: tuple, grid_pair: QuadratureGrid | None = None,
            grid_single: QuadratureGrid | None = None) -> dict:
     """The named forms of E(k1, k2) for a state, by :func:`_form_values`."""
-    rho = _four_by_four(state)
-    k1, k2 = as_direction(k1), as_direction(k2)
-    return _form_values(_form_tensors(rho, forms, grid_pair, grid_single), forms, k1, k2)
+    cells = _form_cells(_four_by_four(state), forms, grid_pair, grid_single)
+    return _form_values(cells, forms, as_direction(k1).tolist(), as_direction(k2).tolist())
 
 
-def _real_tensor(t: np.ndarray) -> np.ndarray:
-    if np.abs(t.imag).max() > 1e-12:
-        raise ArithmeticError("correlation tensor entry not real")
-    return t.real + 0.0  # a zero entry prints as 0.0, never -0.0
+def _real_cells(cells: list) -> list:
+    """A tensor's nine cells as floats: each finite, with an imaginary part
+    of at most 1e-12."""
+    for x in cells:
+        if not isfinite(x):
+            raise ValueError("correlation tensor entries must be finite")
+        if abs(x.imag) > 1e-12:
+            raise ArithmeticError("correlation tensor entry not real")
+    return [x.real + 0.0 for x in cells]  # a zero entry prints as 0.0, never -0.0
+
+
+def _given_cells(t) -> list:
+    """The cells of a tensor passed as an array-like, under :func:`_real_cells`."""
+    t = np.asarray(t)
+    if t.shape != (3, 3) or t.dtype.kind not in "biufc":
+        raise ValueError("correlation tensor must be a numeric 3x3 array")
+    return _real_cells(t.ravel().tolist())
+
+
+def _state_cells(state) -> list:
+    """The real cells of a state's correlation tensor T, its direct form."""
+    return _real_cells(_form_cells(_four_by_four(state), ("direct",))[0])
+
+
+def _tensor_array(t: list) -> np.ndarray:
+    return np.array([t[0:3], t[3:6], t[6:9]])
 
 
 def correlation_direct(state, k1, k2) -> float:
@@ -202,9 +218,9 @@ def correlation_tomographic_qudit(state, k1, k2, grid: QuadratureGrid) -> float:
 
 
 def correlation_tensor(state) -> np.ndarray:
-    """T_ij = Tr(rho sigma_i (x) sigma_j), a real 3x3 matrix: S R S^T on the
-    factor-regrouped state R, with rows S_i = vec(sigma_i^T)."""
-    return _real_tensor(_form_tensors(_four_by_four(state), ("direct",))[0])
+    """T_ij = Tr(rho sigma_i (x) sigma_j), a real 3x3 matrix: the cells
+    vec(rho) P of the direct form."""
+    return _tensor_array(_state_cells(state))
 
 
 # --------------------------------------------------------------------------
@@ -226,30 +242,35 @@ def max_correlation(t) -> tuple[float, np.ndarray, np.ndarray]:
 
     Returns (value, k1, k2) with value >= 0. Degenerate top singular
     spaces are tie-broken deterministically by picking the
-    lexicographically largest maximizing direction.
+    lexicographically largest maximizing direction. T is any array-like of
+    shape (3, 3) with finite entries (else ValueError) whose imaginary
+    parts are at most 1e-12 (else ArithmeticError).
     """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3):
-        raise ValueError("correlation tensor must be 3x3")
-    return _max_correlation(t, np.linalg.svd(t))
+    cells = _given_cells(t)
+    value, k1, k2 = _max_correlation(cells, _svd(_tensor_array(cells)))
+    return value, np.array(k1), np.array(k2)
 
 
-def _max_correlation(t: np.ndarray, svd) -> tuple[float, np.ndarray, np.ndarray]:
-    u, s, _ = svd
-    s = s.tolist()
+def _svd(t: np.ndarray) -> list:
+    """T's SVD [u, s, vt] as lists, the one array call both maxima read."""
+    return [a.tolist() for a in np.linalg.svd(t)]
+
+
+def _max_correlation(t: list, svd) -> tuple[float, list, list]:
+    (u0, u1, u2), s, _ = svd
     if s[0] <= 1e-300:
-        k1 = X_AXIS.copy()
-        return 0.0, k1, k1.copy()
-    degenerate = [x >= s[0] * (1.0 - 1e-9) for x in s]
-    if sum(degenerate) == 1:
-        k1 = u[:, 0]
-        if (-k1).tolist() > k1.tolist():
-            k1 = -k1
+        return 0.0, X_AXIS.tolist(), X_AXIS.tolist()
+    top = s[0] * (1.0 - 1e-9)
+    if s[1] < top:  # one top singular value (s is sorted): the larger of +-u1
+        k1 = max([u0[0], u1[0], u2[0]], [-u0[0], -u1[0], -u2[0]])
     else:
-        k1 = _lexicographic_unit(u[:, degenerate])
-    k2 = t.T @ k1
-    k2 /= sqrt(k2.dot(k2))  # np.linalg.norm's arithmetic
-    return float(k1 @ t @ k2), k1, k2
+        k1 = _lexicographic_unit(np.array(svd[0])[:, [x >= top for x in s]]).tolist()
+    a, b, c = k1  # w = T^T k1
+    w0, w1, w2 = (a * t[0] + b * t[3] + c * t[6], a * t[1] + b * t[4] + c * t[7],
+                  a * t[2] + b * t[5] + c * t[8])
+    norm = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    k2 = [w0 / norm, w1 / norm, w2 / norm]
+    return w0 * k2[0] + w1 * k2[1] + w2 * k2[2], k1, k2
 
 
 def sphere_directions() -> np.ndarray:
@@ -298,12 +319,8 @@ def max_correlation_grid(t) -> float:
 
 def chsh_value(state, a, b, c, d) -> float:
     """The four-direction combination E(a,b) + E(a,c) + E(d,b) - E(d,c)."""
-    return (
-        correlation_direct(state, a, b)
-        + correlation_direct(state, a, c)
-        + correlation_direct(state, d, b)
-        - correlation_direct(state, d, c)
-    )
+    return (correlation_direct(state, a, b) + correlation_direct(state, a, c)
+            + correlation_direct(state, d, b) - correlation_direct(state, d, c))
 
 
 @dataclass(frozen=True)
@@ -317,31 +334,32 @@ class ChshResult:
 def chsh_max(state_or_tensor) -> ChshResult:
     """Maximum CHSH combination over four directions, in closed form.
 
-    Accepts a state or its real 3x3 correlation tensor T. With singular
+    Accepts a state or its correlation tensor T, any real array-like of
+    shape (3, 3) (entries as in :func:`max_correlation`). With singular
     values s1 >= s2 >= s3 and singular vectors u_i, v_i of T the maximum is
     2*sqrt(s1^2 + s2^2) (Horodecki, Horodecki & Horodecki, Phys. Lett. A
     200, 340 (1995)). It is attained at a = u1, d = u2 and
     b, c = cos(chi) v1 +- sin(chi) v2 with chi = atan2(s2, s1); for T = 0
     all four directions are the x axis.
     """
-    if isinstance(state_or_tensor, np.ndarray) and state_or_tensor.shape == (3, 3) \
-            and not np.iscomplexobj(state_or_tensor):
-        t = np.asarray(state_or_tensor, dtype=float)
-    else:
-        t = correlation_tensor(state_or_tensor)
-    return _chsh_max(np.linalg.svd(t))
+    given = not isinstance(state_or_tensor, DensityMatrix) and np.shape(state_or_tensor) == (3, 3)
+    t = _given_cells(state_or_tensor) if given else _state_cells(state_or_tensor)
+    return _chsh_max(_svd(_tensor_array(t)))
+
+
+def _chsh_bound(s: list) -> float:
+    return 2.0 * sqrt(s[0] ** 2 + s[1] ** 2)
 
 
 def _chsh_max(svd) -> ChshResult:
     u, s, vt = svd
-    s1, s2, _ = s.tolist()
-    value = 2.0 * sqrt(s1 ** 2 + s2 ** 2)
+    value = _chsh_bound(s)
     if value > 0:
-        chi = atan2(s2, s1)
+        chi = atan2(s[1], s[0])
         c, d = cos(chi), sin(chi)
-        v1, v2, _ = vt.tolist()
-        directions = (u[:, 0].tolist(), [c * x + d * y for x, y in zip(v1, v2)],
-                      [c * x - d * y for x, y in zip(v1, v2)], u[:, 1].tolist())
+        v1, v2, _ = vt
+        directions = ([row[0] for row in u], [c * x + d * y for x, y in zip(v1, v2)],
+                      [c * x - d * y for x, y in zip(v1, v2)], [row[1] for row in u])
     else:
         directions = (X_AXIS.tolist(),) * 4
     return ChshResult(value=value, directions=dict(zip("abcd", map(list, directions))))
@@ -378,8 +396,7 @@ def correlation_forms(state, k1, k2, grid_pair: QuadratureGrid,
 
 
 def _form_spread(forms: dict) -> float:
-    values = list(forms.values())
-    return max(abs(x - y) for x in values for y in values)
+    return max(abs(x - y) for x in forms.values() for y in forms.values())
 
 
 @lru_cache(maxsize=2)
@@ -403,30 +420,22 @@ def steering_check(state, k1=Z_AXIS, k2=Z_AXIS,
     """
     grid_pair = _default_grid(2) if grid_pair is None else grid_pair
     grid_single = _default_grid(1) if grid_single is None else grid_single
-    tensors = _form_tensors(_four_by_four(state), _FORMS, grid_pair, grid_single)
-    t = _real_tensor(tensors[0])  # the direct form's tensor is T
-    k1, k2 = as_direction(k1), as_direction(k2)
-    forms = _form_values(tensors, _FORMS, k1, k2)
-    svd = np.linalg.svd(t)  # one SVD for both maxima
+    cells = _form_cells(_four_by_four(state), _FORMS, grid_pair, grid_single)
+    t = _real_cells(cells[0])  # the direct form's tensor is T
+    forms = _form_values(cells, _FORMS, as_direction(k1).tolist(), as_direction(k2).tolist())
+    tensor = _tensor_array(t)
+    svd = _svd(tensor)  # one SVD for both maxima
     lhs, d1, d2 = _max_correlation(t, svd)
-    chsh = _chsh_max(svd).value
-    rhs_all = 2.0 / 3.0 * float(t.sum())
-    notes = [NOTE_SUM_READINGS]
-    if p is not None:
-        notes.append(NOTE_WERNER_DOMAIN)
+    chsh = _chsh_bound(svd[1])
+    # the sums in numpy's order for nine and three entries
+    rhs_all = 2.0 / 3.0 * ((((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7])))
+                           + t[8])
+    notes = (NOTE_SUM_READINGS,) if p is None else (NOTE_SUM_READINGS, NOTE_WERNER_DOMAIN)
     return SteeringReport(
-        p=p,
-        tensor=t,
-        lhs=lhs,
-        rhs_all_entries=rhs_all,
-        rhs_diagonal=2.0 / 3.0 * float(t.trace()),
-        inequality_holds=lhs >= rhs_all,
-        chsh_max=chsh,
-        bell_violated=chsh > 2.0,
-        correlation_forms=forms,
-        max_directions={"k1": d1.tolist(), "k2": d2.tolist()},
-        notes=tuple(notes),
-    )
+        p=p, tensor=tensor, lhs=lhs, rhs_all_entries=rhs_all,
+        rhs_diagonal=2.0 / 3.0 * ((t[0] + t[4]) + t[8]), inequality_holds=lhs >= rhs_all,
+        chsh_max=chsh, bell_violated=chsh > 2.0, correlation_forms=forms,
+        max_directions={"k1": d1, "k2": d2}, notes=notes)
 
 
 @dataclass(frozen=True)
@@ -442,13 +451,10 @@ class WernerReport:
     notes: tuple
 
     def as_dict(self) -> dict:
-        out = self.steering.as_dict()
-        out["correlation_zz"] = self.correlation_zz
-        out["correlation_form_spread"] = self.correlation_form_spread
-        out["tomogram_spot_checks"] = self.tomogram_spot_checks
-        out["kernel_mapping_residual"] = self.kernel_mapping_residual
-        out["notes"] = list(self.notes)
-        return out
+        return {**self.steering.as_dict(), "correlation_zz": self.correlation_zz,
+                "correlation_form_spread": self.correlation_form_spread,
+                "tomogram_spot_checks": self.tomogram_spot_checks,
+                "kernel_mapping_residual": self.kernel_mapping_residual, "notes": list(self.notes)}
 
 
 def werner_report(p: float, grid_pair: QuadratureGrid | None = None,
@@ -467,10 +473,7 @@ def werner_report(p: float, grid_pair: QuadratureGrid | None = None,
     report = steering_check(state, Z_AXIS, Z_AXIS, grid_pair, grid_single, p=p)
     rng = np.random.default_rng(97)  # the same spot-check points on every call
 
-    qudit_dev = 0.0
-    pair_dev = 0.0
-    map_dev_q2p = 0.0
-    map_dev_p2q = 0.0
+    qudit_dev = pair_dev = map_dev_q2p = map_dev_p2q = 0.0
     for _ in range(n_spot_points):
         alpha, beta = rng.uniform(0, 2 * pi), rng.uniform(0, pi)
         for m in QUDIT_PROJECTIONS:
@@ -495,14 +498,10 @@ def werner_report(p: float, grid_pair: QuadratureGrid | None = None,
         correlation_zz=report.correlation_forms["direct"],
         steering=report,
         correlation_form_spread=_form_spread(report.correlation_forms),
-        tomogram_spot_checks={
-            "qudit_closed_form_max_dev": float(qudit_dev),
-            "two_qubit_closed_form_max_dev": float(pair_dev),
-            "n_points": n_spot_points,
-        },
-        kernel_mapping_residual={
-            "qudit_to_two_qubit": float(map_dev_q2p),
-            "two_qubit_to_qudit": float(map_dev_p2q),
-        },
+        tomogram_spot_checks={"qudit_closed_form_max_dev": float(qudit_dev),
+                              "two_qubit_closed_form_max_dev": float(pair_dev),
+                              "n_points": n_spot_points},
+        kernel_mapping_residual={"qudit_to_two_qubit": float(map_dev_q2p),
+                                 "two_qubit_to_qudit": float(map_dev_p2q)},
         notes=tuple(list(report.notes) + [NOTE_ZZ_RESTRICTION]),
     )

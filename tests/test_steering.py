@@ -539,3 +539,161 @@ class TestWernerReport:
     def test_serializable(self, grid_single, grid_pair):
         import json
         json.dumps(werner_report(0.3, grid_pair, grid_single, n_spot_points=2).as_dict())
+
+
+class TestTensorInputs:
+    """max_correlation and chsh_max read a tensor through one shared check."""
+
+    def test_complex_tensor_rejected(self):
+        t = np.diag([0.5, -0.5, 0.5]).astype(complex)
+        t[0, 1] = 0.3j
+        with pytest.raises(ArithmeticError, match="correlation tensor entry not real"):
+            max_correlation(t)
+        with pytest.raises(ArithmeticError, match="correlation tensor entry not real"):
+            chsh_max(t)
+
+    def test_roundoff_imaginary_part_accepted(self):
+        t = np.diag([0.5, -0.5, 0.5]) + 1e-13j
+        assert max_correlation(t)[0] == max_correlation(t.real)[0]
+        assert chsh_max(t).value == chsh_max(t.real).value
+
+    def test_identity_list_is_a_tensor(self):
+        result = chsh_max([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert result.value == pytest.approx(2 * sqrt(2), abs=1e-14)
+        assert result.value == chsh_max(np.eye(3)).value
+        assert max_correlation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        t = np.diag([0.5, -0.5, 0.5]).astype(complex if isinstance(bad, complex) else float)
+        t[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            max_correlation(t)
+        with pytest.raises(ValueError, match="finite"):
+            chsh_max(t)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="3x3"):
+            max_correlation(np.eye(2))
+        with pytest.raises(ValueError, match="3x3"):
+            max_correlation([["a"] * 3] * 3)
+
+
+_PAULI_ROWS = np.array([sigma.T.ravel() for sigma in PAULI])
+
+
+def _reference_max_correlation(t):
+    """The SVD maximum with numpy products throughout, and its tie-break."""
+    u, s, _ = np.linalg.svd(t)
+    if s[0] <= 1e-300:
+        return 0.0, X_AXIS.copy(), X_AXIS.copy()
+    degenerate = s >= s[0] * (1.0 - 1e-9)
+    if degenerate.sum() == 1:
+        k1 = u[:, 0]
+        if (-k1).tolist() > k1.tolist():
+            k1 = -k1
+    else:
+        projector = u[:, degenerate] @ u[:, degenerate].T
+        k1 = next(c / np.linalg.norm(c) for c in (projector @ np.eye(3)[i] for i in range(3))
+                  if np.linalg.norm(c) > 1e-12)
+    k2 = t.T @ k1
+    k2 /= sqrt(k2.dot(k2))
+    return float(k1 @ t @ k2), k1, k2
+
+
+def reference_report(rho, k1, k2, pair, single):
+    """Every report field through S R S^T on the factor-regrouped operators
+    and numpy reductions."""
+    forms = steering._FORMS
+    ops = np.array([steering._FORM_OPERATORS[f](rho, pair, single) for f in forms])
+    regrouped = ops.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    tensors = _PAULI_ROWS @ regrouped @ _PAULI_ROWS.T
+    t = tensors[0].real + 0.0
+    lhs, d1, d2 = _reference_max_correlation(t)
+    s = np.linalg.svd(t, compute_uv=False)
+    chsh = 2.0 * sqrt(s[0] ** 2 + s[1] ** 2)
+    rhs_all = 2.0 / 3.0 * float(t.sum())
+    return {
+        "tensor": t, "lhs": lhs, "rhs_all_entries": rhs_all,
+        "rhs_diagonal": 2.0 / 3.0 * float(t.trace()), "inequality_holds": lhs >= rhs_all,
+        "chsh_max": chsh, "bell_violated": chsh > 2.0,
+        "correlation_forms": dict(zip(forms, ((tensors @ k2) * k1).sum(axis=-1).real.tolist())),
+        "max_directions": {"k1": d1.tolist(), "k2": d2.tolist()},
+    }
+
+
+class TestOnePath:
+    """Every correlation quantity takes the same operations whichever
+    function or report reads it."""
+
+    @staticmethod
+    def cases(nodes):
+        rng = np.random.default_rng(9400 + nodes)
+        cases = [(random_density(4, 9500 + seed).mat, random_unit(rng), random_unit(rng))
+                 for seed in range(200)]
+        cases += [(werner(p).mat, random_unit(rng), random_unit(rng))
+                  for p in np.linspace(-1 / 3, 1.0, 13)]
+        return cases
+
+    @pytest.mark.parametrize("nodes", [8, 16, 32])
+    def test_report_reads_the_public_functions_bit_for_bit(self, nodes):
+        pair, single = make_grid(nodes, nodes, spheres=2), make_grid(nodes, nodes, spheres=1)
+        for rho, k1, k2 in self.cases(nodes):
+            report = steering_check(rho, k1, k2, pair, single)
+            forms = report.correlation_forms
+            assert forms == correlation_forms(rho, k1, k2, pair, single)
+            assert forms == {
+                "direct": correlation_direct(rho, k1, k2),
+                "tomo_2q_a": correlation_tomographic_two_qubit(rho, k1, k2, pair,
+                                                               VARIANT_SYMBOL_DUAL),
+                "tomo_2q_b": correlation_tomographic_two_qubit(rho, k1, k2, pair,
+                                                               VARIANT_DUAL_SYMBOL),
+                "tomo_qudit": correlation_tomographic_qudit(rho, k1, k2, single),
+            }
+            np.testing.assert_array_equal(report.tensor, correlation_tensor(rho))
+            assert report.chsh_max == chsh_max(rho).value
+            lhs, d1, d2 = max_correlation(correlation_tensor(rho))
+            assert report.lhs == lhs
+            assert report.max_directions == {"k1": d1.tolist(), "k2": d2.tolist()}
+
+    def test_one_svd_per_report(self, monkeypatch, grid_single, grid_pair):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        states = [random_density(4, 9600 + seed).mat for seed in range(5)]
+        states += [werner(p).mat for p in (-1 / 3, 0.0, 0.5, 1.0)] + [np.eye(4) / 4]
+        for rho in states:
+            calls.clear()
+            steering_check(rho, X_AXIS, Z_AXIS, grid_pair, grid_single)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("nodes", [8, 16, 32])
+    def test_matches_the_regrouped_contraction(self, nodes):
+        pair, single = make_grid(nodes, nodes, spheres=2), make_grid(nodes, nodes, spheres=1)
+        for rho, k1, k2 in self.cases(nodes):
+            report = steering_check(rho, k1, k2, pair, single)
+            want = reference_report(rho, k1, k2, pair, single)
+            np.testing.assert_allclose(report.tensor, want["tensor"], rtol=0, atol=1e-14)
+            for key in ("lhs", "rhs_all_entries", "rhs_diagonal", "chsh_max"):
+                assert abs(getattr(report, key) - want[key]) <= 1e-14, key
+            for key in ("inequality_holds", "bell_violated"):
+                assert getattr(report, key) == want[key], key
+            for form, value in want["correlation_forms"].items():
+                assert abs(report.correlation_forms[form] - value) <= 1e-14, form
+            for side in ("k1", "k2"):
+                np.testing.assert_allclose(report.max_directions[side],
+                                           want["max_directions"][side], rtol=0, atol=1e-14)
+
+    def test_tie_broken_directions_unchanged(self, grid_single, grid_pair):
+        for p in np.linspace(-1 / 3, 1.0, 13):
+            rho = werner(p).mat
+            report = steering_check(rho, Z_AXIS, Z_AXIS, grid_pair, grid_single)
+            assert report.max_directions == reference_report(
+                rho, Z_AXIS, Z_AXIS, grid_pair, grid_single)["max_directions"]
+        tensors = [np.zeros((3, 3))] + [np.diag([a, a, 0.0]) for a in (0.7, -0.3, 1e-3)]
+        for t in tensors:
+            value, k1, k2 = max_correlation(t)
+            want_value, want_k1, want_k2 = _reference_max_correlation(t)
+            assert value == want_value
+            assert k1.tolist() == want_k1.tolist() and k2.tolist() == want_k2.tolist()
