@@ -17,7 +17,9 @@ operator U^dag |m><m| U agrees with the table bit for bit. A point value
 needs no operator: Tr(A U) = v A v^dag, v the point's row of U (for two
 qubits the Kronecker product of the factor rows). A point builds v on its
 first read and keeps it, read-only, so every later read of the same point
-is one vector-matrix product.
+is one vector-matrix product. A :class:`PointSet` builds the rows of many
+points in one pass over the d^j plan; its values are one product W vec(A),
+each row of W being v (x) conj(v).
 
 The quantizer is the canonical dual D(x) = S^-1 U(x), S = int |U(x)><U(x)|
 being the frame superoperator. S is 8 pi^2 / (2L+1) on multipole rank L,
@@ -71,8 +73,8 @@ import numpy as np
 
 from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES,
                       DensityMatrix, _kron, random_density, state_matrix, werner)
-from .su2 import (EulerAngles, _wigner_d_cells, _wigner_d_values, spin_projections, twice,
-                  wigner_d_matrix)
+from .su2 import (EulerAngles, _wigner_d_cells, _wigner_d_plan, _wigner_d_values, jacobi_poly,
+                  spin_projections, twice, wigner_d_matrix)
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
 QUDIT_PROJECTIONS = (1.5, 0.5, -0.5, -1.5)
@@ -299,6 +301,72 @@ def _point_row(j: float, m: float, angles: EulerAngles) -> list:
     """Row m of U at one rotation, row m of d^j times the phases, as scalars."""
     cells = _wigner_d_values(round(2 * j), angles.polar, round(j - m))
     return [d * e for d, e in zip(cells, _phases(j, angles.azimuth))]
+
+
+def _set_rows(j: float, m: np.ndarray, azimuth: np.ndarray, polar: np.ndarray) -> np.ndarray:
+    """:func:`_point_row` at arrays of projections and angles: the whole d^j
+    plan's direct pairs evaluated once over all points, each row gathered."""
+    j2 = round(2 * j)
+    terms, cells = _wigner_d_plan(j2, None)
+    c, s, x = np.cos(polar / 2.0), np.sin(polar / 2.0), np.cos(polar)
+    values = np.array([pref * c ** b * s ** a * jacobi_poly(n, a, b, x) for pref, n, a, b in terms])
+    pos, sign = zip(*cells)
+    d = (values[list(pos)] * np.array(sign)[:, None]).reshape(j2 + 1, j2 + 1, -1)
+    phases = np.exp(1j * np.multiply.outer(pi - azimuth if j == 0.5 else azimuth, _projections(j)))
+    return d[np.rint(j - m).astype(int), :, np.arange(len(m))] * phases
+
+
+#: A point set's picture by point type: basis, spin, projections, label per sphere.
+_SET_PICTURES = {FramePointQudit: (BASIS_QUDIT, 1.5, QUDIT_PROJECTIONS, ("m",)),
+                 FramePoint2Q: (BASIS_TWO_QUBIT, 0.5, TWO_QUBIT_PROJECTIONS, ("m1", "m2"))}
+
+
+class PointSet:
+    """n frame points of one picture, read as one matrix product.
+
+    ``picture`` is the point type, :class:`FramePointQudit` or
+    :class:`FramePoint2Q`. Projections ``m`` and the ``azimuth`` and
+    ``polar`` angles broadcast together into the set's ``shape``; for two
+    qubits they carry a last axis of length 2 over the qubits. They are
+    checked as the point constructors check them. ``rows`` stacks each
+    point's row v of U, ``functionals`` the vectors w = v (x) conj(v), so
+    Tr(A U(x)) = w . vec(A) at every point at once.
+    """
+
+    def __init__(self, picture, m, azimuth, polar):
+        if picture not in _SET_PICTURES:
+            raise TypeError("picture must be FramePoint2Q or FramePointQudit")
+        self.picture, (self.basis, j, allowed, labels) = picture, _SET_PICTURES[picture]
+        m, azimuth, polar = np.broadcast_arrays(np.asarray(m), np.asarray(azimuth, dtype=float),
+                                                np.asarray(polar, dtype=float))
+        if len(labels) == 2 and m.shape[-1:] != (2,):
+            raise ValueError("a two-qubit point set needs a last axis of length 2 (the qubits)")
+        self.shape = m.shape[:m.ndim + 1 - len(labels)]
+        m = m.ravel()
+        m2 = 2.0 * m.astype(float)
+        r2 = np.rint(m2)
+        bad = (abs(m2 - r2) > 1e-9) | (abs(r2) > 2 * j) | ((r2 + 2 * j) % 2 != 0)
+        if bad.any():  # the first bad projection raises as the point constructors do
+            i = bad.argmax()
+            _check_projection(m[i].item(), allowed, labels[i % len(labels)])
+        for name, angle in (("azimuth", azimuth), ("polar", polar)):
+            if not np.isfinite(angle).all():  # the first one, as EulerAngles reports it
+                bad = angle[~np.isfinite(angle)][0]
+                raise ValueError(f"angle {name} must be finite, got {bad}")
+        polar = np.minimum(np.maximum(polar.ravel(), 0.0), pi)  # clamped as EulerAngles does
+        v = _set_rows(j, r2 / 2.0, azimuth.ravel(), polar).reshape(-1, len(labels), len(allowed))
+        if len(labels) == 2:  # the Kronecker product of the qubit rows
+            v = (v[:, 0, :, None] * v[:, 1, None, :]).reshape(-1, 1, 4)
+        self.rows = v = v[:, 0]
+        self.functionals = (v[:, :, None] * v.conj()[:, None, :]).reshape(-1, 16)
+
+    def read(self, op: np.ndarray, tol: float, what: str = "trace") -> np.ndarray:
+        """Re Tr(op U(x)) at every point, W vec(op) in the set's shape, after
+        :func:`_real_trace`'s check of the largest imaginary residue."""
+        values = np.dot(self.functionals, op.reshape(-1))
+        if values.size:
+            _real_trace(values[np.abs(values.imag).argmax()], tol, what)
+        return values.real.reshape(self.shape)
 
 
 @lru_cache(maxsize=8)
@@ -772,6 +840,14 @@ def tomogram(state, point) -> float:
     """
     basis, _ = _point_picture(point)
     return _real_trace(_point_symbol(_check_basis(state, basis), point), 1e-12)
+
+
+def tomograms(state, points: PointSet) -> np.ndarray:
+    """:func:`tomogram` at every point of a set, Re W vec(rho), in the set's
+    shape, with the same checks."""
+    if not isinstance(points, PointSet):
+        raise TypeError("points must be a PointSet")
+    return points.read(_check_basis(state, points.basis), 1e-12)
 
 
 @dataclass(frozen=True)

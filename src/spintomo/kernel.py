@@ -35,7 +35,8 @@ of a pass over every node). It returns a fresh array; repeat
 reconstructions of the same matrix on the same picture and grid are read
 from a small memo keyed by the matrix's content, and the state maps read
 that memo directly, so a state mapped to many targets is reconstructed
-once. The state maps read the state's matrix once: a DensityMatrix,
+once; at a :class:`~spintomo.frames.PointSet` every target is read in one
+product W vec(A). The state maps read the state's matrix once: a DensityMatrix,
 already checked when it was made, is not checked again, and a basis tag
 does not stop a state from mapping in either direction.
 
@@ -51,7 +52,7 @@ the trace kernel taken point by point.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from math import pi, sqrt
 from types import SimpleNamespace
 
@@ -67,6 +68,7 @@ from .frames import (
     TWO_QUBIT_PROJECTIONS,
     FramePoint2Q,
     FramePointQudit,
+    PointSet,
     QuadratureGrid,
     _point_symbol,
     _real_trace,
@@ -207,9 +209,11 @@ def _random_kernel_point(rng) -> KernelPoint:
 def _stacked(points) -> KernelPoint:
     """The points as one KernelPoint of coordinate arrays, each rotation a
     namespace of azimuth and polar arrays (all closed_kernel_terms reads)."""
-    m, m1, m2, *rotations = (np.array(c) for c in zip(*map(astuple, points)))
-    return KernelPoint(m, m1, m2, *(SimpleNamespace(azimuth=r[:, 0], polar=r[:, 1])
-                                    for r in rotations))
+    m, m1, m2, *angles = np.array([(p.m, p.m1, p.m2, p.qudit.azimuth, p.qudit.polar,
+                                    p.qubit1.azimuth, p.qubit1.polar, p.qubit2.azimuth,
+                                    p.qubit2.polar) for p in points]).T
+    return KernelPoint(m, m1, m2, *(SimpleNamespace(azimuth=a, polar=b)
+                                    for a, b in zip(angles[::2], angles[1::2])))
 
 
 def closed_kernel_report(n_points: int = 100, seed: int = 515) -> ClosedKernelReport:
@@ -256,10 +260,15 @@ def closed_kernel_report(n_points: int = 100, seed: int = 515) -> ClosedKernelRe
 # --------------------------------------------------------------------------
 # tomogram mapping
 
-def _read_against(rec: np.ndarray, target, picture: type) -> float:
-    # a point of the other picture would read the source tomogram, not map it
-    if not isinstance(target, picture):
-        raise TypeError(f"target must be a {picture.__name__}, got {type(target).__name__}")
+def _read_against(rec: np.ndarray, target, picture: type):
+    # a point of the other picture would read the source tomogram, not map it;
+    # a PointSet of the picture reads all its points in one product
+    points = isinstance(target, PointSet)
+    kind = target.picture if points else type(target)
+    if not issubclass(kind, picture):
+        raise TypeError(f"target must be a {picture.__name__}, got {kind.__name__}")
+    if points:
+        return target.read(rec, 1e-10, "mapped tomogram")
     return _real_trace(_point_symbol(rec, target), 1e-10, "mapped tomogram")
 
 
@@ -292,14 +301,17 @@ def _in_picture(state, representation: str):
     return state
 
 
-def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid, target: FramePoint2Q) -> float:
-    """:func:`map_qudit_to_two_qubit` of a density matrix's own tomogram."""
+def map_state_qudit_to_two_qubit(state, grid: QuadratureGrid,
+                                 target: FramePoint2Q | PointSet) -> float | np.ndarray:
+    """:func:`map_qudit_to_two_qubit` of a density matrix's own tomogram; at a
+    two-qubit :class:`~spintomo.frames.PointSet`, W vec(closure(rho))."""
     rec = _reconstruction(_in_picture(state, BASIS_QUDIT), BASIS_QUDIT, grid)
     return _read_against(rec, target, FramePoint2Q)
 
 
 def map_state_two_qubit_to_qudit(state, grid: QuadratureGrid,
-                                 target: FramePointQudit) -> float:
-    """:func:`map_two_qubit_to_qudit` of a density matrix's own tomogram."""
+                                 target: FramePointQudit | PointSet) -> float | np.ndarray:
+    """:func:`map_two_qubit_to_qudit` of a density matrix's own tomogram; at a
+    qudit :class:`~spintomo.frames.PointSet`, W vec(closure(rho))."""
     rec = _reconstruction(_in_picture(state, BASIS_TWO_QUBIT), BASIS_TWO_QUBIT, grid)
     return _read_against(rec, target, FramePointQudit)

@@ -23,7 +23,6 @@ from .matcore import (
     MIN_AZIMUTH_NODES,
     MIN_POLAR_NODES,
     random_density,
-    state_matrix,
     werner,
 )
 from .su2 import EulerAngles
@@ -102,42 +101,40 @@ def _timed(fn, ctx) -> CriterionResult:
 # --------------------------------------------------------------------------
 # criteria
 
+#: Every projection of each picture, the two-qubit ones as (m1, m2) pairs.
+_QUDIT_MS = np.array(frames.QUDIT_PROJECTIONS)
+_PAIR_MS = np.array([(m1, m2) for m1 in frames.TWO_QUBIT_PROJECTIONS
+                     for m2 in frames.TWO_QUBIT_PROJECTIONS])
+
+
+def _projection_sets(qudit: np.ndarray, pair: np.ndarray) -> tuple:
+    """Point sets over every projection (axis 0) at qudit rotations (..., 2)
+    and two-qubit rotations (..., 2, 2), each rotation (azimuth, polar)."""
+    ones = (1,) * (qudit.ndim - 1)
+    return (frames.PointSet(frames.FramePointQudit, _QUDIT_MS.reshape(4, *ones), qudit[..., 0],
+                            qudit[..., 1]),
+            frames.PointSet(frames.FramePoint2Q, _PAIR_MS.reshape(4, *ones, 2), pair[..., 0],
+                            pair[..., 1]))
+
+
 @_criterion(1, 'frame completeness & tomogram normalization', budget_seconds=1.0)
 def criterion_completeness(ctx: SelftestContext) -> tuple[bool, dict]:
     """1: frame completeness and tomogram normalization."""
     rng = ctx.rng(1)
-    worst_complete = 0.0
-    for _ in range(100):
-        n = _random_angles(rng)
-        total = sum(
-            frames.dequantizer_qudit(frames.FramePointQudit(m, n))
-            for m in frames.QUDIT_PROJECTIONS
-        )
-        worst_complete = max(worst_complete, np.abs(total - np.eye(4)).max())
-        n2 = _random_angles(rng)
-        total = sum(
-            frames.dequantizer_2q(frames.FramePoint2Q(m1, m2, n, n2))
-            for m1 in frames.TWO_QUBIT_PROJECTIONS
-            for m2 in frames.TWO_QUBIT_PROJECTIONS
-        )
-        worst_complete = max(worst_complete, np.abs(total - np.eye(4)).max())
+    # at each rotation the dequantizers U sum to I over the projections; a
+    # point's functional v (x) conj(v) is vec(U^T), so the functionals sum to vec(I)
+    rotations = rng.uniform(0, (2 * pi, pi), (100, 2, 2))  # per draw: n, then n2
+    worst_complete = max(
+        np.abs(points.functionals.reshape(4, 100, 16).sum(axis=0) - np.eye(4).ravel()).max()
+        for points in _projection_sets(rotations[:, 0], rotations))
+    rotations = rng.uniform(0, (2 * pi, pi), (20, 5, 3, 2))  # per state and draw: nq, na, nb
+    sets = _projection_sets(rotations[:, :, 0], rotations[:, :, 1:])
     worst_norm = 0.0
     for k in range(20):
         rho = random_density(4, ctx.seed + 100 + k)
-        for _ in range(5):
-            nq = _random_angles(rng)
-            total = sum(
-                frames.tomogram(rho, frames.FramePointQudit(m, nq))
-                for m in frames.QUDIT_PROJECTIONS
-            )
-            worst_norm = max(worst_norm, abs(total - 1.0))
-            na, nb = _random_angles(rng), _random_angles(rng)
-            total = sum(
-                frames.tomogram(rho, frames.FramePoint2Q(m1, m2, na, nb))
-                for m1 in frames.TWO_QUBIT_PROJECTIONS
-                for m2 in frames.TWO_QUBIT_PROJECTIONS
-            )
-            worst_norm = max(worst_norm, abs(total - 1.0))
+        for points in sets:
+            total = frames.tomograms(rho, points)[:, k].sum(axis=0)
+            worst_norm = max(worst_norm, np.abs(total - 1.0).max())
     passed = worst_complete <= 1e-12 and worst_norm <= 1e-12
     return passed, {"max_completeness_defect": float(worst_complete),
                     "max_normalization_defect": float(worst_norm)}
@@ -183,49 +180,43 @@ def criterion_reconstruction_qudit(ctx: SelftestContext) -> tuple[bool, dict]:
 @_criterion(4, 'Werner qudit tomogram closed forms')
 def criterion_werner_qudit_closed_forms(ctx: SelftestContext) -> tuple[bool, dict]:
     """4: Werner qudit tomogram vs closed forms, plus exact beta=0 values."""
-    rng = ctx.rng(4)
-    worst = 0.0
-    for p in (-1.0 / 3.0, 0.0, 0.5, 1.0):
+    rotations = ctx.rng(4).uniform(0, (2 * pi, pi), (4, 20, 2))  # 20 (alpha, beta) per p
+    points = frames.PointSet(frames.FramePointQudit, _QUDIT_MS[:, None, None],
+                             rotations[..., 0], rotations[..., 1])
+    origin = frames.PointSet(frames.FramePointQudit, _QUDIT_MS, 0.7, 0.0)
+    worst = worst_origin = 0.0
+    for k, p in enumerate((-1.0 / 3.0, 0.0, 0.5, 1.0)):
         rho = werner(p)
-        for _ in range(20):
-            alpha, beta = rng.uniform(0, 2 * pi), rng.uniform(0, pi)
-            for m in frames.QUDIT_PROJECTIONS:
-                direct = frames.tomogram(rho, frames.FramePointQudit(m, EulerAngles(alpha, beta)))
-                closed = frames.werner_qudit_tomogram_closed(m, p, alpha, beta)
-                worst = max(worst, abs(direct - closed))
-    worst_origin = 0.0
-    for p in (-1.0 / 3.0, 0.0, 0.5, 1.0):
-        rho = werner(p)
-        for m in frames.QUDIT_PROJECTIONS:
-            direct = frames.tomogram(rho, frames.FramePointQudit(m, EulerAngles(0.7, 0.0)))
-            expected = (1.0 + p) / 4.0 if abs(m) == 1.5 else (1.0 - p) / 4.0
-            worst_origin = max(worst_origin, abs(direct - expected))
+        closed = [[frames.werner_qudit_tomogram_closed(m, p, alpha, beta)
+                   for alpha, beta in rotations[k].tolist()] for m in frames.QUDIT_PROJECTIONS]
+        worst = max(worst, np.abs(frames.tomograms(rho, points)[:, k] - closed).max())
+        expected = np.where(abs(_QUDIT_MS) == 1.5, (1.0 + p) / 4.0, (1.0 - p) / 4.0)
+        worst_origin = max(worst_origin, np.abs(frames.tomograms(rho, origin) - expected).max())
     passed = worst <= 1e-10 and worst_origin <= 1e-12
     return passed, {"max_closed_form_dev": float(worst), "max_beta0_dev": float(worst_origin)}
 
 
 @_criterion(5, 'kernel intertwining (both directions)', budget_seconds=30.0)
 def criterion_kernel_intertwining(ctx: SelftestContext) -> tuple[bool, dict]:
-    """5: kernel-mapped tomograms match direct tomograms, both directions."""
+    """5: kernel-mapped tomograms match direct tomograms, both directions,
+    for every state at every target."""
     rng = ctx.rng(5)
     states = [random_density(4, ctx.seed + 500 + k) for k in range(50)]
     states += [werner(p) for p in (-1.0 / 3.0, 0.0, 1.0 / 3.0, 1.0)]
-    worst_q2p = 0.0
-    worst_p2q = 0.0
+    # per state: a two-qubit target (m1, m2, n1, n2), then a qudit target (m, n)
+    draws = np.array([(rng.integers(2), rng.integers(2), *rng.uniform(0, (2 * pi, pi, 2 * pi, pi)),
+                       rng.integers(4), *rng.uniform(0, (2 * pi, pi))) for _ in states])
+    qubit_ms = np.array(frames.TWO_QUBIT_PROJECTIONS)
+    targets = frames.PointSet(frames.FramePoint2Q, qubit_ms[draws[:, :2].astype(int)],
+                              draws[:, [2, 4]], draws[:, [3, 5]])
+    qtargets = frames.PointSet(frames.FramePointQudit, _QUDIT_MS[draws[:, 6].astype(int)],
+                               draws[:, 7], draws[:, 8])
+    worst_q2p = worst_p2q = 0.0
     for rho in states:
-        target = frames.FramePoint2Q(
-            frames.TWO_QUBIT_PROJECTIONS[rng.integers(2)],
-            frames.TWO_QUBIT_PROJECTIONS[rng.integers(2)],
-            _random_angles(rng), _random_angles(rng),
-        )
-        mapped = kernel.map_state_qudit_to_two_qubit(rho, ctx.grid_single, target)
-        direct = frames.tomogram(state_matrix(rho), target)
-        worst_q2p = max(worst_q2p, abs(mapped - direct))
-        qtarget = frames.FramePointQudit(
-            frames.QUDIT_PROJECTIONS[rng.integers(4)], _random_angles(rng))
-        mapped = kernel.map_state_two_qubit_to_qudit(rho, ctx.grid_pair, qtarget)
-        direct = frames.tomogram(state_matrix(rho), qtarget)
-        worst_p2q = max(worst_p2q, abs(mapped - direct))
+        mapped = kernel.map_state_qudit_to_two_qubit(rho, ctx.grid_single, targets)
+        worst_q2p = max(worst_q2p, np.abs(mapped - frames.tomograms(rho.mat, targets)).max())
+        mapped = kernel.map_state_two_qubit_to_qudit(rho, ctx.grid_pair, qtargets)
+        worst_p2q = max(worst_p2q, np.abs(mapped - frames.tomograms(rho.mat, qtargets)).max())
     passed = worst_q2p <= 1e-8 and worst_p2q <= 1e-8
     return passed, {"max_residual_qudit_to_pair": float(worst_q2p),
                     "max_residual_pair_to_qudit": float(worst_p2q),
@@ -338,17 +329,13 @@ def criterion_no_signaling(ctx: SelftestContext) -> tuple[bool, dict]:
     for k in range(5):
         rho = random_density(4, ctx.seed + 1100 + k)
         m1 = frames.TWO_QUBIT_PROJECTIONS[rng.integers(2)]
-        n1 = _random_angles(rng)
-        base = None
-        for _ in range(20):
-            n2 = _random_angles(rng)
-            marginal = sum(
-                frames.tomogram(rho, frames.FramePoint2Q(m1, m2, n1, n2))
-                for m2 in frames.TWO_QUBIT_PROJECTIONS
-            )
-            if base is None:
-                base = marginal
-            worst_marginal = max(worst_marginal, abs(marginal - base))
+        n1 = rng.uniform(0, (2 * pi, pi))
+        n2 = rng.uniform(0, (2 * pi, pi), (20, 2))
+        rotations = np.stack([np.broadcast_to(n1, n2.shape), n2], axis=1)  # (20, qubit, angle)
+        pairs = [[(m1, m2)] for m2 in frames.TWO_QUBIT_PROJECTIONS]
+        points = frames.PointSet(frames.FramePoint2Q, pairs, rotations[..., 0], rotations[..., 1])
+        marginal = frames.tomograms(rho, points).sum(axis=0)  # over m2, at each n2
+        worst_marginal = max(worst_marginal, np.abs(marginal - marginal[0]).max())
     worst_third = 0.0
     for k in range(5):
         rho = random_density(4, ctx.seed + 1150 + k)

@@ -50,10 +50,11 @@ import numpy as np
 
 from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI, IDENTITY_2, DensityMatrix, _kron,
                       pauli_dot, werner)
-from .su2 import EulerAngles, as_direction
+from .su2 import as_direction
 from .frames import (QUDIT_PROJECTIONS, TWO_QUBIT_PROJECTIONS, FramePoint2Q, FramePointQudit,
-                     QuadratureGrid, _closure, _closure_adjoint, _four_by_four, make_grid,
-                     tomogram, werner_qudit_tomogram_closed, werner_two_qubit_tomogram_closed)
+                     PointSet, QuadratureGrid, _closure, _closure_adjoint, _four_by_four,
+                     make_grid, tomograms, werner_qudit_tomogram_closed,
+                     werner_two_qubit_tomogram_closed)
 from .kernel import map_state_qudit_to_two_qubit, map_state_two_qubit_to_qudit
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -305,11 +306,13 @@ def max_correlation_grid(t) -> float:
     best = float(values[i, j])
     for _ in range(60):
         v = t @ k2
-        if np.linalg.norm(v) > 1e-15:
-            k1 = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-15:
+            k1 = v / norm
         v = t.T @ k1
-        if np.linalg.norm(v) > 1e-15:
-            k2 = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-15:
+            k2 = v / norm
         best = max(best, float(k1 @ t @ k2))
     return best
 
@@ -318,9 +321,13 @@ def max_correlation_grid(t) -> float:
 # CHSH
 
 def chsh_value(state, a, b, c, d) -> float:
-    """The four-direction combination E(a,b) + E(a,c) + E(d,b) - E(d,c)."""
-    return (correlation_direct(state, a, b) + correlation_direct(state, a, c)
-            + correlation_direct(state, d, b) - correlation_direct(state, d, c))
+    """The four-direction combination E(a,b) + E(a,c) + E(d,b) - E(d,c): each
+    E as :func:`correlation_direct` reads it, from T's cells read once."""
+    cells = _form_cells(_four_by_four(state), ("direct",))
+    a, b, c, d = (as_direction(k).tolist() for k in (a, b, c, d))
+    ab, ac, db, dc = (_form_values(cells, ("direct",), k1, k2)["direct"]
+                      for k1, k2 in ((a, b), (a, c), (d, b), (d, c)))
+    return ab + ac + db - dc
 
 
 @dataclass(frozen=True)
@@ -472,26 +479,22 @@ def werner_report(p: float, grid_pair: QuadratureGrid | None = None,
     state = werner(p)
     report = steering_check(state, Z_AXIS, Z_AXIS, grid_pair, grid_single, p=p)
     rng = np.random.default_rng(97)  # the same spot-check points on every call
-
-    qudit_dev = pair_dev = map_dev_q2p = map_dev_p2q = 0.0
-    for _ in range(n_spot_points):
-        alpha, beta = rng.uniform(0, 2 * pi), rng.uniform(0, pi)
-        for m in QUDIT_PROJECTIONS:
-            point = FramePointQudit(m, EulerAngles(alpha, beta))
-            direct = tomogram(state, point)
-            qudit_dev = max(qudit_dev, abs(direct - werner_qudit_tomogram_closed(m, p, alpha, beta)))
-            map_dev_p2q = max(map_dev_p2q,
-                              abs(map_state_two_qubit_to_qudit(state, grid_pair, point) - direct))
-        th1, th2 = rng.uniform(0, pi, 2)
-        ph1, ph2 = rng.uniform(0, 2 * pi, 2)
-        for m1 in TWO_QUBIT_PROJECTIONS:
-            for m2 in TWO_QUBIT_PROJECTIONS:
-                point = FramePoint2Q(m1, m2, EulerAngles(ph1, th1), EulerAngles(ph2, th2))
-                direct = tomogram(state, point)
-                closed = werner_two_qubit_tomogram_closed(p, m1, m2, th1, th2, ph1, ph2)
-                pair_dev = max(pair_dev, abs(direct - closed))
-                map_dev_q2p = max(map_dev_q2p,
-                                  abs(map_state_qudit_to_two_qubit(state, grid_single, point) - direct))
+    # per spot point: alpha, beta of the qudit rotation, theta1, theta2, phi1, phi2
+    draws = rng.uniform(0.0, (2 * pi, pi, pi, pi, 2 * pi, 2 * pi), (n_spot_points, 6))
+    alpha, beta, th1, th2, ph1, ph2 = draws.T.tolist()
+    qudit = PointSet(FramePointQudit, np.array(QUDIT_PROJECTIONS)[:, None], *draws.T[:2])
+    pairs = [(m1, m2) for m1 in TWO_QUBIT_PROJECTIONS for m2 in TWO_QUBIT_PROJECTIONS]
+    pair = PointSet(FramePoint2Q, np.array(pairs)[:, None], draws[:, [4, 5]], draws[:, [2, 3]])
+    direct_q, direct_2q = tomograms(state, qudit), tomograms(state, pair)
+    closed_q = [[werner_qudit_tomogram_closed(m, p, a, b) for a, b in zip(alpha, beta)]
+                for m in QUDIT_PROJECTIONS]
+    closed_2q = [[werner_two_qubit_tomogram_closed(p, m1, m2, *angles)
+                  for angles in zip(th1, th2, ph1, ph2)] for m1, m2 in pairs]
+    mapped_q = map_state_two_qubit_to_qudit(state, grid_pair, qudit)
+    mapped_2q = map_state_qudit_to_two_qubit(state, grid_single, pair)
+    qudit_dev, pair_dev, map_dev_p2q, map_dev_q2p = (
+        np.abs(x - y).max(initial=0.0) for x, y in ((direct_q, closed_q), (direct_2q, closed_2q),
+                                                    (mapped_q, direct_q), (mapped_2q, direct_2q)))
 
     return WernerReport(
         p=float(p),

@@ -1,3 +1,4 @@
+import dataclasses
 from math import cos, pi, sin
 
 import numpy as np
@@ -536,3 +537,16 @@ class TestStateMapMemo:
             map_state_two_qubit_to_qudit(state, pair, target)
         info = memo.cache_info()
         assert (len(targets), info.misses, info.hits) == (256, 1, 255)
+
+
+def test_stacked_points_match_the_astuple_columns():
+    """The closed form's coordinate arrays, read from the fields, equal the
+    columns of the points' dataclasses.astuple."""
+    rng = np.random.default_rng(2306)
+    points = [kernel._random_kernel_point(rng) for _ in range(30)]
+    batch = kernel._stacked(points)
+    m, m1, m2, *rotations = (np.array(c) for c in zip(*map(dataclasses.astuple, points)))
+    for got, want in ((batch.m, m), (batch.m1, m1), (batch.m2, m2)):
+        assert np.array_equal(got, want)
+    for got, want in zip((batch.qudit, batch.qubit1, batch.qubit2), rotations):
+        assert np.array_equal(got.azimuth, want[:, 0]) and np.array_equal(got.polar, want[:, 1])

@@ -1,4 +1,5 @@
-"""Property tests: bounds every state and direction pair must satisfy.
+"""Property tests: bounds every state and direction pair must satisfy, and
+point sets that read what their points read one by one.
 
 The cases come from hypothesis with ``derandomize=True``, so every run
 draws the same examples.
@@ -12,6 +13,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from spintomo.frames import (  # noqa: E402
+    QUDIT_PROJECTIONS,
+    TWO_QUBIT_PROJECTIONS,
+    FramePoint2Q,
+    FramePointQudit,
+    PointSet,
+    tomogram,
+    tomograms,
+)
+from spintomo.kernel import (  # noqa: E402
+    map_state_qudit_to_two_qubit,
+    map_state_two_qubit_to_qudit,
+)
 from spintomo.steering import (  # noqa: E402
     chsh_max,
     chsh_value,
@@ -19,6 +33,7 @@ from spintomo.steering import (  # noqa: E402
     correlation_tensor,
     steering_check,
 )
+from spintomo.su2 import EulerAngles  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -79,3 +94,38 @@ def test_chsh_attained_at_its_directions(rho):
     result = chsh_max(rho)
     a, b, c, d = (result.directions[k] for k in "abcd")
     assert chsh_value(rho, a, b, c, d) == pytest.approx(result.value, abs=1e-12)
+
+
+@st.composite
+def point_sets(draw):
+    """(picture, m, azimuth, polar) of one to eight frame points of a drawn
+    picture; polar angles reach a little beyond [0, pi], where they clamp."""
+    picture = draw(st.sampled_from([FramePointQudit, FramePoint2Q]))
+    projections = QUDIT_PROJECTIONS if picture is FramePointQudit else TWO_QUBIT_PROJECTIONS
+    shape = (draw(st.integers(1, 8)),) + (() if picture is FramePointQudit else (2,))
+    size = int(np.prod(shape))
+
+    def values(elements):
+        return np.reshape(draw(st.lists(elements, min_size=size, max_size=size)), shape)
+
+    angle = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    polar = st.floats(-0.5, 3.7, allow_nan=False, allow_infinity=False)
+    return picture, values(st.sampled_from(projections)), values(angle), values(polar)
+
+
+@SETTINGS
+@given(rho=states(), drawn=point_sets())
+def test_point_set_reads_match_the_points(grids, rho, drawn):
+    picture, m, azimuth, polar = drawn
+    points = PointSet(picture, m, azimuth, polar)
+    if picture is FramePointQudit:
+        singles = [picture(*x, EulerAngles(a, b)) for x, a, b in zip(m[:, None], azimuth, polar)]
+        state_map, grid = map_state_two_qubit_to_qudit, grids[0]
+    else:
+        singles = [picture(*x, EulerAngles(a[0], b[0]), EulerAngles(a[1], b[1]))
+                   for x, a, b in zip(m, azimuth, polar)]
+        state_map, grid = map_state_qudit_to_two_qubit, grids[1]
+    assert np.abs(points.rows - [p._row for p in singles]).max() <= 1e-15
+    assert np.abs(tomograms(rho, points) - [tomogram(rho, p) for p in singles]).max() <= 1e-14
+    mapped = [state_map(rho, grid, p) for p in singles]
+    assert np.abs(state_map(rho, grid, points) - mapped).max() <= 1e-14

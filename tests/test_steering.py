@@ -697,3 +697,39 @@ class TestOnePath:
             want_value, want_k1, want_k2 = _reference_max_correlation(t)
             assert value == want_value
             assert k1.tolist() == want_k1.tolist() and k2.tolist() == want_k2.tolist()
+
+
+def test_chsh_value_equals_the_four_call_sum_bit_for_bit():
+    rng = np.random.default_rng(2304)
+    for seed in range(100):
+        rho = random_density(4, 2304 + seed)
+        a, b, c, d = (v / np.linalg.norm(v) for v in rng.standard_normal((4, 3)))
+        expected = (steering.correlation_direct(rho, a, b) + steering.correlation_direct(rho, a, c)
+                    + steering.correlation_direct(rho, d, b) - steering.correlation_direct(rho, d, c))
+        assert steering.chsh_value(rho, a, b, c, d) == expected
+
+
+def test_max_correlation_grid_keeps_its_bits():
+    """One norm per refinement step gives the bits of the two-norm form."""
+    def two_norms(t):
+        t = np.asarray(t, dtype=float)
+        dirs = steering.sphere_directions()
+        values = dirs @ t @ dirs.T
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        k1, k2 = dirs[i], dirs[j]
+        best = float(values[i, j])
+        for _ in range(60):
+            v = t @ k2
+            if np.linalg.norm(v) > 1e-15:
+                k1 = v / np.linalg.norm(v)
+            v = t.T @ k1
+            if np.linalg.norm(v) > 1e-15:
+                k2 = v / np.linalg.norm(v)
+            best = max(best, float(k1 @ t @ k2))
+        return best
+
+    rng = np.random.default_rng(2305)
+    tensors = [rng.uniform(-1, 1, (3, 3)) for _ in range(50)]
+    tensors += [np.zeros((3, 3)), np.diag([0.4, -0.4, 0.4]), np.diag([1e-16, 0.0, 0.0])]
+    for t in tensors:
+        assert steering.max_correlation_grid(t) == two_norms(t)
