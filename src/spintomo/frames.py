@@ -11,15 +11,16 @@ U^dag |m><m| U: the qudit frame is j = 3/2 on one sphere, the two-qubit
 frame a product of two j = 1/2 frames. The qubit factor at azimuth phi is
 the rotated projector at pi - phi, which is the paper's (1/2) I + m F with
 F = k . sigma along k = (-sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)).
-A grid table evaluates the whole d^j matrix per polar node; a single frame
-point reads only its row m of d^j, times the same column phases, so its
-operator U^dag |m><m| U agrees with the table bit for bit. A point value
-needs no operator: Tr(A U) = v A v^dag, v the point's row of U (for two
-qubits the Kronecker product of the factor rows). A point builds v on its
-first read and keeps it, read-only, so every later read of the same point
-is one vector-matrix product. A :class:`PointSet` builds the rows of many
-points in one pass over the d^j plan; its values are one product W vec(A),
-each row of W being v (x) conj(v).
+Every row of U is row m of d^j, from the table of Wigner's sum in
+:mod:`spintomo.su2`, times the column phases exp(i m' azimuth). The grid
+tables, a :class:`PointSet` and the point operators evaluate that table over
+arrays of angles, each point from its own angles alone, so at a node they
+agree bit for bit. A point value needs no operator: Tr(A U) = v A v^dag, v
+the point's row of U (for two qubits the Kronecker product of the factor
+rows). A point builds v in Python floats on its first read and keeps it,
+read-only, so every later read of the same point is one vector-matrix
+product. A :class:`PointSet`'s values are one product W vec(A), each row of
+W being v (x) conj(v).
 
 The quantizer is the canonical dual D(x) = S^-1 U(x), S = int |U(x)><U(x)|
 being the frame superoperator. S is 8 pi^2 / (2L+1) on multipole rank L,
@@ -68,13 +69,13 @@ import io
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from math import cos, isqrt, pi, sin, sqrt
+from operator import mul
 
 import numpy as np
 
 from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES,
                       DensityMatrix, _kron, random_density, state_matrix, werner)
-from .su2 import (EulerAngles, _wigner_d_cells, _wigner_d_plan, _wigner_d_values, jacobi_poly,
-                  spin_projections, twice, wigner_d_matrix)
+from .su2 import EulerAngles, _wigner_d_array, _wigner_d_row, spin_projections, twice
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
 QUDIT_PROJECTIONS = (1.5, 0.5, -0.5, -1.5)
@@ -265,17 +266,22 @@ def _frame_projectors(j: float, azimuth, polar) -> np.ndarray:
     measures its azimuth the other way round: the spin-1/2 frame at phi is
     the rotated projector at azimuth pi - phi, i.e. (1/2) I + m F(phi, theta).
     """
-    d = np.array([wigner_d_matrix(j, b) for b in polar])
-    rows = d[None] * np.array([_phases(j, a) for a in azimuth])[:, None, None, :]
+    d = _wigner_d_array(round(2 * j), np.asarray(polar, dtype=float))
+    rows = d[None] * _phase_array(j, np.asarray(azimuth, dtype=float))[:, None, None, :]
     return _rank_one(rows.reshape(-1, d.shape[1], d.shape[1]).swapaxes(0, 1))
 
 
+def _phase_array(j: float, azimuth: np.ndarray) -> np.ndarray:
+    """exp(i m' azimuth) at each azimuth of an array (rows) over the columns
+    m' of U, by descending m'; the qubit's azimuth phi enters as pi - phi."""
+    return np.exp(1j * np.multiply.outer(pi - azimuth if j == 0.5 else azimuth, _projections(j)))
+
+
 def _phases(j: float, azimuth: float) -> list:
-    """exp(i m' azimuth) over the columns m' of U, by descending m'; the
-    qubit's azimuth phi enters as pi - phi."""
+    """:func:`_phase_array` at one azimuth, as Python complex numbers."""
     if j == 0.5:
-        azimuth = pi - azimuth
-    return [cmath.exp(complex(0.0, azimuth * m)) for m in _projections(j).tolist()]
+        return [cmath.exp(complex(0.0, (pi - azimuth) * m)) for m in TWO_QUBIT_PROJECTIONS]
+    return [cmath.exp(complex(0.0, azimuth * m)) for m in QUDIT_PROJECTIONS]
 
 
 def _rank_one(rows: np.ndarray) -> np.ndarray:
@@ -292,28 +298,21 @@ def _projections(j: float) -> np.ndarray:
 
 
 def _point_projector(j: float, m: float, angles: EulerAngles) -> np.ndarray:
-    row = _wigner_d_cells(round(2 * j), angles.polar, round(j - m))
-    # numpy's product of the row and the phases, as in the tables: bit-identical to them
-    return _rank_one(row * np.array(_phases(j, angles.azimuth)))
+    """The dequantizer at one point, read from the one-node table."""
+    return _frame_projectors(j, (angles.azimuth,), (angles.polar,))[round(j - m), 0]
 
 
 def _point_row(j: float, m: float, angles: EulerAngles) -> list:
     """Row m of U at one rotation, row m of d^j times the phases, as scalars."""
-    cells = _wigner_d_values(round(2 * j), angles.polar, round(j - m))
-    return [d * e for d, e in zip(cells, _phases(j, angles.azimuth))]
+    return list(map(mul, _wigner_d_row(round(2 * j), round(j - m), angles.polar),
+                    _phases(j, angles.azimuth)))
 
 
 def _set_rows(j: float, m: np.ndarray, azimuth: np.ndarray, polar: np.ndarray) -> np.ndarray:
-    """:func:`_point_row` at arrays of projections and angles: the whole d^j
-    plan's direct pairs evaluated once over all points, each row gathered."""
-    j2 = round(2 * j)
-    terms, cells = _wigner_d_plan(j2, None)
-    c, s, x = np.cos(polar / 2.0), np.sin(polar / 2.0), np.cos(polar)
-    values = np.array([pref * c ** b * s ** a * jacobi_poly(n, a, b, x) for pref, n, a, b in terms])
-    pos, sign = zip(*cells)
-    d = (values[list(pos)] * np.array(sign)[:, None]).reshape(j2 + 1, j2 + 1, -1)
-    phases = np.exp(1j * np.multiply.outer(pi - azimuth if j == 0.5 else azimuth, _projections(j)))
-    return d[np.rint(j - m).astype(int), :, np.arange(len(m))] * phases
+    """Row m of U at each point of arrays of projections and angles: the
+    point's row of d^j times its phases, as the grid tables form them."""
+    d = _wigner_d_array(round(2 * j), polar)
+    return d[np.arange(len(m)), np.rint(j - m).astype(int)] * _phase_array(j, azimuth)
 
 
 #: A point set's picture by point type: basis, spin, projections, label per sphere.

@@ -47,7 +47,7 @@ needs cos terms, and the same defects as the explicit quantizer blocks),
 so :func:`closed_kernel_report` quantifies the disagreement term by term
 instead of asserting it away. The closed form broadcasts over arrays of
 point coordinates, so the report evaluates it once per sign reading, against
-the trace kernel taken point by point.
+the trace kernel read at a qudit and a two-qubit point set.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ from .frames import (
     FramePointQudit,
     PointSet,
     QuadratureGrid,
+    _dual,
     _point_symbol,
+    _rank_one,
     _real_trace,
     _reconstruction,
     _sign_reading_factor,
@@ -218,12 +220,17 @@ def _stacked(points) -> KernelPoint:
 
 def closed_kernel_report(n_points: int = 100, seed: int = 515) -> ClosedKernelReport:
     """Compare trace-defined and closed-form kernels at random points: the
-    trace kernel point by point, the closed form once per reading over all
-    points."""
+    trace kernel read at a qudit and a two-qubit point set, the closed form
+    once per reading, each over all points."""
     rng = np.random.default_rng(seed)
-    points = [_random_kernel_point(rng) for _ in range(n_points)]
-    trace_values = np.array([kernel_qudit_to_pair(p) for p in points])
-    batch = _stacked(points)
+    batch = _stacked([_random_kernel_point(rng) for _ in range(n_points)])
+    qudit = PointSet(FramePointQudit, batch.m, batch.qudit.azimuth, batch.qudit.polar)
+    qubits = (batch.qubit1, batch.qubit2)
+    pair = PointSet(FramePoint2Q, np.stack([batch.m1, batch.m2], axis=-1),
+                    np.stack([q.azimuth for q in qubits], axis=-1),
+                    np.stack([q.polar for q in qubits], axis=-1))
+    # Tr(D_qudit U_pair) = w . vec(D_qudit) at each pair point
+    trace_values = (pair.functionals * _dual(_rank_one(qudit.rows)).reshape(-1, 16)).sum(axis=1)
     stats = {}
     for reading in SIGN_READINGS:
         terms = closed_kernel_terms(batch, reading)

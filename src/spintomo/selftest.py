@@ -25,7 +25,7 @@ from .matcore import (
     random_density,
     werner,
 )
-from .su2 import EulerAngles
+from .su2 import EulerAngles, wigner_D
 
 WALL_CLOCK_BUDGET_SECONDS = 60.0
 
@@ -321,9 +321,18 @@ def criterion_steering_report(ctx: SelftestContext) -> tuple[bool, dict]:
                     "report_complete": report_ok}
 
 
+def _rotated_row(j: float, m: float, angles: EulerAngles) -> np.ndarray:
+    """Row m of :func:`~spintomo.su2.wigner_D` at the angles, the third one
+    included; a qubit's azimuth phi enters as pi - phi, as in its frame."""
+    if j == 0.5:
+        angles = EulerAngles(pi - angles.azimuth, angles.polar, angles.third)
+    return wigner_D(j, angles)[round(j - m)]
+
+
 @_criterion(11, 'no-signaling & third-angle invariance')
 def criterion_no_signaling(ctx: SelftestContext) -> tuple[bool, dict]:
-    """11: marginal independence and third-Euler-angle invariance."""
+    """11: marginal independence and third-Euler-angle invariance: a read at
+    a third angle equals the read without it and Tr(rho r^dag r), r its row of D^j."""
     rng = ctx.rng(11)
     worst_marginal = 0.0
     for k in range(5):
@@ -348,14 +357,15 @@ def criterion_no_signaling(ctx: SelftestContext) -> tuple[bool, dict]:
         base_2q = frames.tomogram(rho, frames.FramePoint2Q(m1, m2, a1, a2))
         for _ in range(10):
             gamma = rng.uniform(0, 2 * pi)
-            v = frames.tomogram(
-                rho, frames.FramePointQudit(m, EulerAngles(alpha, beta, gamma)))
-            worst_third = max(worst_third, abs(v - base_q))
-            v = frames.tomogram(rho, frames.FramePoint2Q(
-                m1, m2,
-                EulerAngles(a1.azimuth, a1.polar, gamma),
-                EulerAngles(a2.azimuth, a2.polar, -gamma)))
-            worst_third = max(worst_third, abs(v - base_2q))
+            n = EulerAngles(alpha, beta, gamma)
+            r = _rotated_row(1.5, m, n)
+            v = frames.tomogram(rho, frames.FramePointQudit(m, n))
+            worst_third = max(worst_third, abs(v - base_q), abs(v - (r @ rho.mat @ r.conj()).real))
+            n1 = EulerAngles(a1.azimuth, a1.polar, gamma)
+            n2 = EulerAngles(a2.azimuth, a2.polar, -gamma)
+            r = np.kron(_rotated_row(0.5, m1, n1), _rotated_row(0.5, m2, n2))
+            v = frames.tomogram(rho, frames.FramePoint2Q(m1, m2, n1, n2))
+            worst_third = max(worst_third, abs(v - base_2q), abs(v - (r @ rho.mat @ r.conj()).real))
     passed = worst_marginal <= 1e-12 and worst_third <= 1e-12
     return passed, {"max_marginal_variation": float(worst_marginal),
                     "max_third_angle_variation": float(worst_third)}

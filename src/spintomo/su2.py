@@ -2,25 +2,23 @@
 
 Spin labels are half-integers; internally they are carried as doubled
 integers (2j, 2m) so index arithmetic is exact. The small-d function is
-evaluated from its Jacobi-polynomial form
+Wigner's finite sum
 
-    d_{m',m}(beta) = sqrt[(j+m')!(j-m')! / ((j+m)!(j-m)!)]
-                     * cos(beta/2)^(m'+m) * sin(beta/2)^(m'-m)
-                     * P_{j-m'}^{(m'-m, m'+m)}(cos beta)
+    d_{m',m}(beta) = sum_t (-1)^(t+m-m') sqrt[(j+m')!(j-m')!(j+m)!(j-m)!]
+                     / [(j-m-t)! t! (j+m'-t)! (t+m-m')!]
+                     * cos(beta/2)^(2j-2t-m+m') * sin(beta/2)^(2t+m-m'),
 
-wherever both trigonometric exponents are nonnegative (m' >= |m|), and is
-extended to the remaining index pairs through the symmetries
-
-    d_{m',m} = (-1)^(m-m') d_{m,m'} = d_{-m,-m'}.
-
-:func:`wigner_d_matrix` evaluates each directly evaluable pair once. A plan
-cached per spin and row carries, for each cell, the direct pair it equals
-and its sign +-1, and each such pair's prefactor and Jacobi parameters
-(n, a, b). cos(beta/2), sin(beta/2) and cos(beta) are computed once per
-beta; each pair then takes the same operations, in the same order, as
-:func:`wigner_d`, so the matrix is bit-identical to it entry by entry. A
-single frame point reads only its row m of d^j: the same evaluator over the
-plan of that one row gives the matrix's row bit for bit.
+so each entry is a fixed combination of the 2j+1 monomials
+x_k = cos(beta/2)^(2j-k) sin(beta/2)^k. One table per spin, built once,
+holds each entry's terms (coefficient, k). It is evaluated in two ways
+only. At one angle, in Python floats: :func:`wigner_d`,
+:func:`wigner_d_matrix` and a single frame point's row take the same
+operations in the same order, so the matrix is bit-identical to
+:func:`wigner_d` entry by entry and a point's row to the matrix's row. Over
+an array of angles, as the same terms in array products: the frame tables,
+point sets and point operators of :mod:`spintomo.frames`. The two agree to
+roundoff; numpy's trigonometry need not match the math module's to the
+last bit.
 
 The resulting convention is self-consistent (orthogonal, homomorphic in
 beta); relative to the most common textbook table it is the transpose.
@@ -154,28 +152,7 @@ def wigner_d(j, mp, m, beta: float) -> float:
     """
     j2, mp2, m2 = twice(j), twice(mp), twice(m)
     _check_spin_indices(j2, mp2, m2)
-    return _wigner_d_twice(j2, mp2, m2, beta)
-
-
-def _direct_terms(j2: int, mp2: int, m2: int) -> tuple:
-    # (prefactor, n, a, b) of the Jacobi form at a directly evaluable pair
-    pref = sqrt(
-        factorial((j2 + mp2) // 2) * factorial((j2 - mp2) // 2)
-        / (factorial((j2 + m2) // 2) * factorial((j2 - m2) // 2))
-    )
-    return pref, (j2 - mp2) // 2, (mp2 - m2) // 2, (mp2 + m2) // 2
-
-
-def _wigner_d_twice(j2: int, mp2: int, m2: int, beta: float) -> float:
-    if mp2 >= abs(m2):
-        pref, n, a, b = _direct_terms(j2, mp2, m2)
-        return pref * cos(beta / 2.0) ** b * sin(beta / 2.0) ** a * jacobi_poly(n, a, b, cos(beta))
-    if -m2 >= abs(mp2):
-        # d_{m',m} = d_{-m,-m'}
-        return _wigner_d_twice(j2, -m2, -mp2, beta)
-    # d_{m',m} = (-1)^(m-m') d_{m,m'}; the swapped pair is directly evaluable
-    sign = -1.0 if ((m2 - mp2) // 2) % 2 else 1.0
-    return sign * _wigner_d_twice(j2, m2, mp2, beta)
+    return _wigner_d_row(j2, (j2 - mp2) // 2, beta)[(j2 - m2) // 2]
 
 
 def spin_projections(j) -> np.ndarray:
@@ -188,45 +165,49 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full (2j+1)x(2j+1) small-d matrix, rows and columns by descending m."""
     j2 = twice(j)
     _check_spin_indices(j2, j2, j2)
-    return _wigner_d_cells(j2, beta, None).reshape(j2 + 1, j2 + 1)
-
-
-def _wigner_d_cells(j2: int, beta: float, row: int | None) -> np.ndarray:
-    """:func:`_wigner_d_values` as an array."""
-    return np.array(_wigner_d_values(j2, beta, row))
-
-
-def _wigner_d_values(j2: int, beta: float, row: int | None) -> list:
-    """Row ``row`` (index of m' by descending m') of d^j(beta), or every row
-    flattened for ``None``, as floats: each direct pair the cells need
-    evaluated once."""
-    terms, cells = _wigner_d_plan(j2, row)
-    c, s, x = cos(beta / 2.0), sin(beta / 2.0), cos(beta)
-    values = [pref * c ** b * s ** a * jacobi_poly(n, a, b, x) for pref, n, a, b in terms]
-    return [sign * values[pos] for pos, sign in cells]
+    return np.array([_wigner_d_row(j2, row, beta) for row in range(j2 + 1)])
 
 
 @lru_cache(maxsize=None)
-def _wigner_d_plan(j2: int, row: int | None):
-    # For each cell of the row (of every row for None), the pair
-    # _wigner_d_twice evaluates directly (m' >= |m|) through the symmetries
-    # it recurses through, with the sign +-1; for each such pair, its
-    # Jacobi-form terms (prefactor, n, a, b) from the same _direct_terms.
-    # _wigner_d_cells applies the operations of _wigner_d_twice to these
-    # terms in the same order, so it is bit-identical to wigner_d.
-    def source(mp2, m2, sign):
-        if mp2 >= abs(m2):
-            return (mp2, m2), sign
-        if -m2 >= abs(mp2):
-            return source(-m2, -mp2, sign)
-        return source(m2, mp2, -sign if ((m2 - mp2) // 2) % 2 else sign)
+def _wigner_d_table(j2: int) -> tuple:
+    """Wigner's sum for d^j: (powers, rows, coefficients, k).
 
-    ms = range(j2, -j2 - 1, -2)
-    rows = ms if row is None else (ms[row],)
-    sources = [source(mp2, m2, 1.0) for mp2 in rows for m2 in ms]
-    direct = sorted({pair for pair, _ in sources}, reverse=True)
-    terms = tuple(_direct_terms(j2, mp2, m2) for mp2, m2 in direct)
-    return terms, tuple((direct.index(pair), sign) for pair, sign in sources)
+    Entry (m', m) is sum_t coefficients[r, c, t] * x[k[r, c, t]] over the
+    monomials x_k = cos(beta/2)^a sin(beta/2)^b, (a, b) = powers[k] =
+    (2j - k, k); r = j - m' and c = j - m index rows and columns by
+    descending m. The sum has at most j + 1 terms (3 at j = 2); shorter
+    entries end in zero terms. ``rows[r]`` holds row r's terms as Python
+    tuples (coefficient, k) * 3, one per column.
+    """
+    f = [factorial(n) for n in range(j2 + 1)]
+    coefficients, k = np.zeros((j2 + 1, j2 + 1, 3)), np.zeros((j2 + 1, j2 + 1, 3), dtype=int)
+    for r, c in np.ndindex(j2 + 1, j2 + 1):  # j + m' = 2j - r, j + m = 2j - c, m - m' = r - c
+        for i, t in enumerate(range(max(0, c - r), min(c, j2 - r) + 1)):
+            k[r, c, i] = 2 * t + r - c
+            coefficients[r, c, i] = ((-1) ** (t + r - c) * sqrt(f[j2 - r] * f[r] * f[j2 - c] * f[c])
+                                     / (f[c - t] * f[t] * f[j2 - r - t] * f[t + r - c]))
+    rows = tuple(tuple(sum(zip(a, i), ()) for a, i in zip(*row))
+                 for row in zip(coefficients.tolist(), k.tolist()))
+    coefficients.flags.writeable = k.flags.writeable = False  # shared by every caller
+    return tuple((j2 - n, n) for n in range(j2 + 1)), rows, coefficients, k
+
+
+def _wigner_d_row(j2: int, row: int, beta: float) -> list:
+    """Row ``row`` (index of m' by descending m') of d^j(beta) as floats."""
+    c, s = cos(beta / 2.0), sin(beta / 2.0)
+    powers, rows, _, _ = _wigner_d_table(j2)
+    x = [c ** a * s ** b for a, b in powers]
+    return [a * x[i] + b * x[k] + e * x[n] for a, i, b, k, e, n in rows[row]]
+
+
+def _wigner_d_array(j2: int, beta: np.ndarray) -> np.ndarray:
+    """d^j at every angle of a 1-D array, shape (n, 2j+1, 2j+1): the table's
+    terms as array products, added in the order :func:`_wigner_d_row` adds
+    them, so an angle's matrix does not depend on the other angles."""
+    powers, _, coefficients, k = _wigner_d_table(j2)
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    terms = coefficients * np.stack([c ** a * s ** b for a, b in powers], axis=-1)[:, k]
+    return terms[..., 0] + terms[..., 1] + terms[..., 2]
 
 
 def wigner_D(j, angles: EulerAngles) -> np.ndarray:

@@ -332,6 +332,32 @@ class TestPointOperatorsFromOneRow:
                     assert quantizer_2q(point).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("nodes", (8, 16, 32))
+def test_tables_point_sets_and_point_operators_are_one_construction(nodes):
+    """At the nodes of a grid, the grid tables, the rows of point sets and the
+    point operators agree bit for bit. The two-qubit point set multiplies the
+    single-qubit rows of frames._set_rows, checked here against the table."""
+    grid = make_grid(nodes, nodes)
+    nodes_at = [EulerAngles(a, b) for a, b in zip(grid.sphere_alpha(), grid.sphere_beta())]
+    table = frames._qudit_tables(nodes, nodes).dequantizer
+    points = frames.PointSet(FramePointQudit, np.array(QUDIT_PROJECTIONS)[:, None],
+                             grid.sphere_alpha(), grid.sphere_beta())
+    assert frames._rank_one(points.rows).reshape(table.shape).tobytes() == table.tobytes()
+    for k, m in enumerate(QUDIT_PROJECTIONS):
+        for n, angles in enumerate(nodes_at):
+            assert dequantizer_qudit(FramePointQudit(m, angles)).tobytes() == table[k, n].tobytes()
+    table = frames._two_qubit_tables(nodes, nodes).dequantizer
+    m = np.repeat(TWO_QUBIT_PROJECTIONS, len(nodes_at))
+    rows = frames._set_rows(0.5, m, np.tile(grid.sphere_alpha(), 2), np.tile(grid.sphere_beta(), 2))
+    assert frames._rank_one(rows).reshape(table.shape).tobytes() == table.tobytes()
+    for k1, m1 in enumerate(TWO_QUBIT_PROJECTIONS):
+        for k2, m2 in enumerate(TWO_QUBIT_PROJECTIONS):
+            for n, angles in enumerate(nodes_at):
+                want = matcore._kron(table[k1, n], table[k2, n])
+                got = dequantizer_2q(FramePoint2Q(m1, m2, angles, angles))
+                assert got.tobytes() == want.tobytes()
+
+
 class TestPointDispatch:
     """A point's picture, quantizer and factor frames come from one type
     dispatch, shared by every point read."""
@@ -361,7 +387,7 @@ class TestPointDispatch:
 
 def _scalar_row(j, m, angles):
     # row m of U as the scalar composition: row m of d^j times the phases
-    cells = su2._wigner_d_values(round(2 * j), angles.polar, round(j - m))
+    cells = su2.wigner_d_matrix(j, angles.polar)[round(j - m)].tolist()
     return [d * e for d, e in zip(cells, frames._phases(j, angles.azimuth))]
 
 

@@ -1,11 +1,12 @@
-from math import cos, factorial, pi, sin
+from math import cos, factorial, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
 from spintomo.su2 import (
     EulerAngles,
-    _wigner_d_cells,
+    _wigner_d_array,
+    _wigner_d_row,
     as_direction,
     jacobi_poly,
     qubit_rotation,
@@ -30,6 +31,19 @@ def jacobi_sum_oracle(n, a, b, x):
         * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (n - s)
         for s in range(n + 1)
     )
+
+
+def jacobi_form(j2, mp2, m2, beta):
+    """d^j_{m',m}(beta) from the Jacobi-polynomial form where m' >= |m|,
+    extended by d_{m',m} = d_{-m,-m'} = (-1)^(m-m') d_{m,m'}; doubled labels."""
+    if mp2 >= abs(m2):
+        pref = sqrt(factorial((j2 + mp2) // 2) * factorial((j2 - mp2) // 2)
+                    / (factorial((j2 + m2) // 2) * factorial((j2 - m2) // 2)))
+        n, a, b = (j2 - mp2) // 2, (mp2 - m2) // 2, (mp2 + m2) // 2
+        return pref * cos(beta / 2) ** b * sin(beta / 2) ** a * jacobi_poly(n, a, b, cos(beta))
+    if -m2 >= abs(mp2):
+        return jacobi_form(j2, -m2, -mp2, beta)
+    return (-1) ** ((m2 - mp2) // 2) * jacobi_form(j2, m2, mp2, beta)
 
 
 class TestEulerAngles:
@@ -152,7 +166,20 @@ class TestWignerSmallD:
             for beta in betas:
                 d = wigner_d_matrix(j2 / 2, beta)
                 for row in range(j2 + 1):
-                    assert _wigner_d_cells(j2, beta, row).tobytes() == d[row].tobytes()
+                    assert np.array(_wigner_d_row(j2, row, beta)).tobytes() == d[row].tobytes()
+
+    def test_table_matches_jacobi_form(self):
+        # both evaluations of Wigner's sum, in floats and over an array of
+        # angles, against the Jacobi form built on the public jacobi_poly
+        betas = np.concatenate([np.random.default_rng(12).uniform(0, pi, 120), [0.0, pi / 2, pi]])
+        for j2 in range(1, 5):
+            ms = range(j2, -j2 - 1, -2)
+            arrays = _wigner_d_array(j2, betas)
+            for beta, array in zip(betas, arrays):
+                want = np.array([[jacobi_form(j2, mp2, m2, beta) for m2 in ms] for mp2 in ms])
+                np.testing.assert_allclose(wigner_d_matrix(j2 / 2, beta), want, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(array, want, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(arrays[-3], np.eye(j2 + 1))  # beta = 0
 
     def test_polar_additivity(self):
         # the family must compose like rotations about a fixed axis
