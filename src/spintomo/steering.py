@@ -18,8 +18,11 @@ roundoff. No form builds the product observable or runs the frame
 pairing, which stay public as the definitions the forms are tested
 against.
 
-Each form's nine cells are one product vec(X_f) P with a constant 16x9
-matrix P of Pauli products, read into Python numbers once. All that
+X_f is linear in the state, so a form's nine cells are vec(rho) K_f with a
+16x9 form map: P (Pauli products) for the direct form, G P for the closure
+and Pi G^T Pi P for the adjoint closure (G the picture's Gram on the grid,
+Pi the swap of vec(A) and vec(A^T)), built once per picture and grid. The
+forms of one picture are one product, read into Python numbers once. All that
 follows is scalar arithmetic on at most 36 numbers: the imaginary-part
 checks, E_f, the sums of T, the maximizing directions and CHSH, so a value
 takes the same operations whichever function or report reads it. The
@@ -48,22 +51,16 @@ from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI, IDENTITY_2, DensityMatrix, _kron,
-                      pauli_dot, werner)
+from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, IDENTITY_2, DensityMatrix, _kron, pauli_dot,
+                      werner)
 from .su2 import as_direction
-from .frames import (QUDIT_PROJECTIONS, TWO_QUBIT_PROJECTIONS, FramePoint2Q, FramePointQudit,
-                     PointSet, QuadratureGrid, _closure, _closure_adjoint, _four_by_four,
-                     make_grid, tomograms, werner_qudit_tomogram_closed,
-                     werner_two_qubit_tomogram_closed)
-from .kernel import map_state_qudit_to_two_qubit, map_state_two_qubit_to_qudit
+from .frames import (_PAULI_PAIRS, QUDIT_PROJECTIONS, TWO_QUBIT_PROJECTIONS, FramePoint2Q,
+                     FramePointQudit, PointSet, QuadratureGrid, _four_by_four, _frame, make_grid,
+                     tomograms, werner_qudit_tomogram_closed, werner_two_qubit_tomogram_closed)
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
-
-# P, column 3i + j vec((sigma_i (x) sigma_j)^T): Tr(A B) = vec(A) . vec(B^T), so
-# vec(X) P holds the cells Tr(X sigma_i (x) sigma_j) of X's tensor row by row
-_PAULI_PAIRS = np.array([_kron(s, t).T.ravel() for s in PAULI for t in PAULI]).T
 
 VARIANT_SYMBOL_DUAL = "symbol_dual"    # symbol of the observable, dual symbol of the state
 VARIANT_DUAL_SYMBOL = "dual_symbol"    # symbol of the state, dual symbol of the observable
@@ -116,18 +113,12 @@ def product_observable(k1, k2) -> ObservableTriple:
                             product=_kron(a, b))
 
 
-#: Each correlation form's operator X_f(rho, grid_pair, grid_single): the
-#: form is Tr(b X_f) for the product observable b, so its tensor is
-#: T_f = Tr(X_f sigma_i (x) sigma_j). The state's closure when the state
-#: takes the symbol side of the frame pairing, its adjoint closure when it
-#: takes the dual side.
-_FORM_OPERATORS = {
-    "direct": lambda rho, pair, single: rho,
-    "tomo_2q_a": lambda rho, pair, single: _closure_adjoint(rho, BASIS_TWO_QUBIT, pair),
-    "tomo_2q_b": lambda rho, pair, single: _closure(rho, BASIS_TWO_QUBIT, pair),
-    "tomo_qudit": lambda rho, pair, single: _closure_adjoint(rho, BASIS_QUDIT, single),
-}
-_FORMS = tuple(_FORM_OPERATORS)
+#: Each form's picture (None: P alone) and first column in vec(rho) K, K the
+#: picture's form maps: the adjoint closure when the state takes the dual side
+#: of the frame pairing, then the closure when it takes the symbol side.
+_FORM_COLUMNS = {"direct": (None, 0), "tomo_2q_a": (BASIS_TWO_QUBIT, 0),
+                 "tomo_2q_b": (BASIS_TWO_QUBIT, 9), "tomo_qudit": (BASIS_QUDIT, 0)}
+_FORMS = tuple(_FORM_COLUMNS)
 
 _VARIANT_FORMS = {VARIANT_SYMBOL_DUAL: "tomo_2q_a", VARIANT_DUAL_SYMBOL: "tomo_2q_b"}
 
@@ -135,9 +126,18 @@ _VARIANT_FORMS = {VARIANT_SYMBOL_DUAL: "tomo_2q_a", VARIANT_DUAL_SYMBOL: "tomo_2
 def _form_cells(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None = None,
                 grid_single: QuadratureGrid | None = None) -> list:
     """The nine complex cells of each form's tensor T_f = Tr(X_f sigma_i (x)
-    sigma_j), row by row: one product vec(X_f) P per form."""
-    return [np.dot(_FORM_OPERATORS[form](rho, grid_pair, grid_single).ravel(),
-                   _PAULI_PAIRS).tolist() for form in forms]
+    sigma_j), row by row, sliced from one product per picture read: vec(rho) P
+    for the direct form, vec(rho) K with the picture's cached form maps K
+    otherwise, so a form's cells do not depend on the other forms read."""
+    v, grids = rho.ravel(), {BASIS_TWO_QUBIT: grid_pair, BASIS_QUDIT: grid_single}
+    products, cells = {}, []
+    for form in forms:
+        picture, start = _FORM_COLUMNS[form]
+        if picture not in products:
+            maps = _PAULI_PAIRS if picture is None else _frame(picture, grids[picture]).form_maps
+            products[picture] = np.dot(v, maps).tolist()
+        cells.append(products[picture][start:start + 9])
+    return cells
 
 
 def _form_tensors(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None = None,
@@ -476,6 +476,7 @@ def werner_report(p: float, grid_pair: QuadratureGrid | None = None,
     """
     grid_pair = _default_grid(2) if grid_pair is None else grid_pair
     grid_single = _default_grid(1) if grid_single is None else grid_single
+    from .kernel import map_state_qudit_to_two_qubit, map_state_two_qubit_to_qudit
     state = werner(p)
     report = steering_check(state, Z_AXIS, Z_AXIS, grid_pair, grid_single, p=p)
     rng = np.random.default_rng(97)  # the same spot-check points on every call

@@ -112,8 +112,8 @@ class TestImports:
         (("reconstruct", "--state", "werner:0.5", "--rep", "qudit"), ("frames", "su2")),
         (("map", "--state", "werner:0.5", "--direction", "2q_to_qudit", *POINT),
          ("frames", "kernel", "su2")),
-        (("correlation", "--state", "werner:0.5"), ("frames", "kernel", "steering", "su2")),
-        (("steering", "--state", "werner:0.5"), ("frames", "kernel", "steering", "su2")),
+        (("correlation", "--state", "werner:0.5"), ("frames", "steering", "su2")),
+        (("steering", "--state", "werner:0.5"), ("frames", "steering", "su2")),
         (("selftest",), ("frames", "kernel", "selftest", "steering", "su2")),
     ], ids=("validate", "tomogram", "reconstruct", "map", "correlation", "steering", "selftest"))
     def test_command_loads_only_its_layers(self, argv, layers):
@@ -127,7 +127,16 @@ class TestImports:
                     SPINTOMO_LOG="error").stdout
         assert out.splitlines()[-1] == "True"
 
-    def test_help_loads_no_layer_but_matcore(self):
+    def test_help_loads_no_layer(self):
         script = ("import sys\nfrom spintomo.cli import build_parser\nbuild_parser()\n"
                   "print(*sorted(m for m in sys.modules if m.startswith('spintomo.')))\n")
-        assert fresh(script).stdout.split() == ["spintomo.cli", "spintomo.matcore"]
+        assert fresh(script).stdout.split() == ["spintomo.cli"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--help",), 0), (("steering", "--help"), 0),
+        (("validate", "--state", "werner:0.5", "--bogus"), 2), (("nosuch",), 2),
+    ], ids=("help", "command_help", "unknown_flag", "unknown_command"))
+    def test_help_and_usage_errors_import_no_numpy(self, argv, code):
+        script = ("import sys\nfrom spintomo.cli import main\ntry:\n    main(sys.argv[1:])\n"
+                  "except SystemExit as exc:\n    print(exc.code, 'numpy' in sys.modules)\n")
+        assert fresh(script, *argv).stdout.split()[-2:] == [str(code), "False"]

@@ -1,5 +1,6 @@
-"""Property tests: bounds every state and direction pair must satisfy, and
-point sets that read what their points read one by one.
+"""Property tests: bounds every state and direction pair must satisfy,
+correlation form maps that read what the frame closures give, and point
+sets that read what their points read one by one.
 
 The cases come from hypothesis with ``derandomize=True``, so every run
 draws the same examples.
@@ -13,12 +14,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from spintomo import steering  # noqa: E402
 from spintomo.frames import (  # noqa: E402
     QUDIT_PROJECTIONS,
     TWO_QUBIT_PROJECTIONS,
     FramePoint2Q,
     FramePointQudit,
     PointSet,
+    _closure,
+    _closure_adjoint,
+    make_grid,
     tomogram,
     tomograms,
 )
@@ -33,9 +38,12 @@ from spintomo.steering import (  # noqa: E402
     correlation_tensor,
     steering_check,
 )
+from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI  # noqa: E402
 from spintomo.su2 import EulerAngles  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+#: the form-map cases run at three grids each, so fewer examples per grid
+FORM_SETTINGS = settings(SETTINGS, max_examples=40)
 
 components = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -61,11 +69,30 @@ def directions(draw):
     return v / norm
 
 
+@st.composite
+def operators(draw):
+    """A drawn complex 4x4 matrix, in general not Hermitian."""
+    parts = [np.array(draw(st.lists(components, min_size=16, max_size=16))) for _ in range(2)]
+    return (parts[0] + 1j * parts[1]).reshape(4, 4)
+
+
 @pytest.fixture(scope="module")
 def grids():
-    from spintomo.frames import make_grid
-
     return make_grid(spheres=2), make_grid(spheres=1)
+
+
+#: (pair grid, single grid) at each node count; 2x2 is below the exact minimum
+FORM_GRIDS = {nodes: tuple(make_grid(nodes, nodes, spheres=s, enforce_minimum=False)
+                           for s in (2, 1)) for nodes in (2, 8, 16)}
+FORMS = ("direct", "tomo_2q_a", "tomo_2q_b", "tomo_qudit")
+
+
+def closure_tensors(op, pair, single):
+    """Each form's tensor Tr(X_f sigma_i (x) sigma_j), X_f built through the
+    frame closures and the trace taken entry by entry."""
+    ops = (op, _closure_adjoint(op, BASIS_TWO_QUBIT, pair), _closure(op, BASIS_TWO_QUBIT, pair),
+           _closure_adjoint(op, BASIS_QUDIT, single))
+    return np.array([[[np.trace(x @ np.kron(s, t)) for t in PAULI] for s in PAULI] for x in ops])
 
 
 @SETTINGS
@@ -94,6 +121,24 @@ def test_chsh_attained_at_its_directions(rho):
     result = chsh_max(rho)
     a, b, c, d = (result.directions[k] for k in "abcd")
     assert chsh_value(rho, a, b, c, d) == pytest.approx(result.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("nodes", sorted(FORM_GRIDS))
+@FORM_SETTINGS
+@given(rho=states())
+def test_form_maps_read_the_closures(nodes, rho):
+    pair, single = FORM_GRIDS[nodes]
+    want = closure_tensors(rho, pair, single)
+    assert np.abs(steering._form_tensors(rho, FORMS, pair, single) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("nodes", sorted(FORM_GRIDS))
+@FORM_SETTINGS
+@given(a=operators(), b=operators(), x=components, y=components)
+def test_form_maps_are_linear(nodes, a, b, x, y):
+    pair, single = FORM_GRIDS[nodes]
+    tensors = [steering._form_tensors(op, FORMS, pair, single) for op in (a, b, x * a + y * b)]
+    assert np.abs(tensors[2] - (x * tensors[0] + y * tensors[1])).max() <= 1e-13
 
 
 @st.composite

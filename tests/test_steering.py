@@ -3,7 +3,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from spintomo import steering
+from spintomo import frames, steering
 from spintomo.steering import (
     NOTE_WERNER_DOMAIN,
     VARIANT_DUAL_SYMBOL,
@@ -28,7 +28,8 @@ from spintomo.steering import (
     werner_report,
 )
 from spintomo.frames import frame_pairing_qudit, frame_pairing_two_qubit, make_grid
-from spintomo.matcore import IDENTITY_2, PAULI, PAULI_X, PAULI_Z, pauli_dot, random_density, werner
+from spintomo.matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, IDENTITY_2, PAULI, PAULI_X, PAULI_Z,
+                              pauli_dot, random_density, werner)
 
 from test_matcore import observable_matrix_reference
 
@@ -301,12 +302,12 @@ class TestFormTensors:
 
     def test_default_grids_built_once(self, monkeypatch):
         seen = []
-        closure = steering._closure_adjoint
-        monkeypatch.setattr(steering, "_closure_adjoint",
-                            lambda op, rep, grid: seen.append(grid) or closure(op, rep, grid))
+        frame = steering._frame
+        monkeypatch.setattr(steering, "_frame",
+                            lambda rep, grid: seen.append(grid) or frame(rep, grid))
         for _ in range(2):
             steering_check(werner(0.5).mat)
-        # tomo_2q_a reads the pair grid, tomo_qudit the single one, on each call
+        # the two-qubit forms read the pair grid, tomo_qudit the single one, on each call
         assert len(seen) == 4
         pair, single = seen[:2]
         assert seen[2] is pair and seen[3] is single
@@ -601,11 +602,21 @@ def _reference_max_correlation(t):
     return float(k1 @ t @ k2), k1, k2
 
 
+#: Each form's operator X_f, its tensor being Tr(X_f sigma_i (x) sigma_j): the
+#: state, its closure or its adjoint closure, built through the frame closures.
+_FORM_OPERATORS = {
+    "direct": lambda rho, pair, single: rho,
+    "tomo_2q_a": lambda rho, pair, single: frames._closure_adjoint(rho, BASIS_TWO_QUBIT, pair),
+    "tomo_2q_b": lambda rho, pair, single: frames._closure(rho, BASIS_TWO_QUBIT, pair),
+    "tomo_qudit": lambda rho, pair, single: frames._closure_adjoint(rho, BASIS_QUDIT, single),
+}
+
+
 def reference_report(rho, k1, k2, pair, single):
     """Every report field through S R S^T on the factor-regrouped operators
     and numpy reductions."""
     forms = steering._FORMS
-    ops = np.array([steering._FORM_OPERATORS[f](rho, pair, single) for f in forms])
+    ops = np.array([_FORM_OPERATORS[f](rho, pair, single) for f in forms])
     regrouped = ops.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     tensors = _PAULI_ROWS @ regrouped @ _PAULI_ROWS.T
     t = tensors[0].real + 0.0
