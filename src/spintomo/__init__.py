@@ -11,13 +11,6 @@ layer (``spintomo.frames`` and so on), is imported on first access (PEP 562),
 so a program pays at start-up only for the layers it uses.
 """
 
-# numpy-free constants that matcore re-exports, so the CLI parser needs no layer
-BASIS_TWO_QUBIT = "two_qubit"
-BASIS_QUDIT = "qudit_3_2"
-HERMITICITY_TOL = 1e-12
-#: Fewest quadrature nodes per sphere axis (the default grid), for frames and the CLI
-MIN_AZIMUTH_NODES = MIN_POLAR_NODES = 8
-
 #: the exported names of each layer module
 _EXPORTS = {
     "matcore": ("BASIS_QUDIT", "BASIS_TWO_QUBIT", "DensityMatrix", "ValidationReport", "kron",

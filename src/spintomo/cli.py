@@ -10,12 +10,10 @@ usage/parse error or a numerical check that refuses the input (one
 reader closes stdout early, as ``| head`` does. Set SPINTOMO_LOG to
 error|info|debug for diagnostics on stderr.
 
-The parser needs neither numpy nor a layer, so ``--help`` and usage errors
-load none. Each handler imports only the layers it calls: ``validate`` needs
-matcore alone, ``tomogram`` and ``reconstruct`` add frames, ``map`` kernel,
-``correlation`` and ``steering`` steering (not kernel, which only
-``werner_report`` reads), and ``selftest`` selftest (each with the layers
-below it). ``logging`` loads only when SPINTOMO_LOG is set.
+Each handler imports only the layers it calls: ``validate`` needs matcore
+alone, ``tomogram`` and ``reconstruct`` add frames, ``map`` kernel, ``correlation``
+and ``steering`` steering (not kernel), and ``selftest`` selftest (each with
+the layers it imports). ``logging`` loads only when SPINTOMO_LOG is set.
 """
 
 from __future__ import annotations
@@ -26,7 +24,21 @@ import os
 import sys
 from math import isfinite
 
-from . import BASIS_QUDIT, BASIS_TWO_QUBIT, HERMITICITY_TOL, MIN_AZIMUTH_NODES, MIN_POLAR_NODES
+import numpy as np
+
+from .matcore import (
+    BASIS_QUDIT,
+    BASIS_TWO_QUBIT,
+    HERMITICITY_TOL,
+    MIN_AZIMUTH_NODES,
+    MIN_POLAR_NODES,
+    DensityMatrix,
+    matrix_from_json_dict,
+    matrix_to_json_dict,
+    validate_density,
+    werner,
+    werner_matrix,
+)
 
 REP_TO_BASIS = {"two_qubit": BASIS_TWO_QUBIT, "qudit": BASIS_QUDIT}
 
@@ -68,7 +80,6 @@ def _parse_state(spec: str, enforce_domain: bool = True):
     """Return (state, werner parameter or None). The state is a DensityMatrix
     keeping a state file's basis tag; ``enforce_domain=False`` gives the bare
     matrix, unchecked."""
-    from .matcore import DensityMatrix, matrix_from_json_dict, werner, werner_matrix
     if spec is None:
         raise CliError("--state is required")
     if spec.startswith("werner:"):
@@ -98,8 +109,7 @@ def _parse_state(spec: str, enforce_domain: bool = True):
         raise CliError(f"input is not a valid density matrix: {exc}") from exc
 
 
-def _parse_direction(spec: str):
-    import numpy as np
+def _parse_direction(spec: str) -> np.ndarray:
     if spec in _AXIS_ALIASES:
         return np.array(_AXIS_ALIASES[spec])
     parts = spec.split(",")
@@ -157,7 +167,6 @@ def _angles(azimuth, polar, third):
 def cmd_validate(args) -> int:
     # builtin werner states skip the domain check here on purpose: the whole
     # point of `validate werner:1.5` is to watch the PSD check fail
-    from .matcore import validate_density
     mat, _ = _parse_state(args.state, enforce_domain=False)
     report = validate_density(mat, tol=args.tol)
     _emit(args, report.as_dict())
@@ -202,9 +211,7 @@ def cmd_tomogram(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    import numpy as np
     from . import frames
-    from .matcore import matrix_to_json_dict
     state, _ = _parse_state(args.state)
     rep = args.rep
     grid = _picture_grid(args, rep)

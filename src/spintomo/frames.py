@@ -73,7 +73,7 @@ from operator import mul
 
 import numpy as np
 
-from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES, PAULI,
+from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES,
                       DensityMatrix, _kron, random_density, state_matrix, werner)
 from .su2 import EulerAngles, _wigner_d_array, _wigner_d_row, spin_projections, twice
 
@@ -623,11 +623,6 @@ _SPHERES = {representation: sum(tables is not _OnePointTables for tables in fact
             for representation, factors in _PICTURES.items()}
 
 
-# P, column 3i + j vec((sigma_i (x) sigma_j)^T): Tr(A B) = vec(A) . vec(B^T), so
-# vec(X) P holds the cells Tr(X sigma_i (x) sigma_j) of X's tensor row by row
-_PAULI_PAIRS = np.array([_kron(s, t).T.ravel() for s in PAULI for t in PAULI]).T
-
-
 class _PictureFrame:
     """One picture on one grid: its factor tables, factor dimensions, the
     shape of its node values and its operator-space Gram, the Kronecker
@@ -644,14 +639,6 @@ class _PictureFrame:
     def closure(self, op: np.ndarray) -> np.ndarray:
         """vec(op) G: the round trip of op through this picture's grid."""
         return np.dot(op.reshape(-1), self.gram).reshape(op.shape)
-
-    @cached_property
-    def form_maps(self) -> np.ndarray:
-        """[Pi G^T Pi P | G P] (Pi swaps vec(A) and vec(A^T)): vec(A) times it is the
-        cells vec(X) P of the adjoint closure X, then of the closure vec(A) G."""
-        swap = np.arange(16).reshape(4, 4).T.ravel()
-        return _read_only(np.hstack([np.dot(self.gram.T[np.ix_(swap, swap)], _PAULI_PAIRS),
-                                     np.dot(self.gram, _PAULI_PAIRS)]))
 
 
 @lru_cache(maxsize=16)

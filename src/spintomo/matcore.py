@@ -19,10 +19,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import BASIS_QUDIT, BASIS_TWO_QUBIT, HERMITICITY_TOL, MIN_AZIMUTH_NODES, MIN_POLAR_NODES
-
+BASIS_TWO_QUBIT = "two_qubit"
+BASIS_QUDIT = "qudit_3_2"
 KNOWN_BASES = (BASIS_TWO_QUBIT, BASIS_QUDIT)
+
+HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
+
+#: Fewest quadrature nodes per sphere axis (the default grid), for frames and the CLI
+MIN_AZIMUTH_NODES = 8
+MIN_POLAR_NODES = 8
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

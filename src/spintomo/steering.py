@@ -18,16 +18,13 @@ roundoff. No form builds the product observable or runs the frame
 pairing, which stay public as the definitions the forms are tested
 against.
 
-X_f is linear in the state, so a form's nine cells are vec(rho) K_f with a
-16x9 form map: P (Pauli products) for the direct form, G P for the closure
-and Pi G^T Pi P for the adjoint closure (G the picture's Gram on the grid,
-Pi the swap of vec(A) and vec(A^T)), built once per picture and grid. The
-forms of one picture are one product, read into Python numbers once. All that
-follows is scalar arithmetic on at most 36 numbers: the imaginary-part
-checks, E_f, the sums of T, the maximizing directions and CHSH, so a value
-takes the same operations whichever function or report reads it. The
-largest E over direction pairs is the top singular value of T, and the
-CHSH maximum is the Horodecki closed form 2*sqrt(s1^2 + s2^2) over the two
+X_f is linear in the state, so a form's cells are vec(rho) K_f for a 16x9
+map K_f built once per grid: one product for the forms of a call, read into
+Python numbers once. Past it all is scalar arithmetic on at most 36 numbers:
+the imaginary-part checks, E_f, the sums of T, the maximizing directions and
+CHSH, so a value takes the same operations whichever reader asks. The
+largest E over direction pairs is the top singular value of T, and the CHSH
+maximum is the Horodecki closed form 2*sqrt(s1^2 + s2^2) over the two
 largest singular values; a steering report takes both from one SVD.
 :func:`max_correlation_grid` stays as an independent check of the first;
 the tests check the second against a brute-force search.
@@ -51,16 +48,21 @@ from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, IDENTITY_2, DensityMatrix, _kron, pauli_dot,
-                      werner)
+from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI, IDENTITY_2, DensityMatrix, _kron,
+                      pauli_dot, werner)
 from .su2 import as_direction
-from .frames import (_PAULI_PAIRS, QUDIT_PROJECTIONS, TWO_QUBIT_PROJECTIONS, FramePoint2Q,
-                     FramePointQudit, PointSet, QuadratureGrid, _four_by_four, _frame, make_grid,
+from .frames import (QUDIT_PROJECTIONS, TWO_QUBIT_PROJECTIONS, FramePoint2Q, FramePointQudit,
+                     PointSet, QuadratureGrid, _four_by_four, _frame, _read_only, make_grid,
                      tomograms, werner_qudit_tomogram_closed, werner_two_qubit_tomogram_closed)
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# P, column 3i + j vec((sigma_i (x) sigma_j)^T): Tr(A B) = vec(A) . vec(B^T), so
+# vec(X) P holds the cells Tr(X sigma_i (x) sigma_j) of X's tensor row by row
+_PAULI_PAIRS = np.array([_kron(s, t).T.ravel() for s in PAULI for t in PAULI]).T
+_SWAP = np.ix_(*[np.arange(16).reshape(4, 4).T.ravel()] * 2)  # M[_SWAP] = Pi M Pi
 
 VARIANT_SYMBOL_DUAL = "symbol_dual"    # symbol of the observable, dual symbol of the state
 VARIANT_DUAL_SYMBOL = "dual_symbol"    # symbol of the state, dual symbol of the observable
@@ -113,31 +115,36 @@ def product_observable(k1, k2) -> ObservableTriple:
                             product=_kron(a, b))
 
 
-#: Each form's picture (None: P alone) and first column in vec(rho) K, K the
-#: picture's form maps: the adjoint closure when the state takes the dual side
-#: of the frame pairing, then the closure when it takes the symbol side.
-_FORM_COLUMNS = {"direct": (None, 0), "tomo_2q_a": (BASIS_TWO_QUBIT, 0),
-                 "tomo_2q_b": (BASIS_TWO_QUBIT, 9), "tomo_qudit": (BASIS_QUDIT, 0)}
-_FORMS = tuple(_FORM_COLUMNS)
+#: Each form's map M_f of operator space, vec(X_f) = vec(rho) M_f, from the
+#: picture frames: the state itself, its closure vec(rho) G (G the picture's
+#: Gram) when the state takes the symbol side of the frame pairing, and its
+#: adjoint closure (G vec(rho^T))^T, M_f = Pi G^T Pi with Pi the swap of vec(A)
+#: and vec(A^T), when it takes the dual side.
+_OPERATOR_MAPS = {
+    "direct": lambda pair, single: np.eye(16),
+    "tomo_2q_a": lambda pair, single: pair.gram.T[_SWAP],
+    "tomo_2q_b": lambda pair, single: pair.gram,
+    "tomo_qudit": lambda pair, single: single.gram.T[_SWAP],
+}
+_FORMS = tuple(_OPERATOR_MAPS)
 
 _VARIANT_FORMS = {VARIANT_SYMBOL_DUAL: "tomo_2q_a", VARIANT_DUAL_SYMBOL: "tomo_2q_b"}
+
+
+@lru_cache(maxsize=32)
+def _form_maps(forms: tuple, pair, single) -> np.ndarray:
+    """The forms' 16x9 maps K_f = M_f P on the picture frames, stacked."""
+    return _read_only([np.dot(_OPERATOR_MAPS[form](pair, single), _PAULI_PAIRS) for form in forms])
 
 
 def _form_cells(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None = None,
                 grid_single: QuadratureGrid | None = None) -> list:
     """The nine complex cells of each form's tensor T_f = Tr(X_f sigma_i (x)
-    sigma_j), row by row, sliced from one product per picture read: vec(rho) P
-    for the direct form, vec(rho) K with the picture's cached form maps K
-    otherwise, so a form's cells do not depend on the other forms read."""
-    v, grids = rho.ravel(), {BASIS_TWO_QUBIT: grid_pair, BASIS_QUDIT: grid_single}
-    products, cells = {}, []
-    for form in forms:
-        picture, start = _FORM_COLUMNS[form]
-        if picture not in products:
-            maps = _PAULI_PAIRS if picture is None else _frame(picture, grids[picture]).form_maps
-            products[picture] = np.dot(v, maps).tolist()
-        cells.append(products[picture][start:start + 9])
-    return cells
+    sigma_j), row by row: vec(rho) K_f in one matmul, which takes each of the
+    stacked maps on its own, so a form's cells do not depend on the others read."""
+    pair = None if grid_pair is None else _frame(BASIS_TWO_QUBIT, grid_pair)
+    single = None if grid_single is None else _frame(BASIS_QUDIT, grid_single)
+    return np.matmul(rho.ravel(), _form_maps(forms, pair, single)).tolist()
 
 
 def _form_tensors(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None = None,
@@ -192,7 +199,7 @@ def _state_cells(state) -> list:
 
 
 def _tensor_array(t: list) -> np.ndarray:
-    return np.array([t[0:3], t[3:6], t[6:9]])
+    return np.array(t).reshape(3, 3)
 
 
 def correlation_direct(state, k1, k2) -> float:
@@ -253,8 +260,9 @@ def max_correlation(t) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _svd(t: np.ndarray) -> list:
-    """T's SVD [u, s, vt] as lists, the one array call both maxima read."""
-    return [a.tolist() for a in np.linalg.svd(t)]
+    """T's SVD [u, s, vt], the one array call both maxima read; u, s as lists."""
+    u, s, vt = np.linalg.svd(t)
+    return [u.tolist(), s.tolist(), vt]
 
 
 def _max_correlation(t: list, svd) -> tuple[float, list, list]:
@@ -364,7 +372,7 @@ def _chsh_max(svd) -> ChshResult:
     if value > 0:
         chi = atan2(s[1], s[0])
         c, d = cos(chi), sin(chi)
-        v1, v2, _ = vt
+        v1, v2, _ = vt.tolist()
         directions = ([row[0] for row in u], [c * x + d * y for x, y in zip(v1, v2)],
                       [c * x - d * y for x, y in zip(v1, v2)], [row[1] for row in u])
     else:

@@ -307,7 +307,7 @@ class TestFormTensors:
                             lambda rep, grid: seen.append(grid) or frame(rep, grid))
         for _ in range(2):
             steering_check(werner(0.5).mat)
-        # the two-qubit forms read the pair grid, tomo_qudit the single one, on each call
+        # each call looks up the frame on the pair grid, then on the single one
         assert len(seen) == 4
         pair, single = seen[:2]
         assert seen[2] is pair and seen[3] is single
