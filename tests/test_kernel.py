@@ -267,7 +267,9 @@ class TestDualKernels:
         # qudit dual symbol Tr(rho * quantizer_qudit). The kernel sum over
         # the pair grid is exactly the two-qubit frame pairing of the qudit
         # quantizer (symbol side) with rho (dual-symbol side).
-        from spintomo.frames import frame_pairing_two_qubit, quantizer_qudit
+        from spintomo.frames import quantizer_qudit
+
+        from frame_reference import frame_pairing_two_qubit
 
         rng = np.random.default_rng(52)
         rho = werner(0.5).mat

@@ -20,10 +20,10 @@ EXPORTS = (
     "chsh_max", "chsh_value", "closed_kernel_report", "correlation_direct",
     "correlation_tensor", "correlation_tomographic_qudit",
     "correlation_tomographic_two_qubit", "dequantizer_2q", "dequantizer_qudit",
-    "dual_kernels", "dual_symbol", "jacobi_poly", "kernel_pair_to_qudit",
+    "dual_kernels", "dual_symbol", "kernel_pair_to_qudit",
     "kernel_qudit_to_pair", "kernel_qudit_to_pair_closed", "kron", "make_grid",
     "map_qudit_to_two_qubit", "map_two_qubit_to_qudit", "max_correlation",
-    "product_observable", "quantizer_2q", "quantizer_qudit", "quantizer_qudit_explicit",
+    "quantizer_2q", "quantizer_qudit", "quantizer_qudit_explicit",
     "qubit_rotation", "qudit_quantizer_authority", "random_density", "reconstruct_state",
     "run_selftest", "steering_check", "symbol", "tomogram", "tomogram_table",
     "validate_density", "werner", "werner_matrix", "werner_report", "wigner_D", "wigner_d",

@@ -1,6 +1,9 @@
 """Property tests: bounds every state and direction pair must satisfy,
-correlation form maps that read what the frame closures give, and point
-sets that read what their points read one by one.
+correlation form maps that read what the frame closures give, point sets
+that read what their points read one by one, tomograms that are probability
+distributions, and the two facts about each picture's operator-space Gram G
+through which alone the grid enters: G is self-adjoint on every product
+grid, and G is the identity from the derived minimum grid up.
 
 The cases come from hypothesis with ``derandomize=True``, so every run
 draws the same examples.
@@ -14,15 +17,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from spintomo import steering  # noqa: E402
 from spintomo.frames import (  # noqa: E402
     QUDIT_PROJECTIONS,
     TWO_QUBIT_PROJECTIONS,
     FramePoint2Q,
     FramePointQudit,
+    MAX_SPHERE_NODES,
     PointSet,
+    _SPHERES,
     _closure,
-    _closure_adjoint,
+    _frame,
     make_grid,
     tomogram,
     tomograms,
@@ -40,6 +44,8 @@ from spintomo.steering import (  # noqa: E402
 )
 from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI  # noqa: E402
 from spintomo.su2 import EulerAngles  # noqa: E402
+
+from frame_reference import closure_adjoint, form_tensors  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 #: the form-map cases run at three grids each, so fewer examples per grid
@@ -90,8 +96,8 @@ FORMS = ("direct", "tomo_2q_a", "tomo_2q_b", "tomo_qudit")
 def closure_tensors(op, pair, single):
     """Each form's tensor Tr(X_f sigma_i (x) sigma_j), X_f built through the
     frame closures and the trace taken entry by entry."""
-    ops = (op, _closure_adjoint(op, BASIS_TWO_QUBIT, pair), _closure(op, BASIS_TWO_QUBIT, pair),
-           _closure_adjoint(op, BASIS_QUDIT, single))
+    ops = (op, closure_adjoint(op, BASIS_TWO_QUBIT, pair), _closure(op, BASIS_TWO_QUBIT, pair),
+           closure_adjoint(op, BASIS_QUDIT, single))
     return np.array([[[np.trace(x @ np.kron(s, t)) for t in PAULI] for s in PAULI] for x in ops])
 
 
@@ -129,7 +135,7 @@ def test_chsh_attained_at_its_directions(rho):
 def test_form_maps_read_the_closures(nodes, rho):
     pair, single = FORM_GRIDS[nodes]
     want = closure_tensors(rho, pair, single)
-    assert np.abs(steering._form_tensors(rho, FORMS, pair, single) - want).max() <= 1e-14
+    assert np.abs(form_tensors(rho, FORMS, pair, single) - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("nodes", sorted(FORM_GRIDS))
@@ -137,7 +143,7 @@ def test_form_maps_read_the_closures(nodes, rho):
 @given(a=operators(), b=operators(), x=components, y=components)
 def test_form_maps_are_linear(nodes, a, b, x, y):
     pair, single = FORM_GRIDS[nodes]
-    tensors = [steering._form_tensors(op, FORMS, pair, single) for op in (a, b, x * a + y * b)]
+    tensors = [form_tensors(op, FORMS, pair, single) for op in (a, b, x * a + y * b)]
     assert np.abs(tensors[2] - (x * tensors[0] + y * tensors[1])).max() <= 1e-13
 
 
@@ -174,3 +180,62 @@ def test_point_set_reads_match_the_points(grids, rho, drawn):
     assert np.abs(tomograms(rho, points) - [tomogram(rho, p) for p in singles]).max() <= 1e-14
     mapped = [state_map(rho, grid, p) for p in singles]
     assert np.abs(state_map(rho, grid, points) - mapped).max() <= 1e-14
+
+
+@SETTINGS
+@given(rho=states(), picture=st.sampled_from([FramePointQudit, FramePoint2Q]),
+       data=st.data())
+def test_tomograms_are_probabilities(rho, picture, data):
+    # every projection (pair) at one to eight random rotations: values (4, n)
+    n = data.draw(st.integers(1, 8))
+    if picture is FramePointQudit:
+        m, shape = np.array(QUDIT_PROJECTIONS)[:, None], (n,)
+    else:
+        pairs = [(m1, m2) for m1 in TWO_QUBIT_PROJECTIONS for m2 in TWO_QUBIT_PROJECTIONS]
+        m, shape = np.array(pairs)[:, None], (n, 2)
+    size = int(np.prod(shape))
+    azimuth, polar = (np.reshape(data.draw(st.lists(st.floats(lo, hi), min_size=size,
+                                                    max_size=size)), shape)
+                      for lo, hi in ((-10.0, 10.0), (-0.5, 3.7)))
+    values = tomograms(rho, PointSet(picture, m, azimuth, polar))
+    assert values.shape == (4, n)
+    assert values.min() >= -1e-12 and values.max() <= 1 + 1e-12
+    assert np.abs(values.sum(axis=0) - 1).max() <= 1e-12
+
+
+#: each picture's derived minimum grid, (4j + 1, 2j + 1) per sphere: j = 3/2
+#: for the qudit, j = 1/2 for each qubit
+MINIMUM_GRID = {BASIS_QUDIT: (7, 4), BASIS_TWO_QUBIT: (3, 2)}
+#: Pi, the swap of vec(A) and vec(A^T): M[np.ix_(SWAP, SWAP)] = Pi M Pi
+SWAP = np.arange(16).reshape(4, 4).T.ravel()
+
+
+def gram(representation, n_azimuth, n_polar):
+    grid = make_grid(n_azimuth, n_polar, spheres=_SPHERES[representation], enforce_minimum=False)
+    return _frame(representation, grid).gram
+
+
+@SETTINGS
+@given(representation=st.sampled_from(sorted(MINIMUM_GRID)), n_azimuth=st.integers(1, 12),
+       n_polar=st.integers(1, 12))
+def test_gram_is_self_adjoint_on_every_product_grid(representation, n_azimuth, n_polar):
+    g = gram(representation, n_azimuth, n_polar)
+    assert np.abs(g.T[np.ix_(SWAP, SWAP)] - g).max() <= 1e-13
+
+
+@FORM_SETTINGS
+@given(representation=st.sampled_from(sorted(MINIMUM_GRID)), data=st.data())
+def test_gram_is_the_identity_from_the_minimum_up(representation, data):
+    min_azimuth, min_polar = MINIMUM_GRID[representation]
+    n_azimuth = data.draw(st.integers(min_azimuth, MAX_SPHERE_NODES // min_polar))
+    n_polar = data.draw(st.integers(min_polar, MAX_SPHERE_NODES // n_azimuth))
+    assert np.abs(gram(representation, n_azimuth, n_polar) - np.eye(16)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("representation", sorted(MINIMUM_GRID))
+def test_gram_is_exact_at_the_minimum_and_not_one_node_below(representation):
+    minimum = MINIMUM_GRID[representation]
+    assert np.abs(gram(representation, *minimum) - np.eye(16)).max() <= 1e-13
+    for below in ((1, 0), (0, 1)):
+        n_azimuth, n_polar = np.subtract(minimum, below).tolist()
+        assert np.abs(gram(representation, n_azimuth, n_polar) - np.eye(16)).max() >= 0.1

@@ -20,17 +20,17 @@ from spintomo.steering import (
     correlation_tomographic_two_qubit,
     max_correlation,
     max_correlation_grid,
-    observable_first,
-    observable_second,
-    product_observable,
     sphere_directions,
     steering_check,
     werner_report,
 )
-from spintomo.frames import frame_pairing_qudit, frame_pairing_two_qubit, make_grid
+from spintomo.frames import make_grid
 from spintomo.matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, IDENTITY_2, PAULI, PAULI_X, PAULI_Z,
                               pauli_dot, random_density, werner)
 
+from frame_reference import (closure_adjoint, form_tensors, frame_pairing_qudit,
+                             frame_pairing_two_qubit, observable_first, observable_second,
+                             product_observable)
 from test_matcore import observable_matrix_reference
 
 
@@ -277,7 +277,7 @@ class TestFormTensors:
         pair, single = make_grid(nodes, nodes, spheres=2), make_grid(nodes, nodes, spheres=1)
         for seed in range(10):
             rho = random_density(4, 7300 + seed).mat
-            tensors = steering._form_tensors(rho, self.FORMS, pair, single)
+            tensors = form_tensors(rho, self.FORMS, pair, single)
             for form, t in zip(self.FORMS, tensors):
                 np.testing.assert_allclose(t.real, correlation_tensor(rho), rtol=0, atol=1e-13,
                                            err_msg=form)
@@ -287,7 +287,7 @@ class TestFormTensors:
         pair = make_grid(2, 2, spheres=2, enforce_minimum=False)
         single = make_grid(2, 2, spheres=1, enforce_minimum=False)
         rho = random_density(4, 7400).mat
-        t = steering._form_tensors(rho, ("tomo_qudit",), pair, single)[0]
+        t = form_tensors(rho, ("tomo_qudit",), pair, single)[0]
         assert np.abs(t.real - correlation_tensor(rho)).max() > 0.1
 
     def test_non_hermitian_direct_form_raises(self, grid_single, grid_pair):
@@ -606,9 +606,9 @@ def _reference_max_correlation(t):
 #: state, its closure or its adjoint closure, built through the frame closures.
 _FORM_OPERATORS = {
     "direct": lambda rho, pair, single: rho,
-    "tomo_2q_a": lambda rho, pair, single: frames._closure_adjoint(rho, BASIS_TWO_QUBIT, pair),
+    "tomo_2q_a": lambda rho, pair, single: closure_adjoint(rho, BASIS_TWO_QUBIT, pair),
     "tomo_2q_b": lambda rho, pair, single: frames._closure(rho, BASIS_TWO_QUBIT, pair),
-    "tomo_qudit": lambda rho, pair, single: frames._closure_adjoint(rho, BASIS_QUDIT, single),
+    "tomo_qudit": lambda rho, pair, single: closure_adjoint(rho, BASIS_QUDIT, single),
 }
 
 

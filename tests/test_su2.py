@@ -8,13 +8,14 @@ from spintomo.su2 import (
     _wigner_d_array,
     _wigner_d_row,
     as_direction,
-    jacobi_poly,
     qubit_rotation,
     spin_projections,
     wigner_D,
     wigner_d,
     wigner_d_matrix,
 )
+
+from frame_reference import jacobi_poly
 
 
 def binom_real(top, k):
