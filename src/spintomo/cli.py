@@ -7,13 +7,12 @@ selftest. States come either from a matrix JSON file or from the builtin
 grammar ``werner:<p>``. Exit codes: 0 success, 1 check failure, 2
 usage/parse error or a numerical check that refuses the input (one
 ``error:`` line on stderr), 141 (128 + SIGPIPE, stderr empty) when the
-reader closes stdout early, as ``| head`` does. Set SPINTOMO_LOG to
-error|info|debug for diagnostics on stderr.
+reader closes stdout early, as ``| head`` does.
 
 Each handler imports only the layers it calls: ``validate`` needs matcore
 alone, ``tomogram`` and ``reconstruct`` add frames, ``map`` kernel, ``correlation``
 and ``steering`` steering (not kernel), and ``selftest`` selftest (each with
-the layers it imports). ``logging`` loads only when SPINTOMO_LOG is set.
+the layers it imports).
 """
 
 from __future__ import annotations
@@ -62,18 +61,6 @@ _AXIS_ALIASES = {
 
 class CliError(Exception):
     """Usage or parse problem; maps to exit code 2."""
-
-
-def _setup_logging():
-    """The package logger when SPINTOMO_LOG is set, else None (and no import)."""
-    level = os.environ.get("SPINTOMO_LOG")
-    if level is None:
-        return None
-    import logging
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level.lower(), logging.ERROR), stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
-    return logging.getLogger("spintomo")
 
 
 def _parse_state(spec: str, enforce_domain: bool = True):
@@ -403,17 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    log = _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if log:
-        log.info("command %s, grid (%s, %s)", args.command,
-                 getattr(args, "grid_azimuth", "-"), getattr(args, "grid_polar", "-"))
+    args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
-        if log:
-            log.debug("command %s finished with exit code %d", args.command, code)
         return code
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's exit flush stays silent

@@ -675,12 +675,6 @@ def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -
     return _regroup(b1.T @ (values.reshape(len(b1), len(b2)) @ b2), *frame.dims, inverse=True)
 
 
-def _closure(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
-    """``_synthesize(_analyze(op))`` through the grid's Gram: the same linear
-    map by associativity, vec(op) G."""
-    return _frame(representation, grid).closure(op)
-
-
 # --------------------------------------------------------------------------
 # the explicit quantizer report (on demand)
 

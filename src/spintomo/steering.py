@@ -66,9 +66,6 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 # vec(X) P holds the cells Tr(X sigma_i (x) sigma_j) of X's tensor row by row
 _PAULI_PAIRS = np.array([_kron(s, t).T.ravel() for s in PAULI for t in PAULI]).T
 
-VARIANT_SYMBOL_DUAL = "symbol_dual"    # symbol of the observable, dual symbol of the state
-VARIANT_DUAL_SYMBOL = "dual_symbol"    # symbol of the state, dual symbol of the observable
-
 NOTE_SUM_READINGS = (
     "rhs_all_entries sums all nine correlation-tensor entries and drives "
     "inequality_holds; rhs_diagonal sums the diagonal only. Both are reported "
@@ -98,8 +95,6 @@ _OPERATOR_MAPS = {
     "tomo_qudit": lambda pair, single: single.gram,
 }
 _FORMS = tuple(_OPERATOR_MAPS)
-
-_VARIANT_FORMS = {VARIANT_SYMBOL_DUAL: "tomo_2q_a", VARIANT_DUAL_SYMBOL: "tomo_2q_b"}
 
 
 @lru_cache(maxsize=32)
@@ -172,17 +167,14 @@ def correlation_direct(state, k1, k2) -> float:
     return _forms(state, k1, k2, ("direct",))["direct"]
 
 
-def correlation_tomographic_two_qubit(state, k1, k2, grid: QuadratureGrid,
-                                      variant: str = VARIANT_SYMBOL_DUAL) -> float:
-    """E(k1, k2) through the two-qubit frame pairing, either symbol order.
+def correlation_tomographic_two_qubit(state, k1, k2, grid: QuadratureGrid) -> float:
+    """E(k1, k2) through the two-qubit frame pairing.
 
-    The two orders are one map, the state's closure through the picture's
-    self-adjoint Gram, so both variants give the same number, bit for bit.
+    Either symbol order of the pairing (reports keep both, as ``tomo_2q_a``
+    and ``tomo_2q_b``) is one map, the state's closure through the picture's
+    self-adjoint Gram, so this reads the one two-qubit form.
     """
-    if variant not in _VARIANT_FORMS:
-        raise ValueError(f"unknown variant {variant!r}")
-    form = _VARIANT_FORMS[variant]
-    return _forms(state, k1, k2, (form,), grid_pair=grid)[form]
+    return _forms(state, k1, k2, ("tomo_2q_a",), grid_pair=grid)["tomo_2q_a"]
 
 
 def correlation_tomographic_qudit(state, k1, k2, grid: QuadratureGrid) -> float:

@@ -79,8 +79,13 @@ def reconstruct(tomogram_fn, quantizer_fn, grid, representation):
 # --------------------------------------------------------------------------
 # the frame pairing and the closures
 
+def closure(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
+    """The round trip of op through the picture's grid, vec(op) G."""
+    return frames._frame(representation, grid).closure(op)
+
+
 def closure_adjoint(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
-    """The operator Y with Tr(op _closure(B)) = Tr(B Y) for every B: G vec(op^T),
+    """The operator Y with Tr(op closure(B)) = Tr(B Y) for every B: G vec(op^T),
     reshaped and transposed."""
     frame = frames._frame(representation, grid)
     return np.dot(frame.gram, op.T.reshape(-1)).reshape(op.shape).T
@@ -88,7 +93,7 @@ def closure_adjoint(op: np.ndarray, representation: str, grid: QuadratureGrid) -
 
 def frame_pairing(symbol_op, dual_op, representation: str, grid: QuadratureGrid) -> complex:
     # sum_x w symbol(A)(x) Tr(B D(x)) = Tr(B * synthesis of the symbols of A)
-    rec = frames._closure(np.asarray(symbol_op, dtype=complex), representation, grid)
+    rec = closure(np.asarray(symbol_op, dtype=complex), representation, grid)
     return complex(np.trace(np.asarray(dual_op, dtype=complex) @ rec))
 
 

@@ -435,18 +435,6 @@ class TestStateFiles:
         assert json.loads(out)["psd_ok"] is False
 
 
-class TestLogging:
-    def test_log_env_var_controls_stderr_diagnostics(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINTOMO_LOG", "info")
-        import logging
-        logging.getLogger().handlers.clear()  # let basicConfig reattach at the new level
-        code, out, err = run(capsys, "validate", "--state", "werner:0.5")
-        assert code == 0
-        assert "command validate" in err
-        logging.getLogger().handlers.clear()
-        monkeypatch.delenv("SPINTOMO_LOG")
-
-
 class TestClosedStdout:
     @staticmethod
     def read_and_close(read, *flags):

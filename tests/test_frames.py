@@ -35,8 +35,9 @@ from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, random
 from spintomo.su2 import EulerAngles, spin_projections
 
 import frame_reference
-from frame_reference import (closure_adjoint, frame_pairing_qudit, frame_pairing_two_qubit,
-                             qubit_axis_operator, reconstruct, tomogram_evaluator)
+from frame_reference import (closure, closure_adjoint, frame_pairing_qudit,
+                             frame_pairing_two_qubit, qubit_axis_operator, reconstruct,
+                             tomogram_evaluator)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -1128,7 +1129,7 @@ class TestOneGridGate:
 
 
 class TestGramClosure:
-    """``_closure`` is the analysis -> synthesis round trip, on any grid."""
+    """The Gram closure is the analysis -> synthesis round trip, on any grid."""
 
     GRIDS = [(8, 8), (16, 16), (32, 32), (3, 2), (2, 3), (1, 1)]
 
@@ -1142,16 +1143,16 @@ class TestGramClosure:
             rho = random_density(4, seed).mat
             composed = frames._synthesize(frames._analyze(rho, representation, grid).real,
                                           representation, grid)
-            got = frames._closure(0.5 * (rho + rho.conj().T), representation, grid)
+            got = closure(0.5 * (rho + rho.conj().T), representation, grid)
             np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
         op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         composed = frames._synthesize(frames._analyze(op, representation, grid),
                                       representation, grid)
-        got = frames._closure(op, representation, grid)
+        got = closure(op, representation, grid)
         np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
         composed = frames._synthesize(frames._analyze(op, representation, grid).real,
                                       representation, grid)
-        got = frames._closure(0.5 * (op + op.conj().T), representation, grid)
+        got = closure(0.5 * (op + op.conj().T), representation, grid)
         np.testing.assert_allclose(got, composed, rtol=0, atol=1e-12)
 
     def test_two_qubit_round_trip_memory_is_bounded(self):
@@ -1250,7 +1251,7 @@ class TestDotMatchesMatmul:
         rng = np.random.default_rng(100 * nodes + spheres)
         for _ in range(50):
             op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            closed = frames._closure(op, representation, grid)
+            closed = closure(op, representation, grid)
             assert _bits(closed) == _bits((op.reshape(-1) @ gram).reshape(4, 4))
             adjoint = closure_adjoint(op, representation, grid)
             assert _bits(adjoint) == _bits((gram @ op.T.reshape(-1)).reshape(4, 4).T)

@@ -122,10 +122,14 @@ class TestImports:
         assert modules.split() == ["0", *want]
         assert has_logging == "False"
 
-    def test_logging_is_imported_when_asked_for(self):
-        out = fresh(self.SCRIPT, "validate", "--state", "werner:0.5",
-                    SPINTOMO_LOG="error").stdout
-        assert out.splitlines()[-1] == "True"
+    def test_log_variable_changes_nothing(self):
+        # SPINTOMO_LOG is no setting: same stdout, no stderr, no logging import
+        argv = ("validate", "--state", "werner:0.5")
+        plain = fresh(self.SCRIPT, *argv)
+        logged = fresh(self.SCRIPT, *argv, SPINTOMO_LOG="debug")
+        assert logged.stdout == plain.stdout
+        assert logged.stderr == ""
+        assert logged.stdout.splitlines()[-1] == "False"
 
     def test_help_loads_no_layer_but_matcore(self):
         script = ("import sys\nfrom spintomo.cli import build_parser\nbuild_parser()\n"

@@ -1,9 +1,10 @@
 """Property tests: bounds every state and direction pair must satisfy,
 correlation form maps that read what the frame closures give, point sets
 that read what their points read one by one, tomograms that are probability
-distributions, and the two facts about each picture's operator-space Gram G
-through which alone the grid enters: G is self-adjoint on every product
-grid, and G is the identity from the derived minimum grid up.
+distributions, two-qubit marginals that do not signal, and the facts about
+each picture's operator-space Gram G through which alone the grid enters:
+G is self-adjoint on every product grid, and G is the identity from the
+derived minimum grid up (and, for the qudit, at five azimuth nodes).
 
 The cases come from hypothesis with ``derandomize=True``, so every run
 draws the same examples.
@@ -25,7 +26,6 @@ from spintomo.frames import (  # noqa: E402
     MAX_SPHERE_NODES,
     PointSet,
     _SPHERES,
-    _closure,
     _frame,
     make_grid,
     tomogram,
@@ -45,7 +45,7 @@ from spintomo.steering import (  # noqa: E402
 from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, PAULI  # noqa: E402
 from spintomo.su2 import EulerAngles  # noqa: E402
 
-from frame_reference import closure_adjoint, form_tensors  # noqa: E402
+from frame_reference import closure, closure_adjoint, form_tensors  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 #: the form-map cases run at three grids each, so fewer examples per grid
@@ -96,7 +96,7 @@ FORMS = ("direct", "tomo_2q_a", "tomo_2q_b", "tomo_qudit")
 def closure_tensors(op, pair, single):
     """Each form's tensor Tr(X_f sigma_i (x) sigma_j), X_f built through the
     frame closures and the trace taken entry by entry."""
-    ops = (op, closure_adjoint(op, BASIS_TWO_QUBIT, pair), _closure(op, BASIS_TWO_QUBIT, pair),
+    ops = (op, closure_adjoint(op, BASIS_TWO_QUBIT, pair), closure(op, BASIS_TWO_QUBIT, pair),
            closure_adjoint(op, BASIS_QUDIT, single))
     return np.array([[[np.trace(x @ np.kron(s, t)) for t in PAULI] for s in PAULI] for x in ops])
 
@@ -203,6 +203,30 @@ def test_tomograms_are_probabilities(rho, picture, data):
     assert np.abs(values.sum(axis=0) - 1).max() <= 1e-12
 
 
+@SETTINGS
+@given(rho=states(), data=st.data())
+def test_two_qubit_marginals_do_not_signal(rho, data):
+    # one to eight pairs of directions (n1, n2), each with a second n2' and a
+    # second n1'; values w(m1, m2 | x) over the point choices x = (n1, n2),
+    # (n1, n2'), (n1', n2)
+    n = data.draw(st.integers(1, 8))
+    azimuth, polar = (np.reshape(data.draw(st.lists(st.floats(lo, hi), min_size=4 * n,
+                                                    max_size=4 * n)), (4, n))
+                      for lo, hi in ((-10.0, 10.0), (-0.5, 3.7)))
+    choices = ((0, 1), (0, 3), (2, 1))  # rows of (first, second) angles per choice
+
+    def sides(angles):
+        return np.stack([np.stack([angles[i], angles[k]], axis=-1) for i, k in choices])
+
+    m = np.array([[(m1, m2) for m2 in TWO_QUBIT_PROJECTIONS] for m1 in TWO_QUBIT_PROJECTIONS])
+    values = tomograms(rho, PointSet(FramePoint2Q, m[:, :, None, None], sides(azimuth),
+                                     sides(polar)))
+    assert values.shape == (2, 2, 3, n)
+    first, second = values.sum(axis=1), values.sum(axis=0)  # over m2, over m1
+    assert np.abs(first[:, 1] - first[:, 0]).max() <= 1e-12  # n2 changed
+    assert np.abs(second[:, 2] - second[:, 0]).max() <= 1e-12  # n1 changed
+
+
 #: each picture's derived minimum grid, (4j + 1, 2j + 1) per sphere: j = 3/2
 #: for the qudit, j = 1/2 for each qubit
 MINIMUM_GRID = {BASIS_QUDIT: (7, 4), BASIS_TWO_QUBIT: (3, 2)}
@@ -239,3 +263,13 @@ def test_gram_is_exact_at_the_minimum_and_not_one_node_below(representation):
     for below in ((1, 0), (0, 1)):
         n_azimuth, n_polar = np.subtract(minimum, below).tolist()
         assert np.abs(gram(representation, n_azimuth, n_polar) - np.eye(16)).max() >= 0.1
+
+
+@pytest.mark.parametrize("n_polar", [4, 8, 16])
+def test_qudit_gram_is_exact_at_five_azimuth_nodes(n_polar):
+    # below the minimum (7, 4), only five azimuth nodes are exact: the residue
+    # they alias, azimuthal frequency +-5, is odd and cancels on the symmetric
+    # Gauss-Legendre polar nodes
+    assert np.abs(gram(BASIS_QUDIT, 5, n_polar) - np.eye(16)).max() <= 1e-13
+    for n_azimuth in (4, 6):
+        assert np.abs(gram(BASIS_QUDIT, n_azimuth, 4) - np.eye(16)).max() >= 0.1

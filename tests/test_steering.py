@@ -3,11 +3,9 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from spintomo import frames, steering
+from spintomo import steering
 from spintomo.steering import (
     NOTE_WERNER_DOMAIN,
-    VARIANT_DUAL_SYMBOL,
-    VARIANT_SYMBOL_DUAL,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
@@ -28,7 +26,7 @@ from spintomo.frames import make_grid
 from spintomo.matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, IDENTITY_2, PAULI, PAULI_X, PAULI_Z,
                               pauli_dot, random_density, werner)
 
-from frame_reference import (closure_adjoint, form_tensors, frame_pairing_qudit,
+from frame_reference import (closure, closure_adjoint, form_tensors, frame_pairing_qudit,
                              frame_pairing_two_qubit, observable_first, observable_second,
                              product_observable)
 from test_matcore import observable_matrix_reference
@@ -187,11 +185,7 @@ class TestCorrelationTomographic:
     def test_werner_equivalence(self, grid_single, grid_pair):
         rho = werner(0.4).mat
         want = 0.4
-        assert correlation_tomographic_two_qubit(rho, Z_AXIS, Z_AXIS, grid_pair,
-                                                 VARIANT_SYMBOL_DUAL) \
-            == pytest.approx(want, abs=1e-8)
-        assert correlation_tomographic_two_qubit(rho, Z_AXIS, Z_AXIS, grid_pair,
-                                                 VARIANT_DUAL_SYMBOL) \
+        assert correlation_tomographic_two_qubit(rho, Z_AXIS, Z_AXIS, grid_pair) \
             == pytest.approx(want, abs=1e-8)
         assert correlation_tomographic_qudit(rho, Z_AXIS, Z_AXIS, grid_single) \
             == pytest.approx(want, abs=1e-8)
@@ -202,20 +196,14 @@ class TestCorrelationTomographic:
             rho = random_density(4, 7000 + seed).mat
             k1, k2 = random_unit(rng), random_unit(rng)
             direct = correlation_direct(rho, k1, k2)
-            for variant in (VARIANT_SYMBOL_DUAL, VARIANT_DUAL_SYMBOL):
-                got = correlation_tomographic_two_qubit(rho, k1, k2, grid_pair, variant)
-                assert got == pytest.approx(direct, abs=1e-8)
+            got = correlation_tomographic_two_qubit(rho, k1, k2, grid_pair)
+            assert got == pytest.approx(direct, abs=1e-8)
             got = correlation_tomographic_qudit(rho, k1, k2, grid_single)
             assert got == pytest.approx(direct, abs=1e-8)
 
     def test_maximally_mixed(self, grid_pair):
         got = correlation_tomographic_two_qubit(np.eye(4) / 4, X_AXIS, Z_AXIS, grid_pair)
         assert got == pytest.approx(0.0, abs=1e-10)
-
-    def test_unknown_variant(self, grid_pair):
-        with pytest.raises(ValueError):
-            correlation_tomographic_two_qubit(werner(0.1).mat, Z_AXIS, Z_AXIS,
-                                              grid_pair, variant="bogus")
 
 
 class TestCorrelationForms:
@@ -226,10 +214,8 @@ class TestCorrelationForms:
             k1, k2 = random_unit(rng), random_unit(rng)
             assert correlation_forms(rho, k1, k2, grid_pair, grid_single) == {
                 "direct": correlation_direct(rho, k1, k2),
-                "tomo_2q_a": correlation_tomographic_two_qubit(rho, k1, k2, grid_pair,
-                                                               VARIANT_SYMBOL_DUAL),
-                "tomo_2q_b": correlation_tomographic_two_qubit(rho, k1, k2, grid_pair,
-                                                               VARIANT_DUAL_SYMBOL),
+                "tomo_2q_a": correlation_tomographic_two_qubit(rho, k1, k2, grid_pair),
+                "tomo_2q_b": correlation_tomographic_two_qubit(rho, k1, k2, grid_pair),
                 "tomo_qudit": correlation_tomographic_qudit(rho, k1, k2, grid_single),
             }
 
@@ -607,7 +593,7 @@ def _reference_max_correlation(t):
 _FORM_OPERATORS = {
     "direct": lambda rho, pair, single: rho,
     "tomo_2q_a": lambda rho, pair, single: closure_adjoint(rho, BASIS_TWO_QUBIT, pair),
-    "tomo_2q_b": lambda rho, pair, single: frames._closure(rho, BASIS_TWO_QUBIT, pair),
+    "tomo_2q_b": lambda rho, pair, single: closure(rho, BASIS_TWO_QUBIT, pair),
     "tomo_qudit": lambda rho, pair, single: closure_adjoint(rho, BASIS_QUDIT, single),
 }
 
@@ -655,10 +641,8 @@ class TestOnePath:
             assert forms == correlation_forms(rho, k1, k2, pair, single)
             assert forms == {
                 "direct": correlation_direct(rho, k1, k2),
-                "tomo_2q_a": correlation_tomographic_two_qubit(rho, k1, k2, pair,
-                                                               VARIANT_SYMBOL_DUAL),
-                "tomo_2q_b": correlation_tomographic_two_qubit(rho, k1, k2, pair,
-                                                               VARIANT_DUAL_SYMBOL),
+                "tomo_2q_a": correlation_tomographic_two_qubit(rho, k1, k2, pair),
+                "tomo_2q_b": correlation_tomographic_two_qubit(rho, k1, k2, pair),
                 "tomo_qudit": correlation_tomographic_qudit(rho, k1, k2, single),
             }
             np.testing.assert_array_equal(report.tensor, correlation_tensor(rho))
