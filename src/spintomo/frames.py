@@ -77,7 +77,7 @@ from operator import mul
 import numpy as np
 
 from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES,
-                      DensityMatrix, _kron, random_density, state_matrix, werner)
+                      DensityMatrix, _kron, _random_densities, state_matrix, werner)
 from .su2 import EulerAngles, _wigner_d_array, _wigner_d_row, spin_projections, twice
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
@@ -750,8 +750,8 @@ def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
         for reading in SIGN_READINGS
     }
     # the sample states, then the Werner state, as rows of flattened matrices
-    states = np.array([random_density(4, seed).mat for seed in _AUTHORITY_SAMPLE_SEEDS]
-                      + [werner(0.5).mat]).reshape(-1, 16)
+    states = np.concatenate([_random_densities(4, _AUTHORITY_SAMPLE_SEEDS),
+                             [werner(0.5).mat]]).reshape(-1, 16)
     values = (states @ tables.analysis.T).real
 
     def residuals(stack):
@@ -963,9 +963,7 @@ def _reconstruction_memo(key: bytes, representation: str, n_azimuth: int, n_pola
 
 def roundtrip_residual(state, representation: str, grid: QuadratureGrid) -> float:
     """Frobenius norm of (reconstructed - original)."""
-    rho = state_matrix(state)
-    rec = reconstruct_state(state, representation, grid)
-    return float(np.linalg.norm(rec - rho))
+    return float(np.linalg.norm(_reconstruction(state, representation, grid) - state_matrix(state)))
 
 
 # --------------------------------------------------------------------------

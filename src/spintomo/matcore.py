@@ -107,20 +107,16 @@ def validate_density(m, tol: float = HERMITICITY_TOL) -> ValidationReport:
 
 
 def _validation_report(a: np.ndarray, tol: float = HERMITICITY_TOL) -> ValidationReport:
-    # the checks of validate_density on an already coerced array
-    adjoint = a.conj().T
+    # the checks of validate_density on a coerced array, or the worst figures of
+    # a stack (..., d, d); each trace defect is a scalar's abs, as for one matrix
+    adjoint = a.conj().swapaxes(-1, -2)
     herm_defect = float(np.abs(a - adjoint).max())
-    trace_defect = float(abs(a.trace() - 1.0))
+    trace_defect = float(max(map(abs, (a.trace(0, -2, -1) - 1.0).flat)))
     herm_part = 0.5 * (a + adjoint)
-    min_eig = float(np.linalg.eigvalsh(herm_part).min())
-    return ValidationReport(
-        hermiticity_defect=herm_defect,
-        trace_defect=trace_defect,
-        min_eigenvalue=min_eig,
-        hermitian_ok=herm_defect <= tol,
-        trace_ok=trace_defect <= tol,
-        psd_ok=min_eig >= -PSD_TOL,
-    )
+    min_eig = float(min(np.linalg.eigvalsh(herm_part)[..., 0].flat))  # ascending
+    return ValidationReport(hermiticity_defect=herm_defect, trace_defect=trace_defect,
+                            min_eigenvalue=min_eig, hermitian_ok=herm_defect <= tol,
+                            trace_ok=trace_defect <= tol, psd_ok=min_eig >= -PSD_TOL)
 
 
 @dataclass(frozen=True)
@@ -184,12 +180,27 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
     G has i.i.d. standard complex Gaussian entries drawn from
     ``numpy.random.default_rng(seed)``, so a fixed seed gives a fixed state.
     """
+    return DensityMatrix(_random_matrices(dim, (seed,))[0])
+
+
+def _random_densities(dim: int, seeds) -> np.ndarray:
+    """:func:`random_density`'s matrices at the seeds as one stack, validated in one pass."""
+    m = _random_matrices(dim, seeds)
+    report = _validation_report(m)
+    if not report.passed:
+        raise ValueError(f"not a density matrix: {report.as_dict()}")
+    return m
+
+
+def _random_matrices(dim: int, seeds) -> np.ndarray:
+    # each seed's own generator draws its 2 x dim x dim normals, Re G then Im G
     if dim not in (2, 4):
         raise ValueError(f"unsupported dimension {dim}, expected 2 or 4")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real)
+    x = np.array([np.random.default_rng(seed).standard_normal((2, dim, dim)) for seed in seeds])
+    g = x[:, 0] + 1j * x[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= m.trace(0, -2, -1).real[:, None, None]
+    return m
 
 
 def state_matrix(state) -> np.ndarray:

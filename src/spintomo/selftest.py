@@ -22,10 +22,11 @@ from .matcore import (
     BASIS_TWO_QUBIT,
     MIN_AZIMUTH_NODES,
     MIN_POLAR_NODES,
-    random_density,
+    _kron,
+    _random_densities,
     werner,
 )
-from .su2 import EulerAngles, wigner_D
+from .su2 import EulerAngles, _wigner_d_row
 
 WALL_CLOCK_BUDGET_SECONDS = 60.0
 
@@ -65,9 +66,9 @@ class SelftestContext:
     def rng(self, offset: int) -> np.random.Generator:
         return np.random.default_rng(self.seed + offset)
 
-
-def _random_angles(rng) -> EulerAngles:
-    return EulerAngles(rng.uniform(0, 2 * pi), rng.uniform(0, pi))
+    def states(self, offset: int, n: int, dim: int = 4) -> np.ndarray:
+        """random_density's states at seeds seed + offset + k, k < n, as one stack."""
+        return _random_densities(dim, range(self.seed + offset, self.seed + offset + n))
 
 
 #: The criteria in index order, each appended by ``@_criterion`` where it is
@@ -130,8 +131,7 @@ def criterion_completeness(ctx: SelftestContext) -> tuple[bool, dict]:
     rotations = rng.uniform(0, (2 * pi, pi), (20, 5, 3, 2))  # per state and draw: nq, na, nb
     sets = _projection_sets(rotations[:, :, 0], rotations[:, :, 1:])
     worst_norm = 0.0
-    for k in range(20):
-        rho = random_density(4, ctx.seed + 100 + k)
+    for k, rho in enumerate(ctx.states(100, 20)):
         for points in sets:
             total = frames.tomograms(rho, points)[:, k].sum(axis=0)
             worst_norm = max(worst_norm, np.abs(total - 1.0).max())
@@ -144,8 +144,7 @@ def criterion_completeness(ctx: SelftestContext) -> tuple[bool, dict]:
 def criterion_reconstruction_two_qubit(ctx: SelftestContext) -> tuple[bool, dict]:
     """2: two-qubit reconstruction round trip on 100 random states."""
     worst = 0.0
-    for k in range(100):
-        rho = random_density(4, ctx.seed + 200 + k)
+    for rho in ctx.states(200, 100):
         worst = max(worst, frames.roundtrip_residual(rho, BASIS_TWO_QUBIT, ctx.grid_pair))
     return worst <= 1e-8, {"max_frobenius_residual": float(worst), "n_states": 100}
 
@@ -155,23 +154,16 @@ def criterion_reconstruction_qudit(ctx: SelftestContext) -> tuple[bool, dict]:
     """3: qudit reconstruction through the multipole dual, plus the report
     on the explicit candidate."""
     worst = 0.0
-    for k in range(100):
-        rho = random_density(4, ctx.seed + 300 + k)
+    for rho in ctx.states(300, 100):
         worst = max(worst, frames.roundtrip_residual(rho, BASIS_QUDIT, ctx.grid_single))
-    report = frames.qudit_quantizer_authority(
-        ctx.grid_single.n_azimuth, ctx.grid_single.n_polar)
-    details = {
-        "max_frobenius_residual": float(worst),
-        "selected": report.selected,
-        "explicit_best_residual": min(report.explicit_residuals.values()),
-    }
+    report = frames.qudit_quantizer_authority(ctx.grid_single.n_azimuth, ctx.grid_single.n_polar)
+    details = {"max_frobenius_residual": float(worst), "selected": report.selected,
+               "explicit_best_residual": min(report.explicit_residuals.values())}
     passed = worst <= 1e-8
     if report.selected == "dual_frame":
         # the fallback path must document which explicit entries fail
-        enumerated = (
-            any(report.hermiticity_failures.values())
-            and len(report.entry_deviations_vs_dual) > 0
-        )
+        enumerated = (any(report.hermiticity_failures.values())
+                      and len(report.entry_deviations_vs_dual) > 0)
         details["failing_entries_enumerated"] = enumerated
         passed = passed and enumerated
     return passed, details
@@ -201,8 +193,7 @@ def criterion_kernel_intertwining(ctx: SelftestContext) -> tuple[bool, dict]:
     """5: kernel-mapped tomograms match direct tomograms, both directions,
     for every state at every target."""
     rng = ctx.rng(5)
-    states = [random_density(4, ctx.seed + 500 + k) for k in range(50)]
-    states += [werner(p) for p in (-1.0 / 3.0, 0.0, 1.0 / 3.0, 1.0)]
+    states = [*ctx.states(500, 50), *(werner(p).mat for p in (-1.0 / 3.0, 0.0, 1.0 / 3.0, 1.0))]
     # per state: a two-qubit target (m1, m2, n1, n2), then a qudit target (m, n)
     draws = np.array([(rng.integers(2), rng.integers(2), *rng.uniform(0, (2 * pi, pi, 2 * pi, pi)),
                        rng.integers(4), *rng.uniform(0, (2 * pi, pi))) for _ in states])
@@ -214,9 +205,9 @@ def criterion_kernel_intertwining(ctx: SelftestContext) -> tuple[bool, dict]:
     worst_q2p = worst_p2q = 0.0
     for rho in states:
         mapped = kernel.map_state_qudit_to_two_qubit(rho, ctx.grid_single, targets)
-        worst_q2p = max(worst_q2p, np.abs(mapped - frames.tomograms(rho.mat, targets)).max())
+        worst_q2p = max(worst_q2p, np.abs(mapped - frames.tomograms(rho, targets)).max())
         mapped = kernel.map_state_two_qubit_to_qudit(rho, ctx.grid_pair, qtargets)
-        worst_p2q = max(worst_p2q, np.abs(mapped - frames.tomograms(rho.mat, qtargets)).max())
+        worst_p2q = max(worst_p2q, np.abs(mapped - frames.tomograms(rho, qtargets)).max())
     passed = worst_q2p <= 1e-8 and worst_p2q <= 1e-8
     return passed, {"max_residual_qudit_to_pair": float(worst_q2p),
                     "max_residual_pair_to_qudit": float(worst_p2q),
@@ -246,8 +237,7 @@ def criterion_correlation_equivalence(ctx: SelftestContext) -> tuple[bool, dict]
     """7: all four correlation-function forms agree on random inputs."""
     rng = ctx.rng(7)
     worst = 0.0
-    for k in range(50):
-        rho = random_density(4, ctx.seed + 700 + k)
+    for rho in ctx.states(700, 50):
         k1 = _random_direction(rng)
         k2 = _random_direction(rng)
         forms = steering.correlation_forms(rho, k1, k2, ctx.grid_pair, ctx.grid_single)
@@ -284,10 +274,8 @@ def criterion_bell_bounds(ctx: SelftestContext) -> tuple[bool, dict]:
         result = steering.chsh_max(werner(p).mat)
         worst_werner = max(worst_werner, abs(result.value - 2.0 * sqrt(2.0) * abs(p)))
     worst_product = 0.0
-    for k in range(20):
-        a = random_density(2, ctx.seed + 900 + k).mat
-        b = random_density(2, ctx.seed + 950 + k).mat
-        result = steering.chsh_max(np.kron(a, b))
+    for a, b in zip(ctx.states(900, 20, dim=2), ctx.states(950, 20, dim=2)):
+        result = steering.chsh_max(_kron(a, b))
         worst_product = max(worst_product, result.value)
     w1 = steering.chsh_max(werner(1.0).mat)
     passed = (
@@ -323,10 +311,11 @@ def criterion_steering_report(ctx: SelftestContext) -> tuple[bool, dict]:
 
 def _rotated_row(j: float, m: float, angles: EulerAngles) -> np.ndarray:
     """Row m of :func:`~spintomo.su2.wigner_D` at the angles, the third one
-    included; a qubit's azimuth phi enters as pi - phi, as in its frame."""
-    if j == 0.5:
-        angles = EulerAngles(pi - angles.azimuth, angles.polar, angles.third)
-    return wigner_D(j, angles)[round(j - m)]
+    included, in its products: exp(i m third) d^j[m, :](polar) exp(i m' azimuth),
+    a qubit's azimuth phi entering as pi - phi, as in its frame."""
+    azimuth = pi - angles.azimuth if j == 0.5 else angles.azimuth
+    d = np.array(_wigner_d_row(round(2 * j), round(j - m), angles.polar))
+    return np.exp(1j * m * angles.third) * d * np.exp(1j * frames._projections(j) * azimuth)
 
 
 @_criterion(11, 'no-signaling & third-angle invariance')
@@ -335,8 +324,7 @@ def criterion_no_signaling(ctx: SelftestContext) -> tuple[bool, dict]:
     a third angle equals the read without it and Tr(rho r^dag r), r its row of D^j."""
     rng = ctx.rng(11)
     worst_marginal = 0.0
-    for k in range(5):
-        rho = random_density(4, ctx.seed + 1100 + k)
+    for rho in ctx.states(1100, 5):
         m1 = frames.TWO_QUBIT_PROJECTIONS[rng.integers(2)]
         n1 = rng.uniform(0, (2 * pi, pi))
         n2 = rng.uniform(0, (2 * pi, pi), (20, 2))
@@ -346,26 +334,25 @@ def criterion_no_signaling(ctx: SelftestContext) -> tuple[bool, dict]:
         marginal = frames.tomograms(rho, points).sum(axis=0)  # over m2, at each n2
         worst_marginal = max(worst_marginal, np.abs(marginal - marginal[0]).max())
     worst_third = 0.0
-    for k in range(5):
-        rho = random_density(4, ctx.seed + 1150 + k)
+    for rho in ctx.states(1150, 5):
         alpha, beta = rng.uniform(0, 2 * pi), rng.uniform(0, pi)
         m = frames.QUDIT_PROJECTIONS[rng.integers(4)]
         base_q = frames.tomogram(rho, frames.FramePointQudit(m, EulerAngles(alpha, beta, 0.0)))
         m1 = frames.TWO_QUBIT_PROJECTIONS[rng.integers(2)]
         m2 = frames.TWO_QUBIT_PROJECTIONS[rng.integers(2)]
-        a1, a2 = _random_angles(rng), _random_angles(rng)
+        a1, a2 = (EulerAngles(rng.uniform(0, 2 * pi), rng.uniform(0, pi)) for _ in range(2))
         base_2q = frames.tomogram(rho, frames.FramePoint2Q(m1, m2, a1, a2))
         for _ in range(10):
             gamma = rng.uniform(0, 2 * pi)
             n = EulerAngles(alpha, beta, gamma)
             r = _rotated_row(1.5, m, n)
             v = frames.tomogram(rho, frames.FramePointQudit(m, n))
-            worst_third = max(worst_third, abs(v - base_q), abs(v - (r @ rho.mat @ r.conj()).real))
+            worst_third = max(worst_third, abs(v - base_q), abs(v - (r @ rho @ r.conj()).real))
             n1 = EulerAngles(a1.azimuth, a1.polar, gamma)
             n2 = EulerAngles(a2.azimuth, a2.polar, -gamma)
-            r = np.kron(_rotated_row(0.5, m1, n1), _rotated_row(0.5, m2, n2))
+            r = np.outer(_rotated_row(0.5, m1, n1), _rotated_row(0.5, m2, n2)).ravel()
             v = frames.tomogram(rho, frames.FramePoint2Q(m1, m2, n1, n2))
-            worst_third = max(worst_third, abs(v - base_2q), abs(v - (r @ rho.mat @ r.conj()).real))
+            worst_third = max(worst_third, abs(v - base_2q), abs(v - (r @ rho @ r.conj()).real))
     passed = worst_marginal <= 1e-12 and worst_third <= 1e-12
     return passed, {"max_marginal_variation": float(worst_marginal),
                     "max_third_angle_variation": float(worst_third)}

@@ -265,7 +265,8 @@ def max_correlation_grid(t) -> float:
 
     Searches the direction lattice and then refines by 60 rounds of the
     alternating closed-form best response (k1 -> T k2 / |..|,
-    k2 -> T^T k1 / |..|), which increases the value monotonically.
+    k2 -> T^T k1 / |..|), which increases the value monotonically; a round that
+    leaves k2's bits as they were is a fixed point, which the rest would repeat.
     """
     t = np.asarray(t, dtype=float)
     dirs = sphere_directions()
@@ -273,16 +274,18 @@ def max_correlation_grid(t) -> float:
     i, j = np.unravel_index(np.argmax(values), values.shape)
     k1, k2 = dirs[i], dirs[j]
     best = float(values[i, j])
-    for _ in range(60):
+    for _ in range(60):  # sqrt(v . v) is np.linalg.norm(v), bit for bit
         v = t @ k2
-        norm = np.linalg.norm(v)
+        norm = sqrt(v.dot(v))
         if norm > 1e-15:
             k1 = v / norm
-        v = t.T @ k1
-        norm = np.linalg.norm(v)
+        v, previous = t.T @ k1, k2.tobytes()
+        norm = sqrt(v.dot(v))
         if norm > 1e-15:
             k2 = v / norm
         best = max(best, float(k1 @ t @ k2))
+        if k2.tobytes() == previous:
+            break
     return best
 
 

@@ -5,9 +5,14 @@ The criteria are implemented once in :mod:`spintomo.selftest` (shared with
 pass/fail line and asserts both the verdict and the runtime budget.
 """
 
+from math import pi
+
+import numpy as np
 import pytest
 
+from spintomo import frames, selftest
 from spintomo.selftest import CRITERIA, WALL_CLOCK_BUDGET_SECONDS
+from spintomo.su2 import EulerAngles, wigner_D
 
 
 def _result(report, index):
@@ -114,3 +119,67 @@ def test_criterion_12_wall_clock(selftest_report):
 def test_criteria_run_in_index_order():
     # @_criterion appends each criterion where it is defined
     assert [fn.index for fn in CRITERIA] == list(range(1, 12))
+
+
+#: Each criterion's details keys, in the order its line prints them.
+DETAILS_KEYS = {
+    1: ["max_completeness_defect", "max_normalization_defect"],
+    2: ["max_frobenius_residual", "n_states"],
+    3: ["max_frobenius_residual", "selected", "explicit_best_residual",
+        "failing_entries_enumerated"],
+    4: ["max_closed_form_dev", "max_beta0_dev"],
+    5: ["max_residual_qudit_to_pair", "max_residual_pair_to_qudit", "n_states"],
+    6: ["agrees", "best_reading", "max_dev_measure_normalized", "discrepancy_report_emitted"],
+    7: ["max_pairwise_deviation", "n_triples"],
+    8: ["max_zz_dev", "max_tensor_dev"],
+    9: ["max_werner_dev", "max_product_chsh", "werner1_chsh"],
+    10: ["max_lhs_dev", "max_grid_dev", "report_complete"],
+    11: ["max_marginal_variation", "max_third_angle_variation"],
+    12: ["within_budget"],
+}
+
+
+def test_details_keys_are_pinned(selftest_report):
+    assert {r.index: list(r.details) for r in selftest_report.results} == DETAILS_KEYS
+
+
+def test_third_angle_reference_is_a_row_of_wigner_D():
+    # the reference row is built alone, with wigner_D's products in its order
+    rng = np.random.default_rng(2811)
+    for _ in range(200):
+        angles = EulerAngles(*rng.uniform(0, (2 * pi, pi, 2 * pi)))
+        for j, ms in ((1.5, frames.QUDIT_PROJECTIONS), (0.5, frames.TWO_QUBIT_PROJECTIONS)):
+            rotation = EulerAngles(pi - angles.azimuth, angles.polar, angles.third) \
+                if j == 0.5 else angles
+            for row, m in enumerate(ms):
+                want = wigner_D(j, rotation)[row]
+                assert selftest._rotated_row(j, m, angles).tobytes() == want.tobytes()
+
+
+class TestThirdAngleCheckCanFail:
+    """Criterion 11 fails when a frame point's row leaves D^j's row."""
+
+    @pytest.fixture
+    def ctx(self, grid_single, grid_pair):
+        return selftest.SelftestContext(grid_single, grid_pair, seed=2026)
+
+    def test_passes_on_the_frames(self, ctx):
+        passed, details = selftest.criterion_no_signaling(ctx)
+        assert passed and details["max_third_angle_variation"] <= 1e-12
+
+    def test_conjugated_azimuth_phases_fail(self, ctx, monkeypatch):
+        # a read at a third angle still equals the read without it; only the
+        # comparison with the row of D^j sees the wrong phases
+        phases = frames._phases
+        monkeypatch.setattr(frames, "_phases",
+                            lambda j, azimuth: [p.conjugate() for p in phases(j, azimuth)])
+        passed, details = selftest.criterion_no_signaling(ctx)
+        assert not passed and details["max_third_angle_variation"] > 1e-3
+        assert details["max_marginal_variation"] <= 1e-12
+
+    def test_a_row_that_reads_the_third_angle_fails(self, ctx, monkeypatch):
+        point_row = frames._point_row
+        monkeypatch.setattr(frames, "_point_row", lambda j, m, n: point_row(
+            j, m, EulerAngles(n.azimuth + n.third, n.polar)))
+        passed, details = selftest.criterion_no_signaling(ctx)
+        assert not passed and details["max_third_angle_variation"] > 1e-3

@@ -195,6 +195,71 @@ class TestRandomDensity:
             random_density(3, seed=0)
 
 
+class TestRandomDensityStack:
+    """``matcore._random_densities``: random_density's states drawn as one
+    stack and validated in one pass."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_equals_random_density_bit_for_bit(self, dim):
+        seeds = list(range(300, 340))
+        stack = matcore._random_densities(dim, seeds)
+        assert stack.shape == (len(seeds), dim, dim)
+        for seed, mat in zip(seeds, stack):
+            assert mat.tobytes() == random_density(dim, seed).mat.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_a_state_does_not_depend_on_the_other_seeds(self, dim):
+        alone = matcore._random_densities(dim, [77])[0]
+        for seeds in ([77, 1, 2], [5, 77], [9, 8, 7, 77, 6], [77] * 3):
+            stack = matcore._random_densities(dim, seeds)
+            for k in (k for k, seed in enumerate(seeds) if seed == 77):
+                assert stack[k].tobytes() == alone.tobytes()
+
+    def test_unsupported_dim(self):
+        with pytest.raises(ValueError, match="unsupported dimension 3"):
+            matcore._random_densities(3, [0])
+
+    @staticmethod
+    def fields(report):
+        return [np.asarray(getattr(report, f.name)).tobytes() for f in dataclasses.fields(report)]
+
+    def test_stack_of_one_gives_the_figures_of_validate_density(self):
+        for a in TestValidationFields.matrices():
+            a = matcore.as_complex_matrix(a)
+            assert self.fields(matcore._validation_report(a[None])) \
+                == self.fields(validate_density(a))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stack_gives_the_worst_figures(self, dim):
+        mats = list(matcore._random_densities(dim, range(20)))
+        if dim == 4:  # out of the Werner domain: not PSD, least eigenvalue -1/4
+            mats[7:7] = [werner_matrix(2.0), werner_matrix(1.2), edge_state()]
+        reports = [validate_density(a) for a in mats]
+        stacked = matcore._validation_report(np.array(mats))
+        assert stacked.hermiticity_defect == max(r.hermiticity_defect for r in reports)
+        assert stacked.trace_defect == max(r.trace_defect for r in reports)
+        assert stacked.min_eigenvalue == min(r.min_eigenvalue for r in reports)
+        assert stacked.passed == all(r.passed for r in reports)
+        assert stacked.passed == (dim == 2)
+
+    def test_validated_in_one_pass(self, monkeypatch):
+        shapes = []
+        report = matcore._validation_report
+        monkeypatch.setattr(matcore, "_validation_report",
+                            lambda a: shapes.append(a.shape) or report(a))
+        matcore._random_densities(4, range(30))
+        assert shapes == [(30, 4, 4)]
+        shapes.clear()
+        random_density(4, 5)  # only its DensityMatrix validates it
+        assert shapes == [(4, 4)]
+
+    def test_a_failing_stack_raises(self, monkeypatch):
+        failing = validate_density(werner_matrix(2.0))
+        monkeypatch.setattr(matcore, "_validation_report", lambda a: failing)
+        with pytest.raises(ValueError, match="^not a density matrix"):
+            matcore._random_densities(4, range(3))
+
+
 class TestDensityMatrixType:
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError):
