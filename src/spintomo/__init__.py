@@ -19,11 +19,13 @@ _EXPORTS = {
             "wigner_d", "wigner_d_matrix"),
     "frames": ("FramePoint2Q", "FramePointQudit", "QuadratureGrid", "TomogramTable",
                "dequantizer_2q", "dequantizer_qudit", "dual_symbol", "make_grid", "quantizer_2q",
-               "quantizer_qudit", "quantizer_qudit_explicit", "qudit_quantizer_authority",
-               "reconstruct_state", "symbol", "tomogram", "tomogram_table"),
-    "kernel": ("KernelPoint", "closed_kernel_report", "dual_kernels", "kernel_pair_to_qudit",
-               "kernel_qudit_to_pair", "kernel_qudit_to_pair_closed", "map_qudit_to_two_qubit",
-               "map_two_qubit_to_qudit"),
+               "quantizer_qudit", "qudit_quantizer_authority", "reconstruct_state", "symbol",
+               "tomogram", "tomogram_table"),
+    "kernel": ("map_qudit_to_two_qubit", "map_two_qubit_to_qudit"),
+    # the paper's closed forms, diagnostics only
+    "paper_forms": ("KernelPoint", "closed_kernel_report", "dual_kernels", "kernel_pair_to_qudit",
+                    "kernel_qudit_to_pair", "kernel_qudit_to_pair_closed",
+                    "quantizer_qudit_explicit"),
     "steering": ("ChshResult", "SteeringReport", "WernerReport", "chsh_max", "chsh_value",
                  "correlation_direct", "correlation_tensor", "correlation_tomographic_qudit",
                  "correlation_tomographic_two_qubit", "max_correlation", "steering_check",

@@ -12,7 +12,8 @@ reader closes stdout early, as ``| head`` does.
 Each handler imports only the layers it calls: ``validate`` needs matcore
 alone, ``tomogram`` and ``reconstruct`` add frames, ``map`` kernel, ``correlation``
 and ``steering`` steering (not kernel), and ``selftest`` selftest (each with
-the layers it imports).
+the layers it imports); only ``reconstruct --rep qudit`` and ``selftest`` load
+paper_forms. The parser, too, adds the flags of the named command alone.
 """
 
 from __future__ import annotations
@@ -288,6 +289,24 @@ def _seed(text: str) -> int:
     return value
 
 
+def _add_shared_flags(parser: argparse.ArgumentParser, state: bool = True,
+                      grid: tuple | None = (MIN_AZIMUTH_NODES, MIN_POLAR_NODES),
+                      tol: bool = False) -> None:
+    """The options several commands read, in the order their help lists them:
+    --state, the node-count flags with these defaults, --tol, --out."""
+    if state:
+        parser.add_argument("--state", help="matrix JSON file or builtin 'werner:<p>'")
+    if grid is not None:
+        parser.add_argument("--grid-azimuth", type=int, default=grid[0],
+                            help="azimuth nodes per sphere (>= 8)")
+        parser.add_argument("--grid-polar", type=int, default=grid[1],
+                            help="polar Gauss-Legendre nodes per sphere (>= 8)")
+    if tol:
+        parser.add_argument("--tol", type=_tolerance, default=1e-8,
+                            help="tolerance override for pass/fail exit codes (finite, >= 0)")
+    parser.add_argument("--out", help="write output to this path instead of stdout")
+
+
 def _add_direction_flags(parser: argparse.ArgumentParser) -> None:
     # argparse takes a separate value that starts with '-' for a flag
     for flag, side in (("--k1", "first"), ("--k2", "second")):
@@ -312,85 +331,77 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--psi2", type=float, help="second qubit third angle (rad, no effect)")
 
 
-def _grid_flags(default_azimuth: int | None, default_polar: int | None) -> argparse.ArgumentParser:
-    """The node-count flags as a parent parser, with these defaults."""
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-azimuth", type=int, default=default_azimuth,
-                      help="azimuth nodes per sphere (>= 8)")
-    grid.add_argument("--grid-polar", type=int, default=default_polar,
-                      help="polar Gauss-Legendre nodes per sphere (>= 8)")
-    return grid
+#: the command names :func:`main` looks for in its argv
+_COMMANDS = ("validate", "tomogram", "reconstruct", "map", "correlation", "steering", "selftest")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every command is registered with its help line, but
+    only ``command`` gets its flags, or every command when it is None.
+    A parse reaches one command at most, its first positional argument; if
+    that names a command, no argument before it does (they start with '-'),
+    so the parser :func:`main` builds for the first name parses as the full
+    one does."""
     parser = argparse.ArgumentParser(
         prog="spintomo",
         description="Spin tomographic representations, kernels and steering analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # shared options, each registered only on the commands that read it
-    state = argparse.ArgumentParser(add_help=False)
-    state.add_argument("--state", help="matrix JSON file or builtin 'werner:<p>'")
-    grid = _grid_flags(MIN_AZIMUTH_NODES, MIN_POLAR_NODES)
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=1e-8,
-                     help="tolerance override for pass/fail exit codes (finite, >= 0)")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write output to this path instead of stdout")
+    def add(name, help_text, **shared):
+        # the command's parser with its shared options, or None when not built
+        p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            return None
+        _add_shared_flags(p, **shared)
+        return p
 
-    p = sub.add_parser("validate", parents=[state, out],
-                       help="check a state against the density-matrix axioms")
-    p.add_argument("--tol", type=_tolerance, default=HERMITICITY_TOL,
-                   help="tolerance of the Hermiticity and trace checks (finite, >= 0)")
-    p.set_defaults(handler=cmd_validate)
+    if p := add("validate", "check a state against the density-matrix axioms", grid=None):
+        p.add_argument("--tol", type=_tolerance, default=HERMITICITY_TOL,
+                       help="tolerance of the Hermiticity and trace checks (finite, >= 0)")
+        p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("tomogram", parents=[state, grid, out],
-                       help="evaluate a tomogram at a point or over the grid")
-    p.add_argument("--rep", choices=("two_qubit", "qudit"), required=True)
-    p.add_argument("--full-grid", action="store_true",
-                   help="emit the full (projection, node) table")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="format of the --full-grid table")
-    _add_point_flags(p)
-    p.set_defaults(handler=cmd_tomogram)
+    if p := add("tomogram", "evaluate a tomogram at a point or over the grid"):
+        p.add_argument("--rep", choices=("two_qubit", "qudit"), required=True)
+        p.add_argument("--full-grid", action="store_true",
+                       help="emit the full (projection, node) table")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="format of the --full-grid table")
+        _add_point_flags(p)
+        p.set_defaults(handler=cmd_tomogram)
 
-    p = sub.add_parser("reconstruct", parents=[state, grid, tol, out],
-                       help="round-trip a state through its tomogram")
-    p.add_argument("--rep", choices=("two_qubit", "qudit"), required=True)
-    p.set_defaults(handler=cmd_reconstruct)
+    if p := add("reconstruct", "round-trip a state through its tomogram", tol=True):
+        p.add_argument("--rep", choices=("two_qubit", "qudit"), required=True)
+        p.set_defaults(handler=cmd_reconstruct)
 
-    p = sub.add_parser("map", parents=[state, grid, tol, out],
-                       help="convert a tomogram between the two pictures")
-    p.add_argument("--direction", choices=tuple(_MAP_PICTURES), required=True)
-    _add_point_flags(p)
-    p.set_defaults(handler=cmd_map)
+    if p := add("map", "convert a tomogram between the two pictures", tol=True):
+        p.add_argument("--direction", choices=tuple(_MAP_PICTURES), required=True)
+        _add_point_flags(p)
+        p.set_defaults(handler=cmd_map)
 
-    p = sub.add_parser("correlation", parents=[state, grid, out],
-                       help="all four correlation-function forms")
-    _add_direction_flags(p)
-    p.set_defaults(handler=cmd_correlation)
+    if p := add("correlation", "all four correlation-function forms"):
+        _add_direction_flags(p)
+        p.set_defaults(handler=cmd_correlation)
 
-    p = sub.add_parser("steering", parents=[state, grid, out],
-                       help="steering inequality and CHSH report")
-    _add_direction_flags(p)
-    p.set_defaults(handler=cmd_steering)
+    if p := add("steering", "steering inequality and CHSH report"):
+        _add_direction_flags(p)
+        p.set_defaults(handler=cmd_steering)
 
     # no defaults: run_selftest tells node counts given from none given (8x8)
-    p = sub.add_parser("selftest", parents=[_grid_flags(None, None), out],
-                       help="run the full acceptance suite")
-    p.add_argument("--seed", type=_seed, default=2026,
-                   help="base seed of the random states (integer >= 0)")
-    p.add_argument("--coarse", action="store_true",
-                   help="run on a 2x2 grid to show the criteria that need an exact "
-                        "quadrature fail (no grid flags)")
-    p.set_defaults(handler=cmd_selftest)
+    if p := add("selftest", "run the full acceptance suite", state=False, grid=(None, None)):
+        p.add_argument("--seed", type=_seed, default=2026,
+                       help="base seed of the random states (integer >= 0)")
+        p.add_argument("--coarse", action="store_true",
+                       help="run on a 2x2 grid to show the criteria that need an exact "
+                            "quadrature fail (no grid flags)")
+        p.set_defaults(handler=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit

@@ -30,14 +30,10 @@ Maccone & Paini, J. Opt. B 5, 77 (2003); Man'ko & Man'ko, JETP 85, 430
 (1997)). It needs the spin matrices only, not the grid; for j = 1/2 it is
 the paper's qubit quantizer ((1/2) I + 3 m F) / 8 pi^2.
 
-The paper's explicit qudit quantizer (``quantizer_qudit_explicit``; its
-prefactor i*(-1)^m is ambiguous for half-integer m, so both natural
-readings are implemented) misses the reconstruction identity on generic
-states. It is a diagnostic only: :func:`qudit_quantizer_authority` builds
-it on request and records residuals and failing entries in a
-:class:`QuditQuantizerReport`. Its blocks broadcast over arrays of
-projections and angles, so the report evaluates each sign reading once
-over the whole grid.
+The paper's explicit qudit quantizer misses the reconstruction identity on
+generic states. It is a diagnostic only, in :mod:`spintomo.paper_forms`,
+which no frame operation imports: :func:`qudit_quantizer_authority` loads
+it on request and caches its report per grid.
 
 On a grid each picture is a pair of factor frames: the two-qubit picture
 is (spin-1/2, spin-1/2), the qudit picture (spin-3/2, the one-point frame
@@ -69,15 +65,15 @@ from __future__ import annotations
 
 import cmath
 import io
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import cos, isqrt, pi, sin, sqrt
+from math import cos, isqrt, pi, sin
 from operator import mul
 
 import numpy as np
 
 from .matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, MIN_AZIMUTH_NODES, MIN_POLAR_NODES,
-                      DensityMatrix, _kron, _random_densities, state_matrix, werner)
+                      DensityMatrix, _kron, state_matrix)
 from .su2 import EulerAngles, _wigner_d_array, _wigner_d_row, spin_projections, twice
 
 TWO_QUBIT_PROJECTIONS = (0.5, -0.5)
@@ -98,17 +94,6 @@ CSV_BLOCK_ROWS = 1024
 #: Total measure of one rotation sphere, third Euler angle included:
 #: int dphi int sin(theta) dtheta int dpsi = 2pi * 2 * 2pi.
 FULL_SPHERE_MEASURE = 8.0 * pi**2
-
-#: i * (-1)^m for half-integer m read as i * exp(i pi m); the product is a
-#: real alternating sign (+1 for m = 3/2, -1/2; -1 for m = 1/2, -3/2).
-SIGN_READING_REAL = "real_alternating"
-#: i * (-1)^m read as i * (-1)^(m + 3/2); the factor stays imaginary.
-SIGN_READING_IMAG = "imaginary_alternating"
-SIGN_READINGS = (SIGN_READING_REAL, SIGN_READING_IMAG)
-
-#: Reconstruction residual below which the report would select the explicit
-#: qudit quantizer over the dual frame.
-EXPLICIT_QUANTIZER_THRESHOLD = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +230,7 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
         raise ValueError("spheres must be 1 or 2")
     n_azimuth, n_polar = _node_counts(n_azimuth, n_polar, enforce_minimum)
     azimuth = 2.0 * pi * np.arange(n_azimuth) / n_azimuth
-    x, wx = np.polynomial.legendre.leggauss(n_polar)
+    x, wx = _gauss_legendre(n_polar)
     return QuadratureGrid(
         n_azimuth=n_azimuth,
         n_polar=n_polar,
@@ -254,6 +239,42 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
         polar=np.arccos(x),
         polar_weight=wx,
     )
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit
+    those of ``numpy.polynomial.legendre.leggauss(n)``, by its steps (so no
+    grid imports numpy.polynomial): the eigenvalues of the symmetric
+    companion matrix, one Newton step, weights from P_(n-1) and P_n',
+    symmetrized and scaled to sum 2."""
+    scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scale[:n - 1] * scale[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n = np.zeros(n + 1)
+    p_n[-1] = 1.0
+    dp_n = np.zeros(n)  # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dp_n[n - 1::-2] = np.arange(2 * n - 1, 0, -4)
+    dy, df = _legendre_series(x, p_n), _legendre_series(x, dp_n)
+    x -= dy / df
+    fm = _legendre_series(x, p_n[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
+def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] P_k(x) by numpy's ``legval`` Clenshaw recurrence, step for step."""
+    if len(c) < 3:
+        return c[0] + (c[1] if len(c) == 2 else 0) * x
+    nd, c0, c1 = len(c), c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 # --------------------------------------------------------------------------
@@ -450,110 +471,6 @@ def _point_symbol(op: np.ndarray, point) -> complex:
 
 
 # --------------------------------------------------------------------------
-# the paper's explicit qudit quantizer (diagnostic only), as array expressions
-
-def _sign_reading_factor(m, reading: str):
-    """The paper's prefactor i * (-1)^m / ((m + 3/2)! (3/2 - m)!) under the
-    two readings of its ambiguous sign, elementwise over projections m."""
-    m2 = 2.0 * np.asarray(m, dtype=float)
-    if not np.isin(m2, (3.0, 1.0, -1.0, -3.0)).all():
-        raise ValueError(f"projections must lie in {QUDIT_PROJECTIONS}, got {m}")
-    if reading == SIGN_READING_REAL:
-        sign = np.where(m2 % 4 == 3, 1.0, -1.0)
-    elif reading == SIGN_READING_IMAG:
-        sign = np.where(m2 % 4 == 3, -1j, 1j)
-    else:
-        raise ValueError(f"unknown sign reading {reading!r}")
-    return sign / np.where(np.abs(m2) == 3, 6.0, 2.0)  # (m + 3/2)! (3/2 - m)!
-
-
-def _matrices(rows) -> np.ndarray:
-    """Complex (..., 4, 4) stack from four rows of broadcastable entries."""
-    entries = np.broadcast_arrays(*(x for row in rows for x in row))
-    return np.stack(entries, axis=-1, dtype=complex).reshape(entries[0].shape + (4, 4))
-
-
-def _explicit_block_degree1(m, alpha, beta) -> np.ndarray:
-    """Tridiagonal block, trace 1; carries the projection m linearly."""
-    sb, cb = np.sin(beta), np.cos(beta)
-    e = np.exp(1j * alpha)
-    q = 0.3 * sqrt(3.0) * m * sb
-    r = 0.6 * m * sb  # 63/105 = 3/5
-    return _matrices([
-        [0.25 + 0.9 * m * cb, q / e, 0, 0],
-        [q * e, 0.25 + 0.3 * m * cb, r * e, 0],
-        [0, r * e, 0.25 - 0.3 * m * cb, q / e],
-        [0, 0, q * e, 0.25 - 0.9 * m * cb],
-    ])
-
-
-def _explicit_block_degree2(alpha, beta) -> np.ndarray:
-    """Traceless block, second order in the polar angle."""
-    sb = np.sin(beta)
-    s2b = np.sin(2.0 * beta)
-    c2 = np.cos(beta) ** 2
-    e = np.exp(1j * alpha)
-    e2 = np.exp(2j * alpha)
-    r3 = sqrt(3.0)
-    return _matrices([
-        [3 * c2 - 1, r3 * s2b / e, r3 * sb * sb / e2, 0],
-        [r3 * s2b * e, 1 - 3 * c2, 0, -r3 * sb * sb / e2],
-        [r3 * sb * sb * e2, 0, 1 - 3 * c2, -r3 * s2b / e],
-        [0, -r3 * sb * sb * e2, -r3 * s2b * e, 3 * c2 - 1],
-    ])
-
-
-def _explicit_block_degree3_sin(alpha, beta) -> np.ndarray:
-    """sin(beta) times the third-order block.
-
-    The raw block carries cos(beta)/sin(beta) on its diagonal; multiplying
-    by sin(beta) analytically removes the pole, so the assembled quantizer
-    is finite at beta = 0 and beta = pi.
-    """
-    sb, cb = np.sin(beta), np.cos(beta)
-    c2 = cb * cb
-    e = np.exp(1j * alpha)
-    e2 = np.exp(2j * alpha)
-    e3 = np.exp(3j * alpha)
-    r3 = sqrt(3.0)
-    diag = cb * (c2 - 0.6)
-    off1 = r3 * (c2 - 0.2) * sb
-    off2 = r3 * sb * sb * cb
-    off3 = sb**3
-    mid = 3.0 * (0.2 - c2) * sb
-    return _matrices([
-        [diag, off1 / e, off2 / e2, off3 / e3],
-        [off1 * e, 3 * diag, mid / e, -off2 / e2],
-        [off2 * e2, mid * e, -3 * diag, off1 / e],
-        [off3 * e3, off2 * e2, off1 * e, -diag],
-    ])
-
-
-def explicit_qudit_b_matrix(m, alpha, beta, reading: str = SIGN_READING_REAL) -> np.ndarray:
-    """Unnormalized explicit quantizer candidate (trace 1 for every point),
-    broadcast over arrays of projections and angles."""
-    m = np.asarray(m, dtype=float)
-    pref = 0.5 * _sign_reading_factor(m, reading)[..., None, None]
-    return _explicit_block_degree1(m, alpha, beta) + pref * (
-        5.0 * m[..., None, None] * _explicit_block_degree2(alpha, beta)
-        + 10.5 * _explicit_block_degree3_sin(alpha, beta)
-    )
-
-
-def quantizer_qudit_explicit(point: FramePointQudit,
-                             reading: str = SIGN_READING_REAL) -> np.ndarray:
-    """Explicit closed-form qudit quantizer candidate, measure-normalized.
-
-    See the module docstring: this construction is only cross-checked
-    against the reconstruction identity (:func:`qudit_quantizer_authority`);
-    :func:`quantizer_qudit` is the operator used in reconstruction and
-    kernels.
-    """
-    return explicit_qudit_b_matrix(point.m, point.n.azimuth, point.n.polar,
-                                   reading) / FULL_SPHERE_MEASURE
-
-
-# --------------------------------------------------------------------------
 # cached per-grid frame tables, analysis and synthesis
 
 class _SphereTables:
@@ -678,112 +595,13 @@ def _synthesize(values: np.ndarray, representation: str, grid: QuadratureGrid) -
 # --------------------------------------------------------------------------
 # the explicit quantizer report (on demand)
 
-_AUTHORITY_SAMPLE_SEEDS = tuple(range(9201, 9209))
-_REPORT_ENTRY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuditQuantizerReport:
-    """Machine-readable record of the explicit-candidate check.
-
-    ``selected`` is ``"explicit:<reading>"`` when a reading's residual is
-    within ``threshold``, else ``"dual_frame"``. Residuals are Frobenius
-    reconstruction round-trip errors; the entry lists enumerate, in the
-    unnormalized (trace-1 candidate) scale, which matrix entries of the
-    explicit construction break Hermiticity and which deviate from the
-    dual frame.
-    """
-
-    scheme: tuple
-    threshold: float
-    selected: str
-    dual_frame_max_residual: float
-    explicit_residuals: dict
-    werner_residuals: dict
-    hermiticity_failures: dict
-    entry_deviations_vs_dual: list
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "scheme": list(self.scheme)}
-
-
-def _hermiticity_failures() -> dict:
-    # 24 random points per block, each drawn as (azimuth, polar, projection)
-    rng = np.random.default_rng(4096)
-    draws = np.array([(rng.uniform(0, 2 * pi), rng.uniform(0, pi),
-                       QUDIT_PROJECTIONS[rng.integers(4)]) for _ in range(3 * 24)])
-    a, b, m = draws.reshape(3, 24, 3).transpose(2, 0, 1)  # each (block, point)
-    blocks = {
-        "block_degree1": _explicit_block_degree1(m[0], a[0], b[0]),
-        "block_degree2": _explicit_block_degree2(a[1], b[1]),
-        "block_degree3_sin": _explicit_block_degree3_sin(a[2], b[2]),
-    }
-    out = {}
-    for name, x in blocks.items():
-        worst = np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=0)
-        out[name] = [
-            {"entry": [i, j], "max_defect": float(worst[i, j])}
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if worst[i, j] > _REPORT_ENTRY_TOL
-        ]
-    return out
-
-
 @lru_cache(maxsize=8)
 def qudit_quantizer_authority(n_azimuth: int = MIN_AZIMUTH_NODES,
-                              n_polar: int = MIN_POLAR_NODES) -> QuditQuantizerReport:
-    """Check the paper's explicit qudit quantizer on one grid and report.
-
-    A diagnostic, computed on request: reconstruction and kernels always
-    use the multipole dual. The explicit candidate (each sign reading) is
-    evaluated once over every (projection, node) of the grid, and its round
-    trip of a fixed sample of random states and of a Werner state is one
-    matrix product; ``selected`` names it only if that round trip stays
-    below ``EXPLICIT_QUANTIZER_THRESHOLD``.
-    """
-    tables = _qudit_tables(n_azimuth, n_polar)
-    grid = make_grid(n_azimuth, n_polar, spheres=1, enforce_minimum=False)
-    explicit = {
-        reading: explicit_qudit_b_matrix(np.array(QUDIT_PROJECTIONS)[:, None], grid.sphere_alpha(),
-                                         grid.sphere_beta(), reading) / FULL_SPHERE_MEASURE
-        for reading in SIGN_READINGS
-    }
-    # the sample states, then the Werner state, as rows of flattened matrices
-    states = np.concatenate([_random_densities(4, _AUTHORITY_SAMPLE_SEEDS),
-                             [werner(0.5).mat]]).reshape(-1, 16)
-    values = (states @ tables.analysis.T).real
-
-    def residuals(stack):
-        # Frobenius error of each state's weighted sum of values against the stack
-        rec = values @ (stack * tables.weights[:, None, None]).reshape(len(tables.analysis), 16)
-        return np.linalg.norm(rec - states, axis=1)
-
-    res = {reading: residuals(explicit[reading]) for reading in SIGN_READINGS}
-    explicit_res = {reading: float(r[:-1].max()) for reading, r in res.items()}
-    best_reading = min(SIGN_READINGS, key=explicit_res.get)
-    if explicit_res[best_reading] <= EXPLICIT_QUANTIZER_THRESHOLD:
-        selected = f"explicit:{best_reading}"
-    else:
-        selected = "dual_frame"
-    dev = np.abs(explicit[best_reading] - tables.quantizer).max(axis=(0, 1))
-    dev = dev * FULL_SPHERE_MEASURE  # report in the unnormalized candidate scale
-    deviations = [
-        {"entry": [i, j], "max_abs_deviation": float(dev[i, j])}
-        for i in range(4)
-        for j in range(4)
-        if dev[i, j] > _REPORT_ENTRY_TOL
-    ]
-    return QuditQuantizerReport(
-        scheme=(n_azimuth, n_polar),
-        threshold=EXPLICIT_QUANTIZER_THRESHOLD,
-        selected=selected,
-        dual_frame_max_residual=float(residuals(tables.quantizer)[:-1].max()),
-        explicit_residuals=explicit_res,
-        werner_residuals={reading: float(r[-1]) for reading, r in res.items()},
-        hermiticity_failures=_hermiticity_failures(),
-        entry_deviations_vs_dual=deviations,
-    )
+                              n_polar: int = MIN_POLAR_NODES):
+    """:func:`spintomo.paper_forms.qudit_quantizer_report`, cached per grid:
+    the check of the paper's explicit qudit quantizer on one grid."""
+    from .paper_forms import qudit_quantizer_report
+    return qudit_quantizer_report(n_azimuth, n_polar)
 
 
 # --------------------------------------------------------------------------

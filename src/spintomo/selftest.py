@@ -16,7 +16,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from . import frames, kernel, steering
+from . import frames, kernel, paper_forms, steering
 from .matcore import (
     BASIS_QUDIT,
     BASIS_TWO_QUBIT,
@@ -217,7 +217,7 @@ def criterion_kernel_intertwining(ctx: SelftestContext) -> tuple[bool, dict]:
 @_criterion(6, 'closed-form kernel cross-check')
 def criterion_closed_kernel(ctx: SelftestContext) -> tuple[bool, dict]:
     """6: closed-form kernel agrees, or the discrepancy report is emitted."""
-    report = kernel.closed_kernel_report(n_points=100, seed=ctx.seed + 600)
+    report = paper_forms.closed_kernel_report(n_points=100, seed=ctx.seed + 600)
     stats = report.reading_stats[report.best_reading]
     report_complete = (
         bool(report.term_max_abs)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spintomo
-from spintomo import frames, matcore
+from spintomo import cli, frames, matcore
 from spintomo.cli import main
 from spintomo.matcore import (
     BASIS_QUDIT,
@@ -145,10 +145,11 @@ class TestTomogram:
 
     @pytest.mark.parametrize("flags, builds_grid", [((), False), (("--full-grid",), True)])
     def test_point_mode_builds_no_grid(self, flags, builds_grid):
-        # the Gauss-Legendre nodes of a grid come from numpy.polynomial; a point
-        # checks the grid flags without them (a fresh interpreter shows the imports)
-        script = ("import sys\nfrom spintomo.cli import main\n"
-                  "code = main(sys.argv[1:])\nprint(code, 'numpy.polynomial' in sys.modules)\n")
+        # a point checks the grid flags without building the frame tables of a
+        # grid (a fresh interpreter shows the table builds)
+        script = ("import sys\nfrom spintomo.cli import main\nfrom spintomo import frames\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, frames._qudit_tables.cache_info().misses > 0)\n")
         src = str(Path(spintomo.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -617,3 +618,53 @@ class TestReportKeys:
                                   "seconds", "budget_seconds"}
         assert [entry["index"] for entry in report["results"]] == list(range(1, 13))
         assert report["results"][-1]["budget_seconds"] == 60.0
+
+
+class TestParserIdentity:
+    """``main`` builds the parser for the command its argv names; help, usage
+    errors and exit codes are those of the full parser, byte for byte."""
+
+    COMMANDS = ("validate", "tomogram", "reconstruct", "map", "correlation", "steering",
+                "selftest")
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def compare(self, capsys, monkeypatch, argv):
+        own = self.outcome(capsys, argv)
+        full = cli.build_parser
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda command=None: full())
+            reference = self.outcome(capsys, argv)
+        assert own == reference
+        return own[0]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("nosuch",), ("nosuch", "--help"), (),
+                                      ("--state", "werner:0.5", "validate")])
+    def test_without_a_command(self, capsys, monkeypatch, argv):
+        assert self.compare(capsys, monkeypatch, argv) == (0 if argv == ("--help",) else 2)
+
+    def test_a_later_argument_naming_a_command(self, capsys, monkeypatch):
+        # the command is the first name: here a state file called 'selftest'
+        assert self.compare(capsys, monkeypatch, ("validate", "--state", "selftest")) == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help(self, capsys, monkeypatch, command):
+        assert self.compare(capsys, monkeypatch, (command, "--help")) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_required_flag(self, capsys, monkeypatch, command):
+        # selftest requires no flag: its --seed misses its value
+        argv = (command, "--seed") if command == "selftest" else (command,)
+        assert self.compare(capsys, monkeypatch, argv) == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_tolerance(self, capsys, monkeypatch, command):
+        argv = (command, "--state", "werner:0.5", "--tol", "nan")
+        assert self.compare(capsys, monkeypatch, argv) == 2

@@ -13,17 +13,13 @@ from spintomo.frames import (
     FramePoint2Q,
     FramePointQudit,
     QUDIT_PROJECTIONS,
-    SIGN_READING_IMAG,
-    SIGN_READING_REAL,
     TWO_QUBIT_PROJECTIONS,
     dequantizer_2q,
     dequantizer_qudit,
     dual_symbol,
-    explicit_qudit_b_matrix,
     make_grid,
     quantizer_2q,
     quantizer_qudit,
-    quantizer_qudit_explicit,
     qudit_quantizer_authority,
     reconstruct_state,
     roundtrip_residual,
@@ -32,6 +28,8 @@ from spintomo.frames import (
     tomogram_table,
 )
 from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, random_density, werner
+from spintomo.paper_forms import (SIGN_READING_IMAG, SIGN_READING_REAL, explicit_qudit_b_matrix,
+                                  quantizer_qudit_explicit)
 from spintomo.su2 import EulerAngles, spin_projections
 
 import frame_reference
@@ -110,6 +108,14 @@ class TestGrid:
         grid = make_grid(9.0, 10.0)
         assert (grid.n_azimuth, grid.n_polar) == (9, 10)
         assert (len(grid.azimuth), len(grid.polar)) == (9, 10)
+
+    def test_polar_rule_is_numpys_gauss_legendre_bit_for_bit(self):
+        from numpy.polynomial.legendre import leggauss
+        for n in (*range(1, 129), 256, 512, 1024):
+            grid = make_grid(1, n, enforce_minimum=False)
+            x, w = leggauss(n)
+            assert grid.polar.tobytes() == np.arccos(x).tobytes(), n
+            assert grid.polar_weight.tobytes() == w.tobytes(), n
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,17 @@ from math import cos, pi, sin
 import numpy as np
 import pytest
 
-from spintomo import frames, kernel, steering
+from spintomo import frames, kernel, paper_forms, steering
 from spintomo.kernel import (
+    map_qudit_to_two_qubit,
+    map_state_qudit_to_two_qubit,
+    map_state_two_qubit_to_qudit,
+    map_two_qubit_to_qudit,
+)
+from spintomo.paper_forms import (
+    SIGN_READING_IMAG,
+    SIGN_READING_REAL,
+    SIGN_READINGS,
     KernelPoint,
     closed_kernel_report,
     closed_kernel_terms,
@@ -13,15 +22,8 @@ from spintomo.kernel import (
     kernel_pair_to_qudit,
     kernel_qudit_to_pair,
     kernel_qudit_to_pair_closed,
-    map_qudit_to_two_qubit,
-    map_state_qudit_to_two_qubit,
-    map_state_two_qubit_to_qudit,
-    map_two_qubit_to_qudit,
 )
 from spintomo.frames import (
-    SIGN_READING_IMAG,
-    SIGN_READING_REAL,
-    SIGN_READINGS,
     FramePoint2Q,
     FramePointQudit,
     QUDIT_PROJECTIONS,
@@ -330,7 +332,7 @@ class TestClosedFormKernel:
     def test_terms_broadcast_equal_scalar_calls(self, reading):
         rng = np.random.default_rng(56)
         points = [rand_kernel_point(rng) for _ in range(12)]
-        batch = kernel._stacked(points)
+        batch = paper_forms._stacked(points)
         assert batch.m.shape == batch.qubit2.polar.shape == (12,)
         terms = closed_kernel_terms(batch, reading)
         for n, point in enumerate(points):
@@ -433,8 +435,8 @@ class TestPointReads:
 
         monkeypatch.setattr(frames, "_rank_one", disabled)
         monkeypatch.setattr(frames, "_kron", disabled)
-        monkeypatch.setattr(kernel, "quantizer_qudit", quantizers.__getitem__)
-        monkeypatch.setattr(kernel, "quantizer_2q", quantizers.__getitem__)
+        monkeypatch.setattr(paper_forms, "quantizer_qudit", quantizers.__getitem__)
+        monkeypatch.setattr(paper_forms, "quantizer_2q", quantizers.__getitem__)
         for (name, read, _), value in zip(reads, expected):
             assert read() == value, name
 
@@ -545,8 +547,8 @@ def test_stacked_points_match_the_astuple_columns():
     """The closed form's coordinate arrays, read from the fields, equal the
     columns of the points' dataclasses.astuple."""
     rng = np.random.default_rng(2306)
-    points = [kernel._random_kernel_point(rng) for _ in range(30)]
-    batch = kernel._stacked(points)
+    points = [paper_forms._random_kernel_point(rng) for _ in range(30)]
+    batch = paper_forms._stacked(points)
     m, m1, m2, *rotations = (np.array(c) for c in zip(*map(dataclasses.astuple, points)))
     for got, want in ((batch.m, m), (batch.m1, m1), (batch.m2, m2)):
         assert np.array_equal(got, want)

@@ -29,7 +29,7 @@ EXPORTS = (
     "validate_density", "werner", "werner_matrix", "werner_report", "wigner_D", "wigner_d",
     "wigner_d_matrix",
 )
-LAYERS = ("su2", "matcore", "frames", "kernel", "steering", "selftest")
+LAYERS = ("su2", "matcore", "frames", "kernel", "paper_forms", "steering", "selftest")
 
 
 def fresh(script, *argv, flags=(), **env):
@@ -103,24 +103,35 @@ class TestImports:
 
     SCRIPT = ("import sys\nfrom spintomo.cli import main\ncode = main(sys.argv[1:])\n"
               "print(code, *sorted(m for m in sys.modules if m.startswith('spintomo.')))\n"
-              "print('logging' in sys.modules)\n")
+              "print('numpy.polynomial' in sys.modules)\nprint('logging' in sys.modules)\n")
     POINT = ("--m", "1.5", "--alpha", "0", "--beta", "0")
+    PAIR_POINT = ("--m1", "0.5", "--m2", "0.5", "--theta1", "0", "--phi1", "0",
+                  "--theta2", "0", "--phi2", "0")
 
     @pytest.mark.parametrize("argv, layers", [
         (("validate", "--state", "werner:0.5"), ()),
         (("tomogram", "--state", "werner:0.5", "--rep", "qudit", *POINT), ("frames", "su2")),
-        (("reconstruct", "--state", "werner:0.5", "--rep", "qudit"), ("frames", "su2")),
+        (("reconstruct", "--state", "werner:0.5", "--rep", "qudit"),
+         ("frames", "paper_forms", "su2")),
         (("map", "--state", "werner:0.5", "--direction", "2q_to_qudit", *POINT),
          ("frames", "kernel", "su2")),
         (("correlation", "--state", "werner:0.5"), ("frames", "steering", "su2")),
         (("steering", "--state", "werner:0.5"), ("frames", "steering", "su2")),
-        (("selftest",), ("frames", "kernel", "selftest", "steering", "su2")),
-    ], ids=("validate", "tomogram", "reconstruct", "map", "correlation", "steering", "selftest"))
+        (("selftest",), ("frames", "kernel", "paper_forms", "selftest", "steering", "su2")),
+        (("reconstruct", "--state", "werner:0.5", "--rep", "two_qubit"), ("frames", "su2")),
+        (("tomogram", "--state", "werner:0.5", "--rep", "qudit", "--full-grid"),
+         ("frames", "su2")),
+        (("map", "--state", "werner:0.5", "--direction", "qudit_to_2q", *PAIR_POINT),
+         ("frames", "kernel", "su2")),
+    ], ids=("validate", "tomogram", "reconstruct", "map", "correlation", "steering", "selftest",
+            "reconstruct_two_qubit", "tomogram_full_grid", "map_qudit_to_2q"))
     def test_command_loads_only_its_layers(self, argv, layers):
-        modules, has_logging = fresh(self.SCRIPT, *argv).stdout.splitlines()[-2:]
+        modules, has_polynomial, has_logging = fresh(self.SCRIPT, *argv).stdout.splitlines()[-3:]
         want = sorted(f"spintomo.{m}" for m in ("cli", "matcore", *layers))
         assert modules.split() == ["0", *want]
         assert has_logging == "False"
+        # the grids' Gauss-Legendre rule is frames' own, not numpy.polynomial's
+        assert has_polynomial == "False"
 
     def test_log_variable_changes_nothing(self):
         # SPINTOMO_LOG is no setting: same stdout, no stderr, no logging import
