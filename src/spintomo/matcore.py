@@ -236,8 +236,11 @@ def matrix_from_json_dict(d: dict) -> tuple[np.ndarray, str | None]:
     dim = d["dim"]
     if dim not in (2, 4):
         raise ValueError(f"unsupported dimension {dim}, expected 2 or 4")
-    re = np.asarray(d["re"], dtype=float)
-    im = np.asarray(d["im"], dtype=float)
+    try:
+        re = np.asarray(d["re"], dtype=float)
+        im = np.asarray(d["im"], dtype=float)
+    except TypeError as exc:  # an object (dict) where a number or a row belongs
+        raise ValueError("re/im entries must be numbers") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError("re/im arrays do not match the declared dimension")
     basis = d.get("basis")

@@ -436,6 +436,28 @@ class TestStateFiles:
         assert json.loads(out)["psd_ok"] is False
 
 
+class TestMalformedStateFiles:
+    """A state file that JSON or the matrix decoder cannot read exits 2 with
+    one ``error:`` line, whichever command reads it."""
+
+    ZERO = [[0] * 4] * 4
+
+    @pytest.mark.parametrize("command", ["validate", "steering"])
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"dim": 4, "re": {}, "im": ZERO}), "bad matrix JSON in "),
+        (json.dumps({"dim": 4, "re": [[{}] * 4] * 4, "im": ZERO}), "bad matrix JSON in "),
+        ("[" * 100_000 + "]" * 100_000, "is not valid JSON: "),
+    ], ids=["object_re", "object_entry", "deep_nesting"])
+    def test_one_line_usage_error(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 class TestClosedStdout:
     @staticmethod
     def read_and_close(read, *flags):
@@ -620,9 +642,26 @@ class TestReportKeys:
         assert report["results"][-1]["budget_seconds"] == 60.0
 
 
+class TestOneParser:
+    @pytest.mark.parametrize("argv", [("validate", "--state", "werner:0.5"), ("--help",),
+                                      ("nosuch",)])
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch, argv):
+        calls = []
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda *args, **kwargs: calls.append((args, kwargs)) or full())
+        try:
+            main(list(argv))
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert calls == [((), {})]
+
+
 class TestParserIdentity:
-    """``main`` builds the parser for the command its argv names; help, usage
-    errors and exit codes are those of the full parser, byte for byte."""
+    """Each command's help, missing-flag and bad ``--tol`` outcomes through
+    ``main``, and those of an argv without a command: stdout, stderr and the
+    exit code are the full parser's, byte for byte."""
 
     COMMANDS = ("validate", "tomogram", "reconstruct", "map", "correlation", "steering",
                 "selftest")

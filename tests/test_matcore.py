@@ -304,3 +304,10 @@ class TestMatrixJson:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             matrix_from_json_dict({"dim": 3, "re": [], "im": []})
+
+    def test_object_entries(self):
+        # an object where a row or a number belongs is a ValueError, as a string is
+        zero = [[0, 0], [0, 0]]
+        for re in ({}, [[{}, 0], [0, 0]]):
+            with pytest.raises(ValueError, match="re/im entries must be numbers"):
+                matrix_from_json_dict({"dim": 2, "re": re, "im": zero})
