@@ -14,7 +14,7 @@ alone, ``tomogram`` and ``reconstruct`` add frames, ``map`` kernel, ``correlatio
 and ``steering`` steering (not kernel), and ``selftest`` selftest (each with
 the layers it imports); only ``reconstruct --rep qudit`` and ``selftest`` load
 paper_forms. The parser is built whole, every command with its flags, in
-about 3 ms cold.
+3-5 ms cold.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _parse_state(spec: str, enforce_domain: bool = True):
             payload = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read state file {spec!r}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CliError(f"state file {spec!r} is not valid JSON: {exc}") from exc
     try:
         mat, basis = matrix_from_json_dict(payload)
