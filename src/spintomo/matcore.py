@@ -241,6 +241,8 @@ def matrix_from_json_dict(d: dict) -> tuple[np.ndarray, str | None]:
         im = np.asarray(d["im"], dtype=float)
     except TypeError as exc:  # an object (dict) where a number or a row belongs
         raise ValueError("re/im entries must be numbers") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"re/im entries must fit a float: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError("re/im arrays do not match the declared dimension")
     basis = d.get("basis")

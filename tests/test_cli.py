@@ -447,7 +447,9 @@ class TestMalformedStateFiles:
         (json.dumps({"dim": 4, "re": {}, "im": ZERO}), "bad matrix JSON in "),
         (json.dumps({"dim": 4, "re": [[{}] * 4] * 4, "im": ZERO}), "bad matrix JSON in "),
         ("[" * 100_000 + "]" * 100_000, "is not valid JSON: "),
-    ], ids=["object_re", "object_entry", "deep_nesting"])
+        (json.dumps({"dim": 4, "re": [[10**400] + [0] * 3] + ZERO[1:], "im": ZERO}),
+         "bad matrix JSON in "),
+    ], ids=["object_re", "object_entry", "deep_nesting", "overflow"])
     def test_one_line_usage_error(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "state.json"
         path.write_text(text)

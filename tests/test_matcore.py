@@ -311,3 +311,8 @@ class TestMatrixJson:
         for re in ({}, [[{}, 0], [0, 0]]):
             with pytest.raises(ValueError, match="re/im entries must be numbers"):
                 matrix_from_json_dict({"dim": 2, "re": re, "im": zero})
+
+    def test_integer_beyond_float_range(self):
+        # a 401-digit integer entry overflows the float conversion: a ValueError too
+        with pytest.raises(ValueError, match="re/im entries must fit a float"):
+            matrix_from_json_dict({"dim": 2, "re": [[10**400, 0], [0, 0]], "im": [[0] * 2] * 2})
