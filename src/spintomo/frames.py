@@ -13,14 +13,14 @@ the rotated projector at pi - phi, which is the paper's (1/2) I + m F with
 F = k . sigma along k = (-sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)).
 Every row of U is row m of d^j, from the table of Wigner's sum in
 :mod:`spintomo.su2`, times the column phases exp(i m' azimuth). The grid
-tables, a :class:`PointSet` and the point operators evaluate that table over
-arrays of angles, each point from its own angles alone, so at a node they
-agree bit for bit. A point value needs no operator: Tr(A U) = v A v^dag, v
-the point's row of U (for two qubits the Kronecker product of the factor
-rows). A point builds v in Python floats on its first read and keeps it,
-read-only, so every later read of the same point is one vector-matrix
-product. A :class:`PointSet`'s values are one product W vec(A), each row of
-W being v (x) conj(v).
+tables, a :class:`PointSet` and the point operators share one function for
+arrays of such rows, :func:`_set_rows`, which builds each point's row from
+its own angles alone, so at a node they agree bit for bit. A point value
+needs no operator: Tr(A U) = v A v^dag, v the point's row of U (for two
+qubits the Kronecker product of the factor rows). A point builds v in
+Python floats on its first read and keeps it, read-only, so every later
+read of the same point is one vector-matrix product. A :class:`PointSet`'s
+values are one product W vec(A), each row of W being v (x) conj(v).
 
 The quantizer is the canonical dual D(x) = S^-1 U(x), S = int |U(x)><U(x)|
 being the frame superoperator. S is 8 pi^2 / (2L+1) on multipole rank L,
@@ -280,21 +280,6 @@ def _legendre_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # the spin-j frame: rotated projectors and their multipole dual
 
-def _frame_projectors(j: float, azimuth, polar) -> np.ndarray:
-    """Dequantizers U^dag |m><m| U of the spin-j frame at every node pair.
-
-    Shape (2j+1, len(azimuth) * len(polar), 2j+1, 2j+1): projections by
-    descending m, nodes azimuth-major like :meth:`QuadratureGrid.sphere_alpha`.
-    Row m of U is d^j(polar)[m] * exp(i m' azimuth) over the columns m';
-    the third Euler angle cancels in the projector. The qubit factor
-    measures its azimuth the other way round: the spin-1/2 frame at phi is
-    the rotated projector at azimuth pi - phi, i.e. (1/2) I + m F(phi, theta).
-    """
-    d = _wigner_d_array(round(2 * j), np.asarray(polar, dtype=float))
-    rows = d[None] * _phase_array(j, np.asarray(azimuth, dtype=float))[:, None, None, :]
-    return _rank_one(rows.reshape(-1, d.shape[1], d.shape[1]).swapaxes(0, 1))
-
-
 def _phase_array(j: float, azimuth: np.ndarray) -> np.ndarray:
     """exp(i m' azimuth) at each azimuth of an array (rows) over the columns
     m' of U, by descending m'; the qubit's azimuth phi enters as pi - phi."""
@@ -322,8 +307,9 @@ def _projections(j: float) -> np.ndarray:
 
 
 def _point_projector(j: float, m: float, angles: EulerAngles) -> np.ndarray:
-    """The dequantizer at one point, read from the one-node table."""
-    return _frame_projectors(j, (angles.azimuth,), (angles.polar,))[round(j - m), 0]
+    """The dequantizer at one point, from its row in a one-point :func:`_set_rows`."""
+    return _rank_one(_set_rows(j, np.array([m]), np.array([angles.azimuth]),
+                               np.array([angles.polar])))[0]
 
 
 def _point_row(j: float, m: float, angles: EulerAngles) -> list:
@@ -333,8 +319,13 @@ def _point_row(j: float, m: float, angles: EulerAngles) -> list:
 
 
 def _set_rows(j: float, m: np.ndarray, azimuth: np.ndarray, polar: np.ndarray) -> np.ndarray:
-    """Row m of U at each point of arrays of projections and angles: the
-    point's row of d^j times its phases, as the grid tables form them."""
+    """Row m of U at each point of arrays of projections and angles, each
+    from its own angles alone: d^j(polar)[m] * exp(i m' azimuth) over the
+    columns m'. The grid tables, point sets and point operators all build
+    their rows here. The third Euler angle cancels in the projector
+    U^dag |m><m| U; the qubit factor measures its azimuth the other way
+    round, so the spin-1/2 frame at phi is the rotated projector at azimuth
+    pi - phi, i.e. (1/2) I + m F(phi, theta)."""
     d = _wigner_d_array(round(2 * j), polar)
     return d[np.arange(len(m)), np.rint(j - m).astype(int)] * _phase_array(j, azimuth)
 
@@ -488,10 +479,13 @@ class _SphereTables:
     def __init__(self, j: float, n_azimuth: int, n_polar: int):
         grid = make_grid(n_azimuth, n_polar, spheres=1, enforce_minimum=False)
         self.weights = grid.sphere_weights()
-        self.dequantizer = _frame_projectors(j, grid.azimuth, grid.polar)
+        m = _projections(j)
+        dim = len(m)
+        self.axes = (dim, grid.n_sphere_nodes)  # projections by descending m, nodes
+        rows = _set_rows(j, np.repeat(m, grid.n_sphere_nodes), np.tile(grid.sphere_alpha(), dim),
+                         np.tile(grid.sphere_beta(), dim))
+        self.dequantizer = _rank_one(rows).reshape(self.axes + (dim, dim))
         self.quantizer = _dual(self.dequantizer)
-        self.axes = self.dequantizer.shape[:2]
-        dim = self.dequantizer.shape[-1]
         self.analysis = self.dequantizer.swapaxes(-1, -2).reshape(-1, dim * dim)
         self.synthesis = (self.quantizer * self.weights[:, None, None]).reshape(-1, dim * dim)
         self.gram = self.analysis.T @ self.synthesis

@@ -292,13 +292,26 @@ class TestExplicitQuditQuantizer:
             explicit_qudit_b_matrix(np.array([1.5, 0.3]), 0.1, 0.2)
 
 
+def _batch_projectors(j, angles):
+    """U^dag |m><m| U at each of ``angles`` for every projection, shape
+    (2j+1, len(angles), 2j+1, 2j+1), from one frames._set_rows batch that
+    appends the angles to the nodes of a 16x16 grid."""
+    grid = make_grid(16, 16)
+    azimuth = np.append(grid.sphere_alpha(), [n.azimuth for n in angles])
+    polar = np.append(grid.sphere_beta(), [n.polar for n in angles])
+    m = frames._projections(j)
+    rows = frames._set_rows(j, np.repeat(m, len(azimuth)), np.tile(azimuth, len(m)),
+                            np.tile(polar, len(m)))
+    return frames._rank_one(rows.reshape(len(m), len(azimuth), -1)[:, grid.n_sphere_nodes:])
+
+
 class TestPointProjector:
     @pytest.mark.parametrize("j", (0.5, 1.5))
     def test_equals_frame_projector_bitwise(self, j):
         rng = np.random.default_rng(20)
         for _ in range(3):
             a, b = rng.uniform(0, 2 * pi), rng.uniform(0, pi)
-            table = frames._frame_projectors(j, (a,), (b,))
+            table = _batch_projectors(j, [EulerAngles(a, b)])
             for k, m in enumerate(frames._projections(j)):
                 np.testing.assert_array_equal(
                     frames._point_projector(j, m, EulerAngles(a, b)), table[k, 0])
@@ -306,8 +319,9 @@ class TestPointProjector:
 
 class TestPointOperatorsFromOneRow:
     """The public point operators at off-grid angles, built from one row of
-    d^j, equal the single-node table of the grid construction bit for bit;
-    azimuths outside [0, 2 pi) and polars clamped to 0 and pi included."""
+    d^j, equal the same angles' projectors inside a larger batch of rows bit
+    for bit; azimuths outside [0, 2 pi) and polars clamped to 0 and pi
+    included."""
 
     @staticmethod
     def angles():
@@ -318,7 +332,7 @@ class TestPointOperatorsFromOneRow:
 
     @staticmethod
     def table(j, angles):
-        return frames._frame_projectors(j, (angles.azimuth,), (angles.polar,))[:, 0]
+        return _batch_projectors(j, [angles])[:, 0]
 
     def test_qudit(self):
         for n in self.angles():

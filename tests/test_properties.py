@@ -1,6 +1,7 @@
 """Property tests: bounds every state and direction pair must satisfy,
 correlation form maps that read what the frame closures give, point sets
-that read what their points read one by one, tomograms that are probability
+that read what their points read one by one, rows of U with the same bits
+alone, in a set and at a grid node, tomograms that are probability
 distributions, two-qubit marginals that do not signal, and the facts about
 each picture's operator-space Gram G through which alone the grid enters:
 G is self-adjoint on every product grid, and G is the identity from the
@@ -10,7 +11,7 @@ The cases come from hypothesis with ``derandomize=True``, so every run
 draws the same examples.
 """
 
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ from spintomo.frames import (  # noqa: E402
     PointSet,
     _SPHERES,
     _frame,
+    _projections,
+    _qudit_tables,
+    _rank_one,
+    _set_rows,
+    _two_qubit_tables,
     make_grid,
     tomogram,
     tomograms,
@@ -180,6 +186,28 @@ def test_point_set_reads_match_the_points(grids, rho, drawn):
     assert np.abs(tomograms(rho, points) - [tomogram(rho, p) for p in singles]).max() <= 1e-14
     mapped = [state_map(rho, grid, p) for p in singles]
     assert np.abs(state_map(rho, grid, points) - mapped).max() <= 1e-14
+
+
+@SETTINGS
+@given(j=st.sampled_from([0.5, 1.5]), nodes=st.sampled_from([8, 16, 32]), data=st.data())
+def test_a_point_row_has_the_same_bits_alone_in_a_set_and_at_its_node(j, nodes, data):
+    # _set_rows is the one array construction of the rows of U: a grid node's
+    # row is the same alone, among other points and in the grid's table's batch
+    grid = make_grid(nodes, nodes)
+    alpha, beta, m = grid.sphere_alpha(), grid.sphere_beta(), _projections(j)
+    node, k = data.draw(st.integers(0, len(alpha) - 1)), data.draw(st.integers(0, len(m) - 1))
+    alone = _set_rows(j, m[k:k + 1], alpha[node:node + 1], beta[node:node + 1])[0]
+    n, at = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 40))
+    others = [data.draw(st.lists(elements, min_size=n, max_size=n)) for elements in
+              (st.sampled_from(m.tolist()), st.floats(-10.0, 10.0), st.floats(0.0, pi))]
+    at = min(at, n)
+    in_set = _set_rows(j, *(np.insert(x, at, y) for x, y in
+                            zip(others, (m[k], alpha[node], beta[node]))))[at]
+    table_rows = _set_rows(j, np.repeat(m, len(alpha)), np.tile(alpha, len(m)),
+                           np.tile(beta, len(m))).reshape(len(m), len(alpha), -1)
+    assert alone.tobytes() == in_set.tobytes() == table_rows[k, node].tobytes()
+    tables = _two_qubit_tables if j == 0.5 else _qudit_tables
+    assert _rank_one(alone).tobytes() == tables(nodes, nodes).dequantizer[k, node].tobytes()
 
 
 @SETTINGS
