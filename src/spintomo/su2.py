@@ -16,10 +16,9 @@ only. At one angle, in Python floats: :func:`wigner_d`,
 operations in the same order, so the matrix is bit-identical to
 :func:`wigner_d` entry by entry and a point's row to the matrix's row. Over
 an array of angles, as the same terms in array products, in the one function
-through which the frame tables, point sets and point operators of
-:mod:`spintomo.frames` build their rows of U, ``frames._set_rows``. The two
-agree to roundoff; numpy's trigonometry need not match the math module's to
-the last bit.
+that builds the frame tables', point sets' and point operators' rows of U,
+``spintomo.frames._set_rows``. The two agree to roundoff; numpy's
+trigonometry need not match the math module's to the last bit.
 
 The resulting convention is self-consistent (orthogonal, homomorphic in
 beta); relative to the most common textbook table it is the transpose.

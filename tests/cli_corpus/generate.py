@@ -11,10 +11,12 @@ stdout closed after that much is read. Every case runs in a scratch
 directory that :func:`prepare` fills with the state files of ``states/``
 and ``deep.json``, an array nested deeper than the JSON decoder recurses,
 with ``COLUMNS=80`` so that argparse wraps its text the same way on any
-terminal. The wall-clock figures of the selftest lines on stderr are
-masked. An output longer than :data:`DIGEST_BYTES` is kept as its SHA-256,
-its line count and its first lines. ``tests/test_cli_corpus.py`` replays
-the corpus and compares it with :func:`compare`.
+terminal. The in-process cases run with ``time.perf_counter`` stopped, so
+that selftest's runtime budgets do not fail on a loaded host; the
+wall-clock figures of the selftest lines on stderr are masked as well. An
+output longer than :data:`DIGEST_BYTES` is kept as its SHA-256, its line
+count and its first lines. ``tests/test_cli_corpus.py`` replays the corpus
+and compares it with :func:`compare`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -86,7 +89,9 @@ def _in_process(argv: list, directory: Path) -> tuple:
     os.chdir(directory)
     os.environ["COLUMNS"] = "80"
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a stopped clock: selftest's runtime budgets pass however loaded the host is
+        with mock.patch("time.perf_counter", return_value=0.0), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's help and usage errors
@@ -125,12 +130,21 @@ def _fresh_process(argv: list, head: list, directory: Path) -> tuple:
     return code, first.decode(), err.decode()
 
 
+def _split(line: str) -> tuple:
+    """(argv, the words after a ``|``, if the line has one)."""
+    argv = shlex.split(line)
+    return (argv[:argv.index("|")], argv[argv.index("|") + 1:]) if "|" in argv else (argv, [])
+
+
+def _fresh(line: str) -> bool:
+    argv, head = _split(line)
+    return bool(head) or "--help" in argv
+
+
 def run(line: str, directory: Path) -> tuple:
     """(exit code, stdout, stderr) of one corpus line, timings masked."""
-    argv, head = shlex.split(line), []
-    if "|" in argv:
-        argv, head = argv[:argv.index("|")], argv[argv.index("|") + 1:]
-    if head or "--help" in argv:
+    argv, head = _split(line)
+    if _fresh(line):
         code, out, err = _fresh_process(argv, head, directory)
     else:
         code, out, err = _in_process(argv, directory)
@@ -139,7 +153,7 @@ def run(line: str, directory: Path) -> tuple:
 
 def run_all(lines: list, directory: Path) -> list:
     """:func:`run` of every line; the fresh interpreters run a few at a time."""
-    fresh = [i for i, line in enumerate(lines) if "|" in line or "--help" in line]
+    fresh = [i for i, line in enumerate(lines) if _fresh(line)]
     _package_env()  # read os.environ before the in-process cases set COLUMNS
     with ThreadPoolExecutor(WORKERS) as pool:
         pending = {i: pool.submit(run, lines[i], directory) for i in fresh}

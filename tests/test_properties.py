@@ -197,10 +197,10 @@ def test_a_point_row_has_the_same_bits_alone_in_a_set_and_at_its_node(j, nodes, 
     alpha, beta, m = grid.sphere_alpha(), grid.sphere_beta(), _projections(j)
     node, k = data.draw(st.integers(0, len(alpha) - 1)), data.draw(st.integers(0, len(m) - 1))
     alone = _set_rows(j, m[k:k + 1], alpha[node:node + 1], beta[node:node + 1])[0]
-    n, at = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 40))
+    n = data.draw(st.integers(1, 40))
     others = [data.draw(st.lists(elements, min_size=n, max_size=n)) for elements in
               (st.sampled_from(m.tolist()), st.floats(-10.0, 10.0), st.floats(0.0, pi))]
-    at = min(at, n)
+    at = data.draw(st.integers(0, n))
     in_set = _set_rows(j, *(np.insert(x, at, y) for x, y in
                             zip(others, (m[k], alpha[node], beta[node]))))[at]
     table_rows = _set_rows(j, np.repeat(m, len(alpha)), np.tile(alpha, len(m)),
