@@ -23,7 +23,7 @@ _EXPORTS = {
                "tomogram", "tomogram_table"),
     "kernel": ("map_qudit_to_two_qubit", "map_two_qubit_to_qudit"),
     # the paper's closed forms, diagnostics only
-    "paper_forms": ("KernelPoint", "closed_kernel_report", "dual_kernels", "kernel_pair_to_qudit",
+    "paper_forms": ("KernelPoint", "closed_kernel_report", "kernel_pair_to_qudit",
                     "kernel_qudit_to_pair", "kernel_qudit_to_pair_closed",
                     "quantizer_qudit_explicit"),
     "steering": ("ChshResult", "SteeringReport", "WernerReport", "chsh_max", "chsh_value",

@@ -191,8 +191,7 @@ def cmd_tomogram(args) -> int:
                 "rows": table.rows.tolist(),
             })
         return 0
-    # a point ignores the grid, but its flags must be valid
-    frames._node_counts(args.grid_azimuth, args.grid_polar)
+    _picture_grid(args, rep)  # a point ignores the grid, but its flags must be valid
     value = frames.tomogram(state, _tomogram_point(args, rep))
     _emit(args, {"representation": REP_TO_BASIS[rep], "value": value,
                  **{name: getattr(args, name) for name in _POINT_FLAGS[rep]}})

@@ -59,6 +59,10 @@ Legendre nodes in cos(polar), and an analytic 2*pi factor for the third
 Euler angle (no frame operator depends on it). Every integrand produced by
 the frame operators is a trigonometric polynomial within the default
 scheme's exactness degree, so "numerical" integration is exact to roundoff.
+Every table is built from the node arrays of the grid it is given, and
+every frame cache is keyed by that grid object: :func:`make_grid` is the
+one place node counts become nodes, and it returns one shared, read-only
+grid per node count, so equal counts share their tables.
 """
 
 from __future__ import annotations
@@ -162,13 +166,18 @@ class FramePointQudit(_FramePoint):
 # --------------------------------------------------------------------------
 # quadrature
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product quadrature over one or two rotation spheres.
 
-    Per sphere: ``n_azimuth`` uniform azimuth nodes (weight 2pi/n), Gauss-
-    Legendre nodes in cos(polar), and the constant factor 2pi for the third
-    angle folded into the weights. Node weights per sphere sum to 8*pi^2.
+    Per sphere: the ``n_azimuth`` nodes of ``azimuth`` (weight 2pi/n each),
+    the ``n_polar`` nodes of ``polar`` with the weights ``polar_weight`` in
+    cos(polar), and the constant factor 2pi for the third angle folded into
+    the weights. :func:`make_grid` gives uniform azimuths and Gauss-Legendre
+    polar nodes, whose weights per sphere sum to 8*pi^2; a grid built here
+    directly is tabulated at its own nodes all the same. A grid compares and
+    hashes by identity, the key of every frame cache. Every grid operation
+    refuses one whose counts disagree with its node arrays.
     """
 
     n_azimuth: int
@@ -197,8 +206,27 @@ class QuadratureGrid:
         return w * (2.0 * pi / self.n_azimuth) * (2.0 * pi)
 
 
-def _node_counts(n_azimuth, n_polar, enforce_minimum: bool = True) -> tuple[int, int]:
-    """The node counts as ints, or the ValueError :func:`make_grid` raises."""
+def _check_node_cap(n_azimuth: int, n_polar: int) -> None:
+    """Refuse a sphere of more than :data:`MAX_SPHERE_NODES` nodes."""
+    if n_azimuth * n_polar > MAX_SPHERE_NODES:
+        raise ValueError(f"grid too fine: at most {MAX_SPHERE_NODES} nodes per sphere, "
+                         f"got ({n_azimuth}, {n_polar})")
+
+
+def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
+              enforce_minimum: bool = True) -> QuadratureGrid:
+    """The angular quadrature grid of these node counts: uniform azimuths
+    and Gauss-Legendre polar nodes.
+
+    Below the declared minimum node counts it raises ValueError, unless
+    ``enforce_minimum=False``: the one way to a deliberately degraded grid,
+    which every grid operation then accepts. Either way the node counts must
+    be whole numbers and a sphere holds at most :data:`MAX_SPHERE_NODES` nodes.
+    Equal counts give one shared grid, whose node arrays are read-only, so
+    its frame tables are built once.
+    """
+    if spheres not in (1, 2):
+        raise ValueError("spheres must be 1 or 2")
     if not (float(n_azimuth).is_integer() and float(n_polar).is_integer()):
         raise ValueError(f"node counts must be whole numbers, got ({n_azimuth}, {n_polar})")
     n_azimuth, n_polar = int(n_azimuth), int(n_polar)
@@ -209,36 +237,18 @@ def _node_counts(n_azimuth, n_polar, enforce_minimum: bool = True) -> tuple[int,
         )
     if n_azimuth < 1 or n_polar < 1:
         raise ValueError("node counts must be positive")
-    if n_azimuth * n_polar > MAX_SPHERE_NODES:
-        raise ValueError(
-            f"grid too fine: at most {MAX_SPHERE_NODES} nodes per sphere, "
-            f"got ({n_azimuth}, {n_polar})"
-        )
-    return n_azimuth, n_polar
+    _check_node_cap(n_azimuth, n_polar)
+    return _shared_grid(n_azimuth, n_polar, int(spheres))
 
 
-def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
-              enforce_minimum: bool = True) -> QuadratureGrid:
-    """Build the angular quadrature grid.
-
-    Below the declared minimum node counts it raises ValueError, unless
-    ``enforce_minimum=False``: the one way to a deliberately degraded grid,
-    which every grid operation then accepts. Either way the node counts must
-    be whole numbers and a sphere holds at most :data:`MAX_SPHERE_NODES` nodes.
-    """
-    if spheres not in (1, 2):
-        raise ValueError("spheres must be 1 or 2")
-    n_azimuth, n_polar = _node_counts(n_azimuth, n_polar, enforce_minimum)
-    azimuth = 2.0 * pi * np.arange(n_azimuth) / n_azimuth
+# Unbounded, so that equal counts always give the same grid and so the same
+# frame tables: the node cap leaves a few thousand count pairs of small arrays.
+@lru_cache(maxsize=None)
+def _shared_grid(n_azimuth: int, n_polar: int, spheres: int) -> QuadratureGrid:
     x, wx = _gauss_legendre(n_polar)
-    return QuadratureGrid(
-        n_azimuth=n_azimuth,
-        n_polar=n_polar,
-        spheres=int(spheres),
-        azimuth=azimuth,
-        polar=np.arccos(x),
-        polar_weight=wx,
-    )
+    return QuadratureGrid(n_azimuth=n_azimuth, n_polar=n_polar, spheres=spheres,
+                          azimuth=_read_only(2.0 * pi * np.arange(n_azimuth) / n_azimuth),
+                          polar=_read_only(np.arccos(x)), polar_weight=_read_only(wx))
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +369,8 @@ class PointSet:
         m = m.ravel()
         m2 = 2.0 * m.astype(float)
         r2 = np.rint(m2)
-        bad = (abs(m2 - r2) > 1e-9) | (abs(r2) > 2 * j) | ((r2 + 2 * j) % 2 != 0)
+        with np.errstate(invalid="ignore"):  # NaN and infinities are bad by the parity test
+            bad = (abs(m2 - r2) > 1e-9) | (abs(r2) > 2 * j) | ((r2 + 2 * j) % 2 != 0)
         if bad.any():  # the first bad projection raises as the point constructors do
             i = bad.argmax()
             _check_projection(m[i].item(), allowed, labels[i % len(labels)])
@@ -473,11 +484,11 @@ class _SphereTables:
     Their operator-space Gram ``gram`` = a^T b (dim^2 x dim^2) is the whole
     round trip on this grid: synthesis of the analysis of A is vec(A) a^T b.
     On an exact grid it is the identity; on a coarse one it carries the
-    grid's defects.
+    grid's defects. Any grid's own nodes are tabulated, on one sphere
+    whatever the grid's sphere count.
     """
 
-    def __init__(self, j: float, n_azimuth: int, n_polar: int):
-        grid = make_grid(n_azimuth, n_polar, spheres=1, enforce_minimum=False)
+    def __init__(self, j: float, grid: QuadratureGrid):
         self.weights = grid.sphere_weights()
         m = _projections(j)
         dim = len(m)
@@ -498,18 +509,18 @@ class _OnePointTables:
     axes = ()
     analysis = synthesis = gram = np.ones((1, 1))
 
-    def __init__(self, n_azimuth: int, n_polar: int):
+    def __init__(self, grid: QuadratureGrid):
         pass  # the grid does not enter
 
 
 @lru_cache(maxsize=8)
-def _two_qubit_tables(n_azimuth: int, n_polar: int) -> _SphereTables:
-    return _SphereTables(0.5, n_azimuth, n_polar)
+def _two_qubit_tables(grid: QuadratureGrid) -> _SphereTables:
+    return _SphereTables(0.5, grid)
 
 
 @lru_cache(maxsize=8)
-def _qudit_tables(n_azimuth: int, n_polar: int) -> _SphereTables:
-    return _SphereTables(1.5, n_azimuth, n_polar)
+def _qudit_tables(grid: QuadratureGrid) -> _SphereTables:
+    return _SphereTables(1.5, grid)
 
 
 #: Each picture as its pair of factor frames, by table builder.
@@ -544,13 +555,21 @@ class _PictureFrame:
 
 
 @lru_cache(maxsize=16)
-def _picture_frame(representation: str, n_azimuth: int, n_polar: int) -> _PictureFrame:
-    return _PictureFrame(*(tables(n_azimuth, n_polar) for tables in _PICTURES[representation]))
+def _picture_frame(representation: str, grid: QuadratureGrid) -> _PictureFrame:
+    """The picture's frame on the grid, built once per grid object, and only
+    for a grid whose counts are within the node cap and say how many nodes
+    its node arrays hold; every grid operation reaches it before a result."""
+    _check_node_cap(grid.n_azimuth, grid.n_polar)
+    shapes = grid.azimuth.shape, grid.polar.shape, grid.polar_weight.shape
+    if shapes != ((grid.n_azimuth,), (grid.n_polar,), (grid.n_polar,)):
+        raise ValueError(f"grid counts ({grid.n_azimuth}, {grid.n_polar}) disagree with its node "
+                         f"arrays: azimuth, polar and polar weight of shapes {shapes}")
+    return _PictureFrame(*(tables(grid) for tables in _PICTURES[representation]))
 
 
 def _check_picture(representation: str, grid: QuadratureGrid) -> None:
-    """The one check every grid operation passes: a known picture on a grid
-    of its sphere count."""
+    """The check every grid operation passes first: a known picture on a
+    grid of its sphere count."""
     if representation not in _SPHERES:
         raise ValueError(f"unknown representation {representation!r}")
     spheres = _SPHERES[representation]
@@ -561,7 +580,7 @@ def _check_picture(representation: str, grid: QuadratureGrid) -> None:
 def _frame(representation: str, grid: QuadratureGrid) -> _PictureFrame:
     """The picture's cached frame on the grid, after :func:`_check_picture`."""
     _check_picture(representation, grid)
-    return _picture_frame(representation, grid.n_azimuth, grid.n_polar)
+    return _picture_frame(representation, grid)
 
 
 def _analyze(op: np.ndarray, representation: str, grid: QuadratureGrid) -> np.ndarray:
@@ -759,17 +778,17 @@ def _reconstruction(state, representation: str, grid: QuadratureGrid) -> np.ndar
     """The read-only reconstruction :func:`reconstruct_state` copies."""
     rho = _check_basis(state, representation)
     _check_picture(representation, grid)
-    return _reconstruction_memo(rho.tobytes(), representation, grid.n_azimuth, grid.n_polar)
+    return _reconstruction_memo(rho.tobytes(), representation, grid)
 
 
 # Keyed by content, not identity (a DensityMatrix's matrix can alias a caller's
 # array); four entries hold the reuse within one analysis of one state, no more.
 @lru_cache(maxsize=4)
-def _reconstruction_memo(key: bytes, representation: str, n_azimuth: int, n_polar: int):
+def _reconstruction_memo(key: bytes, representation: str, grid: QuadratureGrid):
     rho = np.frombuffer(key, dtype=complex).reshape(4, 4)
     # the tomogram is Re Tr(rho U) = Tr(((rho + rho^dag) / 2) U) for Hermitian U;
     # the table operators are Hermitian to roundoff, not bit for bit
-    frame = _picture_frame(representation, n_azimuth, n_polar)
+    frame = _picture_frame(representation, grid)
     return _read_only(frame.closure(0.5 * (rho + rho.conj().T)))
 
 

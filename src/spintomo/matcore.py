@@ -68,14 +68,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(a, b).reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
-def pauli_dot(k) -> np.ndarray:
-    """k . sigma for a real 3-vector k (no unit-norm requirement here)."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
-        raise ValueError("expected a 3-vector")
-    return k[0] * PAULI_X + k[1] * PAULI_Y + k[2] * PAULI_Z
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the density-matrix checks, with the raw defect numbers."""

@@ -211,8 +211,8 @@ def qudit_quantizer_report(n_azimuth: int, n_polar: int) -> QuditQuantizerReport
     matrix product; ``selected`` names it only if that round trip stays
     below ``EXPLICIT_QUANTIZER_THRESHOLD``.
     """
-    tables = _qudit_tables(n_azimuth, n_polar)
     grid = make_grid(n_azimuth, n_polar, spheres=1, enforce_minimum=False)
+    tables = _qudit_tables(grid)
     explicit = {
         reading: explicit_qudit_b_matrix(np.array(QUDIT_PROJECTIONS)[:, None], grid.sphere_alpha(),
                                          grid.sphere_beta(), reading) / FULL_SPHERE_MEASURE
@@ -286,16 +286,6 @@ def kernel_pair_to_qudit(point: KernelPoint) -> complex:
     """Trace-defined kernel for the inverse direction (two-qubit quantizer
     against the qudit dequantizer); independent of all third Euler angles."""
     return complex(_point_symbol(quantizer_2q(point.pair_point()), point.qudit_point()))
-
-
-def dual_kernels(point: KernelPoint) -> tuple[complex, complex]:
-    """Kernels transporting dual symbols: the pair (K^d_12, K^d_21).
-
-    Swapping quantizer and dequantizer roles swaps the kernels, so the
-    first component is :func:`kernel_pair_to_qudit` at the same point and
-    the second is :func:`kernel_qudit_to_pair`.
-    """
-    return kernel_pair_to_qudit(point), kernel_qudit_to_pair(point)
 
 
 # --------------------------------------------------------------------------

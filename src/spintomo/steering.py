@@ -378,16 +378,6 @@ def _form_spread(forms: dict) -> float:
     return max(abs(x - y) for x in forms.values() for y in forms.values())
 
 
-@lru_cache(maxsize=2)
-def _default_grid(spheres: int) -> QuadratureGrid:
-    """make_grid's default grid over ``spheres`` spheres, built once for every
-    report called without grids; its node arrays are read-only."""
-    grid = make_grid(spheres=spheres)
-    for nodes in (grid.azimuth, grid.polar, grid.polar_weight):
-        nodes.flags.writeable = False
-    return grid
-
-
 def steering_check(state, k1=Z_AXIS, k2=Z_AXIS,
                    grid_pair: QuadratureGrid | None = None,
                    grid_single: QuadratureGrid | None = None,
@@ -397,8 +387,8 @@ def steering_check(state, k1=Z_AXIS, k2=Z_AXIS,
     ``k1``/``k2`` pick the direction pair at which the four correlation
     forms are reported (default: both along z).
     """
-    grid_pair = _default_grid(2) if grid_pair is None else grid_pair
-    grid_single = _default_grid(1) if grid_single is None else grid_single
+    grid_pair = make_grid(spheres=2) if grid_pair is None else grid_pair
+    grid_single = make_grid(spheres=1) if grid_single is None else grid_single
     cells = _form_cells(_four_by_four(state), _FORMS, grid_pair, grid_single)
     t = _real_cells(cells[0])  # the direct form's tensor is T
     forms = _form_values(cells, _FORMS, as_direction(k1).tolist(), as_direction(k2).tolist())
@@ -446,8 +436,8 @@ def werner_report(p: float, grid_pair: QuadratureGrid | None = None,
     both tomograms against their closed forms, and the kernel-mapping
     residual in both directions.
     """
-    grid_pair = _default_grid(2) if grid_pair is None else grid_pair
-    grid_single = _default_grid(1) if grid_single is None else grid_single
+    grid_pair = make_grid(spheres=2) if grid_pair is None else grid_pair
+    grid_single = make_grid(spheres=1) if grid_single is None else grid_single
     from .kernel import map_state_qudit_to_two_qubit, map_state_two_qubit_to_qudit
     state = werner(p)
     report = steering_check(state, Z_AXIS, Z_AXIS, grid_pair, grid_single, p=p)

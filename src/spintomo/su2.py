@@ -89,10 +89,9 @@ def as_direction(k) -> np.ndarray:
 def twice(value) -> int:
     """Convert a (half-)integer spin label to its exact doubled integer."""
     t = 2.0 * float(value)
-    r = round(t)
-    if abs(t - r) > 1e-9:
+    if not isfinite(t) or abs(t - round(t)) > 1e-9:
         raise ValueError(f"{value} is not a half-integer")
-    return int(r)
+    return round(t)
 
 
 def _check_spin_indices(j2: int, mp2: int, m2: int) -> None:

@@ -6,7 +6,8 @@ arithmetic with the grid primitives in :mod:`spintomo.frames`. The rest are
 the definitions the package's closed paths stand for and no longer call: the
 frame pairing and the adjoint closure, the spin observables whose pairings
 the correlation forms are, the forms' tensors, the paper's qubit axis
-operator and the Jacobi polynomial.
+operator, the Pauli combination k . sigma, the dual-symbol kernels and the
+Jacobi polynomial.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,9 @@ from spintomo.frames import (
     QuadratureGrid,
     tomogram,
 )
-from spintomo.matcore import BASIS_QUDIT, BASIS_TWO_QUBIT, IDENTITY_2, _kron, pauli_dot
+from spintomo.matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, IDENTITY_2, PAULI_X, PAULI_Y,
+                              PAULI_Z, _kron)
+from spintomo.paper_forms import KernelPoint, kernel_pair_to_qudit, kernel_qudit_to_pair
 from spintomo.su2 import EulerAngles, as_direction
 
 
@@ -123,6 +126,14 @@ def qubit_axis_operator(phi: float, theta: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 # spin observables and the correlation forms' tensors
 
+def pauli_dot(k) -> np.ndarray:
+    """k . sigma for a real 3-vector k (no unit-norm requirement here)."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != (3,):
+        raise ValueError("expected a 3-vector")
+    return k[0] * PAULI_X + k[1] * PAULI_Y + k[2] * PAULI_Z
+
+
 @dataclass(frozen=True)
 class ObservableTriple:
     """Commuting pair of single-side spin observables and their product."""
@@ -158,6 +169,19 @@ def form_tensors(rho: np.ndarray, forms: tuple, grid_pair: QuadratureGrid | None
     """The complex tensors of the correlation forms as a (len(forms), 3, 3)
     stack, from the cells the package reads."""
     return np.array(steering._form_cells(rho, forms, grid_pair, grid_single)).reshape(-1, 3, 3)
+
+
+# --------------------------------------------------------------------------
+# the kernels of dual symbols
+
+def dual_kernels(point: KernelPoint) -> tuple[complex, complex]:
+    """Kernels transporting dual symbols: the pair (K^d_12, K^d_21).
+
+    Swapping quantizer and dequantizer roles swaps the kernels, so the
+    first component is ``kernel_pair_to_qudit`` at the same point and the
+    second is ``kernel_qudit_to_pair``.
+    """
+    return kernel_pair_to_qudit(point), kernel_qudit_to_pair(point)
 
 
 # --------------------------------------------------------------------------

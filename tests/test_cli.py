@@ -129,6 +129,12 @@ class TestTomogram:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["rows"] == table.rows.tolist()
 
+    @pytest.mark.parametrize("m", ["0.7", "nan", "inf", "-inf"])
+    def test_projection_not_a_half_integer_is_usage_error(self, capsys, m):
+        code, out, err = run(capsys, "tomogram", "--state", "werner:0.5", "--rep", "qudit",
+                             f"--m={m}", "--alpha", "0", "--beta", "0")
+        assert (code, out, err) == (2, "", f"error: {float(m)} is not a half-integer\n")
+
     def test_out_of_domain_parameter_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "tomogram", "--state", "werner:1.5", "--rep", "qudit",
                          "--m", "1.5", "--alpha", "0", "--beta", "0")

@@ -117,6 +117,51 @@ class TestGrid:
             assert grid.polar.tobytes() == np.arccos(x).tobytes(), n
             assert grid.polar_weight.tobytes() == w.tobytes(), n
 
+    def test_one_shared_read_only_grid_per_node_count(self):
+        grid = make_grid(8, 8)
+        assert make_grid(8, 8) is grid
+        assert make_grid(8.0, 8, enforce_minimum=False) is grid
+        assert make_grid(8, 8, spheres=2) is not grid
+        assert make_grid(8, 8, spheres=2) is make_grid(8, 8, spheres=2)
+        for nodes in (grid.azimuth, grid.polar, grid.polar_weight):
+            assert not nodes.flags.writeable
+
+
+class TestHandMadeGrid:
+    """A grid built directly, not by make_grid, is tabulated at its own
+    nodes: here make_grid(8, 8)'s azimuths turned by 0.3."""
+
+    @staticmethod
+    def turned(spheres):
+        grid = make_grid(8, 8, spheres=spheres)
+        return dataclasses.replace(grid, azimuth=grid.azimuth + 0.3)
+
+    def test_table_rows_are_the_point_reads_at_their_angles(self):
+        state = random_density(4, 3201)
+        table = tomogram_table(state, BASIS_QUDIT, self.turned(1))
+        for m, alpha, beta, value in table.rows:
+            point = FramePointQudit(m, EulerAngles(alpha, beta))
+            assert abs(value - tomogram(state, point)) <= 1e-12
+        table = tomogram_table(state, BASIS_TWO_QUBIT, self.turned(2))
+        for m1, m2, theta1, phi1, theta2, phi2, value in table.rows[::61]:
+            point = FramePoint2Q(m1, m2, EulerAngles(phi1, theta1), EulerAngles(phi2, theta2))
+            assert abs(value - tomogram(state, point)) <= 1e-12
+
+    @pytest.mark.parametrize("representation, spheres", [(BASIS_QUDIT, 1), (BASIS_TWO_QUBIT, 2)])
+    def test_reconstruction_returns_the_state(self, representation, spheres):
+        state = random_density(4, 3202)
+        rec = reconstruct_state(state, representation, self.turned(spheres))
+        assert np.abs(rec - state.mat).max() <= 1e-12
+
+    def test_counts_that_disagree_with_the_nodes_are_refused(self):
+        grid = make_grid(8, 8)
+        for wrong in (dataclasses.replace(grid, n_azimuth=9),
+                      dataclasses.replace(grid, polar_weight=grid.polar_weight[:4])):
+            for operation in (reconstruct_state, tomogram_table):
+                with pytest.raises(ValueError,
+                                   match=r"^grid counts \(\d+, 8\) disagree with its node arrays"):
+                    operation(werner(0.5), BASIS_QUDIT, wrong)
+
 
 # --------------------------------------------------------------------------
 # two-qubit frame
@@ -200,7 +245,7 @@ class TestTwoQubitFrame:
                         / FULL_SPHERE_MEASURE**2, rtol=0, atol=1e-17)
 
     def test_table_factors_are_the_paper_forms(self, grid_single):
-        tables = frames._two_qubit_tables(grid_single.n_azimuth, grid_single.n_polar)
+        tables = frames._two_qubit_tables(grid_single)
         eye = np.eye(2)
         nodes = zip(grid_single.sphere_alpha(), grid_single.sphere_beta())
         for s, (phi, theta) in enumerate(nodes):
@@ -362,14 +407,14 @@ def test_tables_point_sets_and_point_operators_are_one_construction(nodes):
     single-qubit rows of frames._set_rows, checked here against the table."""
     grid = make_grid(nodes, nodes)
     nodes_at = [EulerAngles(a, b) for a, b in zip(grid.sphere_alpha(), grid.sphere_beta())]
-    table = frames._qudit_tables(nodes, nodes).dequantizer
+    table = frames._qudit_tables(grid).dequantizer
     points = frames.PointSet(FramePointQudit, np.array(QUDIT_PROJECTIONS)[:, None],
                              grid.sphere_alpha(), grid.sphere_beta())
     assert frames._rank_one(points.rows).reshape(table.shape).tobytes() == table.tobytes()
     for k, m in enumerate(QUDIT_PROJECTIONS):
         for n, angles in enumerate(nodes_at):
             assert dequantizer_qudit(FramePointQudit(m, angles)).tobytes() == table[k, n].tobytes()
-    table = frames._two_qubit_tables(nodes, nodes).dequantizer
+    table = frames._two_qubit_tables(grid).dequantizer
     m = np.repeat(TWO_QUBIT_PROJECTIONS, len(nodes_at))
     rows = frames._set_rows(0.5, m, np.tile(grid.sphere_alpha(), 2), np.tile(grid.sphere_beta(), 2))
     assert frames._rank_one(rows).reshape(table.shape).tobytes() == table.tobytes()
@@ -533,7 +578,7 @@ class TestMultipoleDual:
     def test_equals_numerically_solved_dual(self, tables_of, nodes):
         # reference: the frame superoperator S summed over the table's own
         # dequantizer stack, then D = S^-1 U by a linear solve
-        tables = tables_of(nodes, nodes)
+        tables = tables_of(make_grid(nodes, nodes))
         n_proj, n_nodes, dim, _ = tables.dequantizer.shape
         vecs = tables.dequantizer.reshape(n_proj, n_nodes, dim * dim)
         superoperator = np.einsum("s,msi,msj->ij", tables.weights, vecs, vecs.conj())
@@ -562,12 +607,12 @@ class TestSpinFrameProperties:
 
     @pytest.mark.parametrize("j", SPINS)
     def test_frame_superoperator_spectrum(self, j):
-        np.testing.assert_allclose(self.spectrum(frames._SphereTables(j, 16, 16)),
+        np.testing.assert_allclose(self.spectrum(frames._SphereTables(j, make_grid(16, 16))),
                                    self.multipole_spectrum(j), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("j", SPINS)
     def test_analysis_then_synthesis_reconstructs(self, j):
-        tables = frames._SphereTables(j, 16, 16)
+        tables = frames._SphereTables(j, make_grid(16, 16))
         dim = round(2 * j) + 1
         rng = np.random.default_rng(round(2 * j))
         for _ in range(5):
@@ -588,9 +633,10 @@ class TestSpinFrameProperties:
         # uniform azimuth nodes integrate frequencies below 8 only: the 8x8
         # minimum is exact for j <= 3/2 and misses the j = 2 spectrum
         for j in self.SPINS[:-1]:
-            np.testing.assert_allclose(self.spectrum(frames._SphereTables(j, 8, 8)),
+            np.testing.assert_allclose(self.spectrum(frames._SphereTables(j, make_grid(8, 8))),
                                        self.multipole_spectrum(j), rtol=1e-12, atol=0)
-        deviation = self.spectrum(frames._SphereTables(2.0, 8, 8)) - self.multipole_spectrum(2.0)
+        deviation = (self.spectrum(frames._SphereTables(2.0, make_grid(8, 8)))
+                     - self.multipole_spectrum(2.0))
         assert np.abs(deviation).max() == pytest.approx(8.8, abs=0.05)
 
 
@@ -1000,7 +1046,7 @@ class TestOnePointAndTableConstruction:
     bit, so a separate per-point formula cannot creep in unnoticed."""
 
     def test_qudit_dequantizer(self, grid_single):
-        table = frames._qudit_tables(8, 8).dequantizer
+        table = frames._qudit_tables(grid_single).dequantizer
         nodes = list(zip(grid_single.sphere_alpha(), grid_single.sphere_beta()))
         for k, m in enumerate(QUDIT_PROJECTIONS):
             for i, (a, b) in enumerate(nodes):
@@ -1008,7 +1054,7 @@ class TestOnePointAndTableConstruction:
                 assert point.tobytes() == table[k, i].tobytes()
 
     def test_two_qubit_dequantizer(self, grid_single):
-        table = frames._two_qubit_tables(8, 8).dequantizer
+        table = frames._two_qubit_tables(grid_single).dequantizer
         nodes = list(enumerate(zip(grid_single.sphere_alpha(), grid_single.sphere_beta())))
         for k1, m1 in enumerate(TWO_QUBIT_PROJECTIONS):
             for k2, m2 in enumerate(TWO_QUBIT_PROJECTIONS):
@@ -1142,7 +1188,7 @@ class TestOneGridGate:
 
     @pytest.mark.parametrize("representation, spheres", [(BASIS_QUDIT, 1), (BASIS_TWO_QUBIT, 2)])
     def test_node_cap_holds_for_a_grid_made_by_hand(self, representation, spheres):
-        # the tables are built from the node counts, which is where the cap is read
+        # the cap is read from the grid's counts, before they are checked against its nodes
         grid = dataclasses.replace(make_grid(8, 8, spheres=spheres), n_azimuth=33, n_polar=32)
         with pytest.raises(ValueError, match="at most 1024 nodes"):
             reconstruct_state(_GATE_STATE, representation, grid)

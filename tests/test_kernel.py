@@ -18,7 +18,6 @@ from spintomo.paper_forms import (
     KernelPoint,
     closed_kernel_report,
     closed_kernel_terms,
-    dual_kernels,
     kernel_pair_to_qudit,
     kernel_qudit_to_pair,
     kernel_qudit_to_pair_closed,
@@ -40,7 +39,7 @@ from spintomo.matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, DensityMatrix, rando
                               werner)
 from spintomo.su2 import EulerAngles
 
-from frame_reference import node_values, tomogram_evaluator
+from frame_reference import dual_kernels, node_values, tomogram_evaluator
 
 
 def rand_angles(rng):

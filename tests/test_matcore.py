@@ -10,13 +10,14 @@ from spintomo.matcore import (
     kron,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    pauli_dot,
     random_density,
     validate_density,
     werner,
     werner_matrix,
 )
 from spintomo.su2 import EulerAngles
+
+from frame_reference import pauli_dot
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 

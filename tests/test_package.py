@@ -20,7 +20,7 @@ EXPORTS = (
     "chsh_max", "chsh_value", "closed_kernel_report", "correlation_direct",
     "correlation_tensor", "correlation_tomographic_qudit",
     "correlation_tomographic_two_qubit", "dequantizer_2q", "dequantizer_qudit",
-    "dual_kernels", "dual_symbol", "kernel_pair_to_qudit",
+    "dual_symbol", "kernel_pair_to_qudit",
     "kernel_qudit_to_pair", "kernel_qudit_to_pair_closed", "kron", "make_grid",
     "map_qudit_to_two_qubit", "map_two_qubit_to_qudit", "max_correlation",
     "quantizer_2q", "quantizer_qudit", "quantizer_qudit_explicit",

@@ -84,6 +84,14 @@ def test_bad_qudit_projection_raises_as_the_point(m):
     assert str(many.value) == str(single.value)
 
 
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_projection_is_not_a_half_integer(m):
+    with pytest.raises(ValueError, match=rf"^{m} is not a half-integer$"):
+        PointSet(FramePointQudit, [1.5, m], 0.1, 0.2)
+    with pytest.raises(ValueError, match=rf"^{m} is not a half-integer$"):
+        PointSet(FramePoint2Q, [(0.5, 0.5), (0.5, m)], [0.1, 0.1], [0.2, 0.2])
+
+
 def test_bad_integer_projection_keeps_its_text():
     with pytest.raises(ValueError, match=r"^projection m=1 not in"):
         PointSet(FramePointQudit, [1, 2], 0.1, 0.2)

@@ -207,7 +207,7 @@ def test_a_point_row_has_the_same_bits_alone_in_a_set_and_at_its_node(j, nodes, 
                            np.tile(beta, len(m))).reshape(len(m), len(alpha), -1)
     assert alone.tobytes() == in_set.tobytes() == table_rows[k, node].tobytes()
     tables = _two_qubit_tables if j == 0.5 else _qudit_tables
-    assert _rank_one(alone).tobytes() == tables(nodes, nodes).dequantizer[k, node].tobytes()
+    assert _rank_one(alone).tobytes() == tables(grid).dequantizer[k, node].tobytes()
 
 
 @SETTINGS

@@ -24,11 +24,11 @@ from spintomo.steering import (
 )
 from spintomo.frames import make_grid
 from spintomo.matcore import (BASIS_QUDIT, BASIS_TWO_QUBIT, IDENTITY_2, PAULI, PAULI_X, PAULI_Z,
-                              pauli_dot, random_density, werner)
+                              random_density, werner)
 
 from frame_reference import (closure, closure_adjoint, form_tensors, frame_pairing_qudit,
                              frame_pairing_two_qubit, observable_first, observable_second,
-                             product_observable)
+                             pauli_dot, product_observable)
 from test_matcore import observable_matrix_reference
 
 

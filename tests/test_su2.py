@@ -10,6 +10,7 @@ from spintomo.su2 import (
     as_direction,
     qubit_rotation,
     spin_projections,
+    twice,
     wigner_D,
     wigner_d,
     wigner_d_matrix,
@@ -55,6 +56,16 @@ class TestEulerAngles:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             EulerAngles(np.nan, 0.0)
+
+
+class TestTwice:
+    def test_half_integers(self):
+        assert [twice(v) for v in (1.5, -0.5, 2, 0)] == [3, -1, 4, 0]
+
+    @pytest.mark.parametrize("value", [0.7, float("nan"), float("inf"), -float("inf")])
+    def test_anything_else_is_not_a_half_integer(self, value):
+        with pytest.raises(ValueError, match=rf"^{value} is not a half-integer$"):
+            twice(value)
 
 
 class TestDirection:
