@@ -9,6 +9,15 @@ usage/parse error or a numerical check that refuses the input (one
 ``error:`` line on stderr), 141 (128 + SIGPIPE, stderr empty) when the
 reader closes stdout early, as ``| head`` does.
 
+:func:`main` is the in-process API: it returns the exit code and never ends
+the process. :func:`run`, the entry of the ``spintomo`` script and of
+``python -m spintomo.cli``, ends the process with ``os._exit`` once
+:func:`main` has returned and both streams are flushed, so there is no
+interpreter finalization: no module teardown, final garbage collection or
+atexit handler runs. Nothing in the package may rely on atexit handlers or
+finalizers; every file a command writes is closed before :func:`main`
+returns.
+
 Each handler imports only the layers it calls: ``validate`` needs matcore
 alone, ``tomogram`` and ``reconstruct`` add frames, ``map`` kernel, ``correlation``
 and ``steering`` steering (not kernel), and ``selftest`` selftest (each with
@@ -383,20 +392,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _closed_stdout() -> int:
+    """The exit code of a reader that closed stdout early. Stdout is pointed
+    at devnull, so no later flush of it raises or prints."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 141
+
+
 def main(argv=None) -> int:
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code. Argparse's ``--help`` and usage errors raise ``SystemExit``."""
     args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
         return code
     except BrokenPipeError:
-        # point stdout at devnull so the interpreter's exit flush stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        return _closed_stdout()
     except (CliError, ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
 
+def run() -> None:
+    """The process entry: :func:`main` on ``sys.argv``, then flush both
+    streams and end the process with its exit code, without interpreter
+    finalization. Any exception but argparse's ``SystemExit`` propagates, so
+    a traceback still exits 1."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse after --help or a usage error
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = _closed_stdout()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -87,6 +87,10 @@ QUDIT_PROJECTIONS = (1.5, 0.5, -0.5, -1.5)
 #: It bounds the Gauss-Legendre solve and the frame tables.
 MAX_SPHERE_NODES = 1024
 
+# Largest departure of a gap between a grid's sorted azimuths from 2pi/n,
+# in units of 2pi/n: roundoff of azimuths given far outside [0, 2pi).
+_AZIMUTH_SPACING_TOL = 1e-9
+
 #: Largest full-grid tomogram table: the 16x16 two-sphere table. A
 #: two-sphere table at the node cap would have 4 * 1024^2 rows (235 MB as
 #: the row array alone); tomogram_table refuses it before building.
@@ -176,8 +180,10 @@ class QuadratureGrid:
     the weights. :func:`make_grid` gives uniform azimuths and Gauss-Legendre
     polar nodes, whose weights per sphere sum to 8*pi^2; a grid built here
     directly is tabulated at its own nodes all the same. A grid compares and
-    hashes by identity, the key of every frame cache. Every grid operation
-    refuses one whose counts disagree with its node arrays.
+    hashes by identity, the key of every frame cache, so it keeps read-only
+    copies of the node arrays it is given. Every grid operation refuses one
+    whose counts disagree with its node arrays, or whose azimuths are not
+    equally spaced mod 2pi, as their equal weights require.
     """
 
     n_azimuth: int
@@ -186,6 +192,15 @@ class QuadratureGrid:
     azimuth: np.ndarray = field(repr=False)
     polar: np.ndarray = field(repr=False)
     polar_weight: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("azimuth", "polar", "polar_weight"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    def __setstate__(self, state):
+        # pickle and deepcopy bypass __init__ and restore writable arrays
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def n_sphere_nodes(self) -> int:
@@ -247,8 +262,8 @@ def make_grid(n_azimuth: int = 8, n_polar: int = 8, spheres: int = 1,
 def _shared_grid(n_azimuth: int, n_polar: int, spheres: int) -> QuadratureGrid:
     x, wx = _gauss_legendre(n_polar)
     return QuadratureGrid(n_azimuth=n_azimuth, n_polar=n_polar, spheres=spheres,
-                          azimuth=_read_only(2.0 * pi * np.arange(n_azimuth) / n_azimuth),
-                          polar=_read_only(np.arccos(x)), polar_weight=_read_only(wx))
+                          azimuth=2.0 * pi * np.arange(n_azimuth) / n_azimuth,
+                          polar=np.arccos(x), polar_weight=wx)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -558,12 +573,21 @@ class _PictureFrame:
 def _picture_frame(representation: str, grid: QuadratureGrid) -> _PictureFrame:
     """The picture's frame on the grid, built once per grid object, and only
     for a grid whose counts are within the node cap and say how many nodes
-    its node arrays hold; every grid operation reaches it before a result."""
+    its node arrays hold, and whose azimuths are equally spaced mod 2pi;
+    every grid operation reaches it before a result."""
     _check_node_cap(grid.n_azimuth, grid.n_polar)
+    if grid.n_azimuth < 1 or grid.n_polar < 1:
+        raise ValueError("node counts must be positive")
     shapes = grid.azimuth.shape, grid.polar.shape, grid.polar_weight.shape
     if shapes != ((grid.n_azimuth,), (grid.n_polar,), (grid.n_polar,)):
         raise ValueError(f"grid counts ({grid.n_azimuth}, {grid.n_polar}) disagree with its node "
                          f"arrays: azimuth, polar and polar weight of shapes {shapes}")
+    turns = np.sort(np.mod(grid.azimuth / (2.0 * pi), 1.0))
+    gaps = np.diff(turns, append=turns[0] + 1.0) * grid.n_azimuth
+    if not np.abs(gaps - 1.0).max() <= _AZIMUTH_SPACING_TOL:  # NaN fails too
+        raise ValueError(f"grid azimuths are not equally spaced mod 2pi, as their equal "
+                         f"weights need: gaps from {gaps.min():.6g} to {gaps.max():.6g} "
+                         f"times 2pi/{grid.n_azimuth}")
     return _PictureFrame(*(tables(grid) for tables in _PICTURES[representation]))
 
 

@@ -715,3 +715,74 @@ class TestParserIdentity:
     def test_bad_tolerance(self, capsys, monkeypatch, command):
         argv = (command, "--state", "werner:0.5", "--tol", "nan")
         assert self.compare(capsys, monkeypatch, argv) == 2
+
+
+class TestProcessEntry:
+    """``python -m spintomo.cli`` runs ``cli.run``, which flushes and ends the
+    process without interpreter finalization: what a command writes, and its
+    exit code, are those of ``main`` in process."""
+
+    @staticmethod
+    def env():
+        # buffered streams, as the installed script has them, so that only
+        # the entry's own flush can deliver what is still buffered
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    def fresh(self, *args):
+        return subprocess.run([sys.executable, *args], capture_output=True, env=self.env(),
+                              timeout=120)
+
+    def test_selftest_out_writes_the_full_report(self, tmp_path):
+        target = tmp_path / "selftest.json"
+        proc = self.fresh("-m", "spintomo.cli", "selftest", "--out", str(target))
+        assert proc.returncode == 0
+        report = json.loads(target.read_text())
+        assert set(report) == {"results", "wall_clock_seconds", "all_passed"}
+        assert report["all_passed"] is True
+        assert [entry["index"] for entry in report["results"]] == list(range(1, 13))
+
+    def test_csv_table_to_a_file_is_main_output(self, capsys, tmp_path):
+        argv = ("tomogram", "--state", "werner:0.5", "--rep", "two_qubit", "--full-grid",
+                "--format", "csv")
+        target = tmp_path / "table.csv"
+        with open(target, "wb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "spintomo.cli", *argv], stdout=fh,
+                                  stderr=subprocess.PIPE, env=self.env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        data = target.read_bytes()
+        assert data.count(b"\n") == 16_385
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert data == out.encode()
+
+    @pytest.mark.parametrize("argv, code", [(("validate", "--state", "werner:0.5", "--bogus"), 2),
+                                            (("validate", "--help"), 0)],
+                             ids=("usage_error", "help"))
+    def test_argparse_exit_is_main_outcome(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its lines to this width
+        proc = self.fresh("-m", "spintomo.cli", *argv)
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == code
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            code, captured.out, captured.err)
+
+    def test_an_unexpected_error_prints_a_traceback_and_exits_1(self):
+        script = ("from spintomo import cli\n"
+                  "def fail(args):\n"
+                  "    raise RuntimeError('handler failed')\n"
+                  "cli.cmd_validate = fail\n"
+                  "cli.run()\n")
+        proc = self.fresh("-c", script, "validate", "--state", "werner:0.5")
+        assert proc.returncode == 1
+        assert b"Traceback" in proc.stderr
+        assert proc.stderr.rstrip().endswith(b"RuntimeError: handler failed")
+
+    def test_main_returns_and_keeps_the_process(self, capsys):
+        for _ in range(2):
+            code = main(["validate", "--state", "werner:0.5"])
+            assert isinstance(code, int) and code == 0
+        capsys.readouterr()

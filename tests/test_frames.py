@@ -161,6 +161,40 @@ class TestHandMadeGrid:
                 with pytest.raises(ValueError,
                                    match=r"^grid counts \(\d+, 8\) disagree with its node arrays"):
                     operation(werner(0.5), BASIS_QUDIT, wrong)
+        empty = dataclasses.replace(grid, n_azimuth=0, azimuth=grid.azimuth[:0])
+        for operation in (reconstruct_state, tomogram_table):
+            with pytest.raises(ValueError, match="^node counts must be positive$"):
+                operation(werner(0.5), BASIS_QUDIT, empty)
+
+    def test_nodes_are_read_only_copies(self):
+        # the frame is cached by grid identity, so the grid's nodes must not change
+        state = random_density(4, 3203)
+        azimuth = make_grid(8, 8).azimuth + 0.3
+        grid = dataclasses.replace(make_grid(8, 8), azimuth=azimuth)
+        before = tomogram_table(state, BASIS_QUDIT, grid).rows.copy()
+        azimuth[:] = make_grid(8, 8).azimuth
+        np.testing.assert_array_equal(tomogram_table(state, BASIS_QUDIT, grid).rows, before)
+        for twin in (grid, copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+            for name in ("azimuth", "polar", "polar_weight"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(twin, name)[0] = 0.0
+
+    @pytest.mark.parametrize("representation, spheres", [(BASIS_QUDIT, 1), (BASIS_TWO_QUBIT, 2)])
+    def test_unequally_spaced_azimuths_are_refused(self, representation, spheres):
+        # every azimuth weighs 2pi/n, which only equal spacing mod 2pi makes exact
+        grid = make_grid(8, 8, spheres=spheres)
+        uneven = np.sort(np.random.default_rng(1).uniform(0.0, 2.0 * pi, 8))
+        for azimuth in (uneven, np.r_[grid.azimuth[:7], grid.azimuth[6]]):
+            wrong = dataclasses.replace(grid, azimuth=azimuth)
+            for operation in (reconstruct_state, tomogram_table):
+                with pytest.raises(ValueError,
+                                   match=r"^grid azimuths are not equally spaced mod 2pi"):
+                    operation(random_density(4, 5), representation, wrong)
+        # any order, any shift and any whole number of turns keep the spacing
+        for azimuth in (grid.azimuth[::-1] - 4.0 * pi, grid.azimuth + 100.0):
+            rec = reconstruct_state(random_density(4, 5), representation,
+                                    dataclasses.replace(grid, azimuth=azimuth))
+            assert np.abs(rec - random_density(4, 5).mat).max() <= 1e-12
 
 
 # --------------------------------------------------------------------------
